@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -407,7 +406,7 @@ func (c *Client) HotSync(addr string) (SyncStats, error) {
 		}
 		fetched = nil
 		if resp.Payload != "" {
-			tcs, err := testcase.DecodeAll(strings.NewReader(resp.Payload))
+			tcs, err := testcase.Parse([]byte(resp.Payload))
 			if err != nil {
 				return fmt.Errorf("client: bad testcase payload: %w", err)
 			}
@@ -448,17 +447,15 @@ func (c *Client) uploadOutboxes(addr string) (int, error) {
 	}
 	uploaded := 0
 	// One encode buffer for the whole upload loop: batch payloads reuse
-	// its capacity, so only the final string conversion allocates.
-	var b bytes.Buffer
+	// its capacity, so only the string conversion allocates.
+	var buf []byte
 	for _, batch := range batches {
-		b.Reset()
-		if err := core.EncodeRuns(&b, batch.Runs, false); err != nil {
-			return uploaded, err
-		}
+		buf = core.AppendRuns(buf[:0], batch.Runs, false)
+		payload := string(buf)
 		seq := batch.Seq
 		err := c.withRetry(addr, func(conn *protocol.Conn) error {
 			if err := conn.Send(protocol.Message{
-				Type: protocol.TypeResults, ClientID: c.id, Payload: b.String(), Seq: seq,
+				Type: protocol.TypeResults, ClientID: c.id, Payload: payload, Seq: seq,
 			}); err != nil {
 				return err
 			}

@@ -7,6 +7,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -132,15 +133,14 @@ func (s *Store) setNextSeq(n uint64) error {
 
 // Testcases loads the local testcase store.
 func (s *Store) Testcases() ([]*testcase.Testcase, error) {
-	f, err := os.Open(s.path(testcasesFile))
+	data, err := os.ReadFile(s.path(testcasesFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return testcase.DecodeAll(f)
+	return testcase.Parse(data)
 }
 
 // SaveTestcases replaces the local testcase store.
@@ -183,7 +183,8 @@ func (s *Store) AppendRun(run *core.Run) error {
 		return err
 	}
 	defer f.Close()
-	return core.EncodeRuns(f, []*core.Run{run}, true)
+	_, err = f.Write(core.AppendRuns(nil, []*core.Run{run}, true))
+	return err
 }
 
 // runRecordEnd terminates each text-encoded run record; a pending file
@@ -202,12 +203,12 @@ func (s *Store) PendingRuns() ([]*core.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs, err := core.DecodeRuns(strings.NewReader(string(data)))
+	runs, err := core.ParseRuns(data)
 	if err == nil {
 		return runs, nil
 	}
 	// Try the longest prefix ending at a record boundary.
-	cut := strings.LastIndex(string(data), runRecordEnd)
+	cut := bytes.LastIndex(data, []byte(runRecordEnd))
 	if cut < 0 {
 		// No complete record at all: the whole file is one torn
 		// record; drop it.
@@ -216,13 +217,13 @@ func (s *Store) PendingRuns() ([]*core.Run, error) {
 		}
 		return nil, nil
 	}
-	prefix := string(data)[:cut+len(runRecordEnd)]
-	runs, err2 := core.DecodeRuns(strings.NewReader(prefix))
+	prefix := data[:cut+len(runRecordEnd)]
+	runs, err2 := core.ParseRuns(prefix)
 	if err2 != nil {
 		return nil, err // corruption inside the body, not a torn tail
 	}
 	if werr := s.writeAtomically(pendingFile, func(f *os.File) error {
-		_, err := f.WriteString(prefix)
+		_, err := f.Write(prefix)
 		return err
 	}); werr != nil {
 		return nil, werr
@@ -286,12 +287,11 @@ func (s *Store) Outboxes() ([]OutboxBatch, error) {
 		if err != nil {
 			continue // stray file, not ours
 		}
-		f, err := os.Open(s.path(name))
+		data, err := os.ReadFile(s.path(name))
 		if err != nil {
 			return nil, err
 		}
-		runs, err := core.DecodeRuns(f)
-		f.Close()
+		runs, err := core.ParseRuns(data)
 		if err != nil {
 			return nil, fmt.Errorf("client: outbox %s: %w", name, err)
 		}
@@ -349,15 +349,14 @@ func (s *Store) appendArchive(data []byte) error {
 
 // UploadedRuns loads the archive of already-uploaded runs.
 func (s *Store) UploadedRuns() ([]*core.Run, error) {
-	f, err := os.Open(s.path(archiveFile))
+	data, err := os.ReadFile(s.path(archiveFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return core.DecodeRuns(f)
+	return core.ParseRuns(data)
 }
 
 // writeAtomically writes via a temp file and rename so a crash cannot

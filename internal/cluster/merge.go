@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -105,6 +104,7 @@ type chunk struct {
 	encs  []string
 	runs  []*core.Run
 	bytes int
+	buf   []byte // the worker's encode buffer, reused for every run
 }
 
 func (c *chunk) Len() int           { return len(c.encs) }
@@ -314,7 +314,7 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		// Kept: decode once, encode each run individually into this
 		// worker's chunk. No lock held — this is the expensive part and
 		// it parallelizes across sources.
-		runs, err := core.DecodeRuns(strings.NewReader(op.Payload))
+		runs, err := core.ParseRuns(op.PayloadBytes())
 		if err != nil {
 			return err
 		}
@@ -322,15 +322,11 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		st.Runs += len(runs)
 		mu.Unlock()
 		c := chunks[worker]
-		var b strings.Builder
 		for _, r := range runs {
-			b.Reset()
-			if err := core.EncodeRuns(&b, []*core.Run{r}, true); err != nil {
-				return err
-			}
-			c.encs = append(c.encs, b.String())
+			c.buf = core.AppendRuns(c.buf[:0], []*core.Run{r}, true)
+			c.encs = append(c.encs, string(c.buf))
 			c.runs = append(c.runs, r)
-			c.bytes += len(b.String())
+			c.bytes += len(c.buf)
 		}
 		if c.bytes >= spillBytes {
 			return spill(c)
@@ -530,7 +526,7 @@ func MergedRunsOpts(root string, opt MergeOptions) ([]*core.Run, MergeStats, err
 	var out []*core.Run
 	st, err := mergeInto(dirs, opt, func(enc string, run *core.Run) error {
 		if run == nil {
-			runs, err := core.DecodeRuns(strings.NewReader(enc))
+			runs, err := core.ParseRuns([]byte(enc))
 			if err != nil {
 				return err
 			}

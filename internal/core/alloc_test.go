@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"uucs/internal/hostsim"
 	"uucs/internal/testcase"
 )
 
@@ -150,5 +151,41 @@ func TestExecuteIntoAllocCeiling(t *testing.T) {
 				t.Errorf("ExecuteInto(%s) allocates %.1f/run, ceiling %d", r, avg, ceiling)
 			}
 		})
+	}
+}
+
+// TestAppendRunsAllocCeiling pins the encoder's warm path: appending
+// into a buffer that already has the room allocates nothing, with or
+// without load samples. The cluster merge encodes every run this way.
+func TestAppendRunsAllocCeiling(t *testing.T) {
+	runs := benchRuns(3)
+	runs[0].Load = []hostsim.Load{{Time: 1, CPU: 0.5, MemFrac: 0.25, DiskQ: 2}}
+	for _, withLoad := range []bool{false, true} {
+		buf := AppendRuns(nil, runs, withLoad)
+		avg := testing.AllocsPerRun(100, func() {
+			buf = AppendRuns(buf[:0], runs, withLoad)
+		})
+		if avg != 0 {
+			t.Errorf("AppendRuns(withLoad=%v) into a warm buffer allocates %.1f/call, want 0", withLoad, avg)
+		}
+	}
+}
+
+// TestParseRunsAllocCeiling pins the decoder's cost per run on a 3-run
+// upload batch, the server's hot path. The measured count is 9 per run:
+// the Run, its id string, the Levels and LastFive maps (header and first
+// group each), the LastFive values, the params string, and one step of
+// the output slice's growth.
+func TestParseRunsAllocCeiling(t *testing.T) {
+	const perRun = 9
+	runs := benchRuns(3)
+	payload := AppendRuns(nil, runs, false)
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := ParseRuns(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > perRun*float64(len(runs)) {
+		t.Errorf("ParseRuns allocates %.1f per %d-run batch, ceiling %d per run", avg, len(runs), perRun)
 	}
 }

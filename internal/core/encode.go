@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"uucs/internal/hostsim"
 	"uucs/internal/testcase"
+	"uucs/internal/textrec"
 )
 
 // Run records are stored and transported as line-oriented text, like the
@@ -25,83 +24,143 @@ import (
 //	load <t> <cpu> <mem> <diskq>  (one per monitor sample)
 //	events <n>
 //	endrun
+//
+// Numbers are written in Go's shortest %g form. AppendRuns and ParseRuns
+// are the codec; EncodeRuns and DecodeRuns adapt it to io streams.
 
-// EncodeRuns writes runs to w in the text format. Monitor samples are
-// included only when withLoad is set (hot-sync payloads omit them by
-// default to stay small; the paper uploads them, and the server can ask
-// for them).
-func EncodeRuns(w io.Writer, runs []*Run, withLoad bool) error {
-	bw := bufio.NewWriter(w)
+// resources is testcase.Resources() without the per-call slice.
+var resources = [...]testcase.Resource{testcase.CPU, testcase.Memory, testcase.Disk}
+
+// shapes interns the known shape names so decoding them allocates
+// nothing.
+var shapes = testcase.Shapes()
+
+// AppendRuns appends the text encoding of runs to dst and returns the
+// extended buffer. Monitor samples are included only when withLoad is
+// set (hot-sync payloads omit them by default to stay small; the paper
+// uploads them, and the server can ask for them).
+func AppendRuns(dst []byte, runs []*Run, withLoad bool) []byte {
 	for _, r := range runs {
-		fmt.Fprintf(bw, "run %s\n", r.TestcaseID)
-		fmt.Fprintf(bw, "task %s\n", r.Task)
-		fmt.Fprintf(bw, "user %d\n", r.UserID)
+		dst = append(dst, "run "...)
+		dst = append(dst, r.TestcaseID...)
+		dst = append(dst, "\ntask "...)
+		dst = append(dst, r.Task...)
+		dst = append(dst, "\nuser "...)
+		dst = strconv.AppendInt(dst, int64(r.UserID), 10)
+		dst = append(dst, '\n')
 		if r.Shape != "" {
+			dst = append(dst, "shape "...)
+			dst = append(dst, r.Shape...)
 			if r.Params != "" {
-				fmt.Fprintf(bw, "shape %s %s\n", r.Shape, r.Params)
-			} else {
-				fmt.Fprintf(bw, "shape %s\n", r.Shape)
+				dst = append(dst, ' ')
+				dst = append(dst, r.Params...)
 			}
+			dst = append(dst, '\n')
 		}
-		fmt.Fprintf(bw, "outcome %s %g\n", r.Terminated, r.Offset)
+		dst = append(dst, "outcome "...)
+		dst = append(dst, r.Terminated...)
+		dst = append(dst, ' ')
+		dst = appendFloat(dst, r.Offset)
+		dst = append(dst, '\n')
 		if r.PrimaryResource != "" {
-			fmt.Fprintf(bw, "primary %s\n", r.PrimaryResource)
+			dst = append(dst, "primary "...)
+			dst = append(dst, r.PrimaryResource...)
+			dst = append(dst, '\n')
 		}
-		for _, res := range testcase.Resources() {
+		for _, res := range resources {
 			if v, ok := r.Levels[res]; ok {
-				fmt.Fprintf(bw, "level %s %g\n", res, v)
+				dst = append(dst, "level "...)
+				dst = append(dst, res...)
+				dst = append(dst, ' ')
+				dst = appendFloat(dst, v)
+				dst = append(dst, '\n')
 			}
 		}
-		for _, res := range testcase.Resources() {
-			if vs, ok := r.LastFive[res]; ok && len(vs) > 0 {
-				fmt.Fprintf(bw, "lastfive %s", res)
+		for _, res := range resources {
+			if vs := r.LastFive[res]; len(vs) > 0 {
+				dst = append(dst, "lastfive "...)
+				dst = append(dst, res...)
 				for _, v := range vs {
-					fmt.Fprintf(bw, " %g", v)
+					dst = append(dst, ' ')
+					dst = appendFloat(dst, v)
 				}
-				fmt.Fprintln(bw)
+				dst = append(dst, '\n')
 			}
 		}
-		fmt.Fprintf(bw, "events %d\n", r.Events)
+		dst = append(dst, "events "...)
+		dst = strconv.AppendInt(dst, int64(r.Events), 10)
+		dst = append(dst, '\n')
 		if withLoad {
 			for _, l := range r.Load {
-				fmt.Fprintf(bw, "load %g %g %g %g\n", l.Time, l.CPU, l.MemFrac, l.DiskQ)
+				dst = append(dst, "load "...)
+				dst = appendFloat(dst, l.Time)
+				dst = append(dst, ' ')
+				dst = appendFloat(dst, l.CPU)
+				dst = append(dst, ' ')
+				dst = appendFloat(dst, l.MemFrac)
+				dst = append(dst, ' ')
+				dst = appendFloat(dst, l.DiskQ)
+				dst = append(dst, '\n')
 			}
 		}
-		fmt.Fprintln(bw, "endrun")
+		dst = append(dst, "endrun\n"...)
 	}
-	return bw.Flush()
+	return dst
 }
 
-// DecodeRuns parses run records from r.
+// appendFloat appends v as fmt's %g verb prints it.
+func appendFloat(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// EncodeRuns writes runs to w in the text format; see AppendRuns.
+func EncodeRuns(w io.Writer, runs []*Run, withLoad bool) error {
+	return textrec.Write(w, runs, func(dst []byte, r *Run) ([]byte, error) {
+		return AppendRuns(dst, []*Run{r}, withLoad), nil
+	})
+}
+
+// DecodeRuns reads r to EOF and parses the run records; see ParseRuns.
 func DecodeRuns(r io.Reader) ([]*Run, error) {
-	sc := bufio.NewScanner(r)
-	// Cap lines at 16MB but let the scanner grow to it lazily: the server
-	// decodes every uploaded batch through here, and a preallocated 1MB
-	// buffer per call costs more in zeroing and GC than the parse itself.
-	sc.Buffer(nil, 1<<24)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseRuns(data)
+}
+
+// ParseRuns parses the run records in data. The runs never refer to
+// data: every decoded string is a copy, so the caller may reuse the
+// buffer at once.
+func ParseRuns(data []byte) ([]*Run, error) {
 	var (
 		out  []*Run
 		cur  *Run
 		line int
+		fbuf [8][]byte
+		f    = fbuf[:0]
+		text []byte
+		err  error
 	)
 	fail := func(format string, args ...any) ([]*Run, error) {
 		return nil, fmt.Errorf("core: line %d: %s", line, fmt.Sprintf(format, args...))
 	}
-	for sc.Scan() {
+	for len(data) > 0 {
+		if text, data, err = textrec.NextLine(data); err != nil {
+			return nil, err
+		}
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		if f = textrec.Fields(f, text); len(f) == 0 {
 			continue
 		}
-		f := strings.Fields(text)
-		if cur == nil && f[0] != "run" {
+		if cur == nil && string(f[0]) != "run" {
 			return fail("%q outside run record", f[0])
 		}
 		// Every directive except endrun carries at least one operand.
-		if f[0] != "endrun" && len(f) < 2 {
+		if string(f[0]) != "endrun" && len(f) < 2 {
 			return fail("directive %q without operands", f[0])
 		}
-		switch f[0] {
+		switch string(f[0]) {
 		case "run":
 			if cur != nil {
 				return fail("nested run")
@@ -110,44 +169,46 @@ func DecodeRuns(r io.Reader) ([]*Run, error) {
 				return fail("want 'run <testcase-id>'")
 			}
 			cur = &Run{
-				TestcaseID: f[1],
+				TestcaseID: string(f[1]),
 				Levels:     make(map[testcase.Resource]float64),
 				LastFive:   make(map[testcase.Resource][]float64),
 			}
 		case "task":
-			task, err := testcase.ParseTask(f[1])
+			task, err := parseTask(f[1])
 			if err != nil {
 				return fail("%v", err)
 			}
 			cur.Task = task
 		case "user":
-			id, err := strconv.Atoi(f[1])
+			id, err := strconv.Atoi(string(f[1]))
 			if err != nil {
 				return fail("bad user id: %v", err)
 			}
 			cur.UserID = id
 		case "shape":
-			cur.Shape = testcase.Shape(f[1])
+			cur.Shape = internShape(f[1])
 			if len(f) > 2 {
-				cur.Params = strings.Join(f[2:], " ")
+				cur.Params = textrec.Join(f[2:])
 			}
 		case "outcome":
 			if len(f) != 3 {
 				return fail("want 'outcome <termination> <offset>'")
 			}
-			switch Termination(f[1]) {
-			case Discomfort, Exhausted:
-				cur.Terminated = Termination(f[1])
+			switch string(f[1]) {
+			case string(Discomfort):
+				cur.Terminated = Discomfort
+			case string(Exhausted):
+				cur.Terminated = Exhausted
 			default:
 				return fail("unknown termination %q", f[1])
 			}
-			v, err := strconv.ParseFloat(f[2], 64)
+			v, err := strconv.ParseFloat(string(f[2]), 64)
 			if err != nil {
 				return fail("bad offset: %v", err)
 			}
 			cur.Offset = v
 		case "primary":
-			res, err := testcase.ParseResource(f[1])
+			res, err := parseResource(f[1])
 			if err != nil {
 				return fail("%v", err)
 			}
@@ -156,11 +217,11 @@ func DecodeRuns(r io.Reader) ([]*Run, error) {
 			if len(f) != 3 {
 				return fail("want 'level <resource> <value>'")
 			}
-			res, err := testcase.ParseResource(f[1])
+			res, err := parseResource(f[1])
 			if err != nil {
 				return fail("%v", err)
 			}
-			v, err := strconv.ParseFloat(f[2], 64)
+			v, err := strconv.ParseFloat(string(f[2]), 64)
 			if err != nil {
 				return fail("bad level: %v", err)
 			}
@@ -169,13 +230,13 @@ func DecodeRuns(r io.Reader) ([]*Run, error) {
 			if len(f) < 3 {
 				return fail("want 'lastfive <resource> <values...>'")
 			}
-			res, err := testcase.ParseResource(f[1])
+			res, err := parseResource(f[1])
 			if err != nil {
 				return fail("%v", err)
 			}
 			vals := make([]float64, 0, len(f)-2)
 			for _, s := range f[2:] {
-				v, err := strconv.ParseFloat(s, 64)
+				v, err := strconv.ParseFloat(string(s), 64)
 				if err != nil {
 					return fail("bad lastfive value: %v", err)
 				}
@@ -183,7 +244,7 @@ func DecodeRuns(r io.Reader) ([]*Run, error) {
 			}
 			cur.LastFive[res] = vals
 		case "events":
-			n, err := strconv.Atoi(f[1])
+			n, err := strconv.Atoi(string(f[1]))
 			if err != nil {
 				return fail("bad events: %v", err)
 			}
@@ -193,8 +254,8 @@ func DecodeRuns(r io.Reader) ([]*Run, error) {
 				return fail("want 'load <t> <cpu> <mem> <diskq>'")
 			}
 			var vals [4]float64
-			for i := 0; i < 4; i++ {
-				v, err := strconv.ParseFloat(f[i+1], 64)
+			for i := range vals {
+				v, err := strconv.ParseFloat(string(f[i+1]), 64)
 				if err != nil {
 					return fail("bad load sample: %v", err)
 				}
@@ -217,13 +278,43 @@ func DecodeRuns(r io.Reader) ([]*Run, error) {
 			return fail("unknown directive %q", f[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if cur != nil {
 		return nil, fmt.Errorf("core: unterminated run record at EOF")
 	}
 	return out, nil
+}
+
+// parseTask is testcase.ParseTask on bytes, allocation-free when the
+// task is known.
+func parseTask(b []byte) (testcase.Task, error) {
+	for _, t := range testcase.Tasks() {
+		if string(b) == string(t) {
+			return t, nil
+		}
+	}
+	return testcase.ParseTask(string(b))
+}
+
+// parseResource is testcase.ParseResource on bytes, allocation-free for
+// the canonical lower-case names; any other spelling takes the
+// case-folding path.
+func parseResource(b []byte) (testcase.Resource, error) {
+	for _, r := range resources {
+		if string(b) == string(r) {
+			return r, nil
+		}
+	}
+	return testcase.ParseResource(string(b))
+}
+
+// internShape returns the shape named by b, sharing the known names.
+func internShape(b []byte) testcase.Shape {
+	for _, s := range shapes {
+		if string(b) == string(s) {
+			return s
+		}
+	}
+	return testcase.Shape(b)
 }
 
 // allZeroLevels reports whether every recorded level is zero and no

@@ -340,11 +340,8 @@ func (s *Server) SaveState(dir string) error {
 			}
 		}
 		if len(c.runs) > 0 {
-			var b strings.Builder
-			if err := core.EncodeRuns(&b, c.runs, true); err != nil {
-				return err
-			}
-			if err := emit(journalOp{Op: opResults, Payload: b.String()}); err != nil {
+			b := core.AppendRuns(nil, c.runs, true)
+			if err := emit(journalOp{Op: opResults, Payload: borrowString(b)}); err != nil {
 				return err
 			}
 		}
@@ -499,13 +496,20 @@ func frameOp(f *protocol.Frame) (journalOp, error) {
 }
 
 // borrowString returns a string view of b without copying. Safe here
-// because every caller passes views of an immutable, GC-managed file
-// buffer.
+// because nothing writes b afterwards: every caller passes a view of an
+// immutable, GC-managed file buffer or a freshly encoded payload.
 func borrowString(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
 	return unsafe.String(&b[0], len(b))
+}
+
+// borrowBytes returns a read-only byte view of s without copying, for
+// the payload parsers: they never write their input and copy whatever
+// they keep.
+func borrowBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // Exported op-kind names for StateOp.Kind (the on-disk op tags).
@@ -540,6 +544,10 @@ type StateOp struct {
 	// Payload holds text-encoded testcases or run records.
 	Payload string
 }
+
+// PayloadBytes returns a read-only byte view of op.Payload, for the
+// payload parsers, without copying it.
+func (op StateOp) PayloadBytes() []byte { return borrowBytes(op.Payload) }
 
 // ScanStateOps parses one state file (a journal or a snapshot), calling
 // fn for every op in file order. tolerateTail drops a torn final line —
@@ -589,7 +597,7 @@ func (s *Server) applyOp(op journalOp) error {
 		}
 		return nil
 	case opTestcases:
-		tcs, err := testcase.DecodeAll(strings.NewReader(op.Payload))
+		tcs, err := testcase.Parse(borrowBytes(op.Payload))
 		if err != nil {
 			return err
 		}
@@ -597,7 +605,7 @@ func (s *Server) applyOp(op journalOp) error {
 	case opClient:
 		return s.applyClientShard(&op)
 	case opResults:
-		runs, err := core.DecodeRuns(strings.NewReader(op.Payload))
+		runs, err := core.ParseRuns(borrowBytes(op.Payload))
 		if err != nil {
 			return err
 		}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,14 +251,14 @@ func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 	}
 	switch d.op.Op {
 	case opResults:
-		runs, err := core.DecodeRuns(strings.NewReader(d.op.Payload))
+		runs, err := core.ParseRuns(borrowBytes(d.op.Payload))
 		if err != nil {
 			d.err = err
 			return
 		}
 		d.runs = runs
 	case opTestcases:
-		tcs, err := testcase.DecodeAll(strings.NewReader(d.op.Payload))
+		tcs, err := testcase.Parse(borrowBytes(d.op.Payload))
 		if err != nil {
 			d.err = err
 			return

@@ -27,7 +27,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -727,7 +726,7 @@ func (s *Server) dispatchFrame(conn *protocol.Conn, f *protocol.Frame) error {
 			if err := s.checkClientBytes(f.ClientID); err != nil {
 				return err
 			}
-			runs, err := core.DecodeRuns(bytes.NewReader(f.Payload))
+			runs, err := core.ParseRuns(f.Payload)
 			if err != nil {
 				return fmt.Errorf("bad results payload: %w", err)
 			}
@@ -793,7 +792,7 @@ func (s *Server) dispatch(conn *protocol.Conn, msg protocol.Message) error {
 		if err := s.checkClient(msg.ClientID); err != nil {
 			return err
 		}
-		runs, err := core.DecodeRuns(strings.NewReader(msg.Payload))
+		runs, err := core.ParseRuns(borrowBytes(msg.Payload))
 		if err != nil {
 			return fmt.Errorf("bad results payload: %w", err)
 		}

@@ -1,11 +1,11 @@
 package testcase
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+
+	"uucs/internal/textrec"
 )
 
 // The wire/storage format is line-oriented text, matching the paper's
@@ -21,89 +21,115 @@ import (
 // Blank lines and lines starting with '#' are ignored. A stream may hold
 // any number of testcases.
 
-// Encode writes the testcase to w in the text format.
-func Encode(w io.Writer, tc *Testcase) error {
+// Append validates tc and appends its text encoding to dst. On error
+// dst comes back unchanged.
+func Append(dst []byte, tc *Testcase) ([]byte, error) {
 	if err := tc.Validate(); err != nil {
-		return err
+		return dst, err
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "testcase %s\n", tc.ID)
-	fmt.Fprintf(bw, "rate %g\n", tc.SampleRate)
+	dst = append(dst, "testcase "...)
+	dst = append(dst, tc.ID...)
+	dst = append(dst, "\nrate "...)
+	dst = strconv.AppendFloat(dst, tc.SampleRate, 'g', -1, 64)
+	dst = append(dst, '\n')
 	if tc.Shape != "" {
+		dst = append(dst, "shape "...)
+		dst = append(dst, tc.Shape...)
 		if tc.Params != "" {
-			fmt.Fprintf(bw, "shape %s %s\n", tc.Shape, tc.Params)
-		} else {
-			fmt.Fprintf(bw, "shape %s\n", tc.Shape)
+			dst = append(dst, ' ')
+			dst = append(dst, tc.Params...)
 		}
+		dst = append(dst, '\n')
 	}
 	for _, r := range Resources() {
 		f, ok := tc.Functions[r]
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(bw, "function %s", r)
+		dst = append(dst, "function "...)
+		dst = append(dst, r...)
 		for _, v := range f.Values {
-			fmt.Fprintf(bw, " %g", v)
+			dst = append(dst, ' ')
+			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 		}
-		fmt.Fprintln(bw)
+		dst = append(dst, '\n')
 	}
-	fmt.Fprintln(bw, "end")
-	return bw.Flush()
+	return append(dst, "end\n"...), nil
 }
 
-// EncodeAll writes every testcase to w.
-func EncodeAll(w io.Writer, tcs []*Testcase) error {
-	for _, tc := range tcs {
-		if err := Encode(w, tc); err != nil {
-			return fmt.Errorf("testcase %s: %w", tc.ID, err)
-		}
+// appendNamed is Append with the testcase id on its error.
+func appendNamed(dst []byte, tc *Testcase) ([]byte, error) {
+	dst, err := Append(dst, tc)
+	if err != nil {
+		err = fmt.Errorf("testcase %s: %w", tc.ID, err)
 	}
-	return nil
+	return dst, err
+}
+
+// Encode writes the testcase to w in the text format.
+func Encode(w io.Writer, tc *Testcase) error {
+	return textrec.Write(w, []*Testcase{tc}, Append)
+}
+
+// EncodeAll writes every testcase to w. It stops at the first invalid
+// testcase, possibly after writing part of the stream.
+func EncodeAll(w io.Writer, tcs []*Testcase) error {
+	return textrec.Write(w, tcs, appendNamed)
 }
 
 // EncodeString renders one testcase as a string.
 func EncodeString(tc *Testcase) (string, error) {
-	var b strings.Builder
-	if err := Encode(&b, tc); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	b, err := Append(nil, tc)
+	return string(b), err
 }
 
-// DecodeAll parses every testcase from r.
+// DecodeAll reads r to EOF and parses every testcase; see Parse.
 func DecodeAll(r io.Reader) ([]*Testcase, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24) // exercise functions can be long lines
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return Parse(data)
+}
+
+// Parse parses every testcase in data. The testcases never refer to
+// data: every decoded string is a copy.
+func Parse(data []byte) ([]*Testcase, error) {
 	var (
 		out  []*Testcase
 		cur  *Testcase
 		line int
+		fbuf [8][]byte
+		f    = fbuf[:0]
+		text []byte
+		err  error
 	)
-	for sc.Scan() {
+	for len(data) > 0 {
+		if text, data, err = textrec.NextLine(data); err != nil {
+			return nil, err
+		}
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		if f = textrec.Fields(f, text); len(f) == 0 {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+		switch string(f[0]) {
 		case "testcase":
 			if cur != nil {
 				return nil, fmt.Errorf("testcase: line %d: nested testcase without end", line)
 			}
-			if len(fields) != 2 {
+			if len(f) != 2 {
 				return nil, fmt.Errorf("testcase: line %d: want 'testcase <id>'", line)
 			}
-			cur = New(fields[1], 0)
+			cur = New(string(f[1]), 0)
 			cur.SampleRate = 0
 		case "rate":
 			if cur == nil {
 				return nil, fmt.Errorf("testcase: line %d: rate outside testcase", line)
 			}
-			if len(fields) != 2 {
+			if len(f) != 2 {
 				return nil, fmt.Errorf("testcase: line %d: want 'rate <hz>'", line)
 			}
-			v, err := strconv.ParseFloat(fields[1], 64)
+			v, err := strconv.ParseFloat(string(f[1]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("testcase: line %d: bad rate: %w", line, err)
 			}
@@ -112,29 +138,29 @@ func DecodeAll(r io.Reader) ([]*Testcase, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("testcase: line %d: shape outside testcase", line)
 			}
-			if len(fields) < 2 {
+			if len(f) < 2 {
 				return nil, fmt.Errorf("testcase: line %d: want 'shape <family> [params]'", line)
 			}
-			cur.Shape = Shape(fields[1])
-			if len(fields) > 2 {
-				cur.Params = strings.Join(fields[2:], " ")
+			cur.Shape = Shape(f[1])
+			if len(f) > 2 {
+				cur.Params = textrec.Join(f[2:])
 			}
 		case "function":
 			if cur == nil {
 				return nil, fmt.Errorf("testcase: line %d: function outside testcase", line)
 			}
-			if len(fields) < 2 {
+			if len(f) < 2 {
 				return nil, fmt.Errorf("testcase: line %d: want 'function <resource> <values...>'", line)
 			}
-			res, err := ParseResource(fields[1])
+			res, err := ParseResource(string(f[1]))
 			if err != nil {
 				return nil, fmt.Errorf("testcase: line %d: %w", line, err)
 			}
-			vals := make([]float64, 0, len(fields)-2)
-			for _, f := range fields[2:] {
-				v, err := strconv.ParseFloat(f, 64)
+			vals := make([]float64, 0, len(f)-2)
+			for _, s := range f[2:] {
+				v, err := strconv.ParseFloat(string(s), 64)
 				if err != nil {
-					return nil, fmt.Errorf("testcase: line %d: bad sample %q: %w", line, f, err)
+					return nil, fmt.Errorf("testcase: line %d: bad sample %q: %w", line, s, err)
 				}
 				vals = append(vals, v)
 			}
@@ -155,11 +181,8 @@ func DecodeAll(r io.Reader) ([]*Testcase, error) {
 			out = append(out, cur)
 			cur = nil
 		default:
-			return nil, fmt.Errorf("testcase: line %d: unknown directive %q", line, fields[0])
+			return nil, fmt.Errorf("testcase: line %d: unknown directive %q", line, f[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("testcase: unterminated testcase %s at EOF", cur.ID)
@@ -169,7 +192,7 @@ func DecodeAll(r io.Reader) ([]*Testcase, error) {
 
 // DecodeString parses exactly one testcase from s.
 func DecodeString(s string) (*Testcase, error) {
-	tcs, err := DecodeAll(strings.NewReader(s))
+	tcs, err := Parse([]byte(s))
 	if err != nil {
 		return nil, err
 	}
