@@ -11,15 +11,16 @@
 # every scheduled run is accounted exactly once. `make cluster-smoke`
 # drives the routed 3-node cluster under the race detector, SIGKILLs
 # one node mid-upload, and fails unless the merged multi-node dataset
-# holds every acked batch exactly once. `make e2e` runs the
-# process-level chaos suite (real binaries, kill -9 inside the journal
-# fsync window, seeded regression replay); `make e2e-smoke` and `make
-# e2e-seeds` run its halves.
+# holds every acked batch exactly once; `make cluster-smoke-v2` is the
+# same run with the fleet pinned to the v2 JSON framing. `make e2e`
+# runs the process-level chaos suite (real binaries, kill -9 inside the
+# journal fsync window, seeded regression replay); `make e2e-smoke` and
+# `make e2e-seeds` run its halves.
 
 GO ?= go
 THRESHOLD ?= 0.15
 
-.PHONY: all build test race bench bench-check bench-baseline loadgen-smoke loadgen-smoke-v2 pop-smoke cluster-smoke e2e e2e-smoke e2e-smoke-v3 e2e-restart e2e-seeds
+.PHONY: all build test race bench bench-check bench-baseline loadgen-smoke loadgen-smoke-v2 pop-smoke cluster-smoke cluster-smoke-v2 e2e e2e-smoke e2e-smoke-v3 e2e-restart e2e-seeds
 
 all: build test
 
@@ -54,6 +55,9 @@ pop-smoke:
 
 cluster-smoke:
 	$(GO) run -race ./cmd/uucs-loadgen -nodes n1,n2,n3 -kill-node n2 -clients 8 -batches 300 -protocol v3 -smoke
+
+cluster-smoke-v2:
+	$(GO) run -race ./cmd/uucs-loadgen -nodes n1,n2,n3 -kill-node n2 -clients 8 -batches 300 -protocol v2 -smoke
 
 e2e:
 	scripts/e2e/run.sh

@@ -51,7 +51,7 @@ func main() {
 		jBatch    = flag.Int("journal-batch", 0, "max ops per group-commit fsync (0 = server default, 1 = fsync per op)")
 		jDelay    = flag.Duration("journal-delay", 0, "group-commit accumulation window (0 = never wait)")
 		fsyncCost = flag.Duration("fsync-cost", 0, "modeled storage device: stretch each fsync to at least this long (e.g. 8ms for a paper-era disk)")
-		jSegment  = flag.Int64("journal-segment-bytes", 0, "seal the journal into numbered segments at this size (0 = single-file journal)")
+		jSegment  = flag.Int64("journal-segment-bytes", 0, "seal the journal into numbered segments at this size (0 = 64 MiB)")
 		rWorkers  = flag.Int("replay-workers", 0, "restart-replay decode workers (0 = GOMAXPROCS, 1 = serial)")
 		seed      = flag.Uint64("seed", 1, "server sampling seed")
 		proto     = flag.String("protocol", "v3", "fleet wire framing: v2 (JSON) or v3 (binary)")

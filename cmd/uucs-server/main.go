@@ -60,7 +60,7 @@ func main() {
 		jBatch   = flag.Int("journal-batch", 0, "max ops per group-commit fsync (0 = default, 1 = fsync per op)")
 		jDelay   = flag.Duration("journal-delay", 0, "wait this long for more ops before fsyncing a sub-capacity batch (0 = never wait)")
 		jSync    = flag.Duration("fsync-cost", 0, "modeled storage device: stretch each journal fsync to at least this long (0 = real device)")
-		jSegment = flag.Int64("journal-segment-bytes", 0, "seal the journal into a numbered segment file once it reaches this size; sealed segments replay in parallel at restart and compaction deletes covered ones instead of rewriting (0 = single-file journal)")
+		jSegment = flag.Int64("journal-segment-bytes", 0, "seal the journal into a numbered segment file once it reaches this size; sealed segments replay in parallel at restart and compaction deletes covered ones instead of rewriting (0 = 64 MiB)")
 		rWorkers = flag.Int("replay-workers", 0, "parallel record-decode workers for restart replay (0 = GOMAXPROCS, 1 = serial; the restored state is bit-identical at any setting)")
 		crashAft = flag.Int("crash-after", 0, "TEST HOOK: SIGKILL this process between the Nth journaled op's write and its fsync (requires -state; 0 = off)")
 		maxProto = flag.String("max-protocol", "v3", "highest wire protocol to grant at negotiation: v3, or v2 to roll the fleet back to the JSON framing")

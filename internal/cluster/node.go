@@ -36,8 +36,8 @@ type Config struct {
 	JournalDelay    time.Duration
 	JournalSyncCost time.Duration
 	// JournalSegmentBytes seals every node's journal into size-bounded
-	// segments (see server.Server.JournalSegmentBytes; 0 keeps the
-	// single-file journal).
+	// segments (see server.Server.JournalSegmentBytes; 0 means the
+	// server default).
 	JournalSegmentBytes int64
 	// ReplayWorkers bounds the parallel replay decode workers each node
 	// uses at restart and — on the availability-critical path — at

@@ -273,22 +273,13 @@ func (h *ReplicaHost) handle(conn *protocol.Conn) {
 		// The segment bytes are a borrowed view of the connection's read
 		// buffer; apply writes them to the replica file before the next
 		// RecvFrame invalidates the view, so no copy is ever made. (A
-		// v2-era shipper still works — its JSON framing fills the
-		// Message view instead — but can only carry text segments.)
-		node, seq, payload := string(f.Node), f.Seq, f.Payload
-		if f.WireVersion == protocol.V2 {
-			msg, merr := f.Message()
-			if merr != nil {
-				_ = conn.SendError(merr)
-				return
-			}
-			node, payload = msg.Node, []byte(msg.Payload)
-		}
-		if f.Type != protocol.TypeShip || node == "" || seq == 0 {
+		// v2-era shipper still works — RecvFrame converts its JSON line
+		// to a frame — but can only carry text segments.)
+		if f.Type != protocol.TypeShip || len(f.Node) == 0 || f.Seq == 0 {
 			_ = conn.SendError(fmt.Errorf("cluster: malformed ship"))
 			return
 		}
-		dup, err := h.apply(node, seq, payload)
+		dup, err := h.apply(string(f.Node), f.Seq, f.Payload)
 		if err != nil {
 			_ = conn.SendError(err)
 			return

@@ -170,14 +170,20 @@ func (r *Router) nodeAddr(node string) (string, int) {
 	return r.addrs[node], r.gens[node]
 }
 
-// route picks the owning node for one request.
-func (r *Router) route(msg protocol.Message) (string, error) {
-	id := msg.ClientID
-	if msg.Type == protocol.TypeRegister {
-		if msg.Snapshot == nil {
+// route picks the owning node for one request from the frame's
+// fields. Only a registration (cold, once per client) decodes more than
+// the client id: it needs the snapshot to derive the id.
+func (r *Router) route(f *protocol.Frame) (string, error) {
+	id := string(f.ClientID)
+	if f.Type == protocol.TypeRegister {
+		snap, err := f.DecodeSnapshot()
+		if err != nil {
+			return "", err
+		}
+		if snap == nil {
 			return "", fmt.Errorf("register without snapshot")
 		}
-		id = server.DeriveClientID(r.seed, *msg.Snapshot)
+		id = server.DeriveClientID(r.seed, *snap)
 	}
 	if id == "" {
 		return "", fmt.Errorf("request without client id")
@@ -187,28 +193,13 @@ func (r *Router) route(msg protocol.Message) (string, error) {
 	if node, pinned := r.pins[id]; pinned {
 		return node, nil
 	}
-	if msg.Type != protocol.TypeRegister {
+	if f.Type != protocol.TypeRegister {
 		// An id the router never pinned: either a client that
 		// registered before the router existed, or a misrouted fleet.
 		// The partition map is still deterministic for it.
 		r.misroutes.Add(1)
 	}
 	return r.pmap.Owner(id), nil
-}
-
-// routeFrame routes a v3 frame from its borrowed fields. Only a
-// registration (cold, once per client) materializes the full message —
-// it needs the snapshot to derive the id; the hot upload path routes
-// straight off the frame's client-id bytes without decoding the rest.
-func (r *Router) routeFrame(f *protocol.Frame) (string, error) {
-	if f.Type == protocol.TypeRegister {
-		msg, err := f.Message()
-		if err != nil {
-			return "", err
-		}
-		return r.route(msg)
-	}
-	return r.route(protocol.Message{Type: f.Type, ClientID: string(f.ClientID)})
 }
 
 // upstream is one cached node connection inside a client session.
@@ -221,11 +212,12 @@ type upstream struct {
 // are per-session (a session's requests are strictly serial, so no
 // multiplexing is needed) and cached per node.
 //
-// A v3 request is relayed as its verbatim wire bytes — routed off the
-// frame's borrowed fields, written upstream with WriteRaw, and the v3
-// reply relayed back the same way — so the router never re-encodes
-// (or allocates for) a binary message in either direction. v2 requests
-// take the materialized Message path exactly as before.
+// Every hop keeps the client's framing: a request goes upstream in the
+// framing it arrived in and the reply comes back down the same way.
+// For a v3 client both directions relay the frames' verbatim wire bytes,
+// so the router never re-encodes (or allocates for) a binary message;
+// a v2 client's lines are re-encoded per hop, which is also what keeps
+// nodes running with MaxProtocol = V2 usable behind the router.
 func (r *Router) handle(down *protocol.Conn) {
 	defer down.Close()
 	ups := make(map[string]*upstream)
@@ -239,53 +231,24 @@ func (r *Router) handle(down *protocol.Conn) {
 		if err != nil {
 			return
 		}
-		var (
-			node string
-			msg  protocol.Message
-			raw  []byte
-		)
-		if f.WireVersion == protocol.V3 {
-			raw = f.Raw()
-			node, err = r.routeFrame(f)
-		} else {
-			msg, err = f.Message()
-			if err == nil {
-				node, err = r.route(msg)
-			}
-		}
+		node, err := r.route(f)
 		if err != nil {
 			if down.SendError(err) != nil {
 				return
 			}
 			continue
 		}
-		reply, err := r.forward(ups, node, msg, raw)
+		reply, err := r.forward(ups, node, f)
 		if err != nil {
 			if down.SendError(fmt.Errorf("node %s unavailable: %v", node, err)) != nil {
 				return
 			}
 			continue
 		}
-		if reply.WireVersion == protocol.V3 {
-			if reply.Type == protocol.TypeRegistered && len(reply.ClientID) > 0 {
-				r.pin(string(reply.ClientID), node)
-			}
-			if down.WriteRaw(reply.Raw()) != nil {
-				return
-			}
-			continue
+		if reply.Type == protocol.TypeRegistered && len(reply.ClientID) > 0 {
+			r.pin(string(reply.ClientID), node)
 		}
-		rm, err := reply.Message()
-		if err != nil {
-			if down.SendError(err) != nil {
-				return
-			}
-			continue
-		}
-		if rm.Type == protocol.TypeRegistered && rm.ClientID != "" {
-			r.pin(rm.ClientID, node)
-		}
-		if down.Send(rm) != nil {
+		if down.SendFrame(reply) != nil {
 			return
 		}
 	}
@@ -298,18 +261,18 @@ func (r *Router) pin(clientID, node string) {
 	r.mu.Unlock()
 }
 
-// forward sends one request to a node and returns its reply frame,
-// retrying across redials and failovers. A non-nil rawFrame relays
-// those verbatim v3 wire bytes instead of re-encoding msg (the bytes
-// stay valid across retries — nothing reads from the downstream
-// connection until the reply is relayed). A retry may hit a node that
-// already applied the request (the first ack was lost in the failure) —
-// the protocol's nonce/seq idempotency turns that into a dup ack, which
-// is passed through for the client to treat as success.
+// forward sends one request frame to a node in the frame's own wire
+// framing and returns the reply frame, retrying across redials and
+// failovers. The request's views stay valid across retries — nothing
+// reads from the downstream connection until the reply is relayed. A
+// retry may hit a node that already applied the request (the first ack
+// was lost in the failure) — the protocol's nonce/seq idempotency turns
+// that into a dup ack, which is passed through for the client to treat
+// as success.
 //
 // The returned frame is owned by the upstream connection and valid
 // until the next forward touching the same node.
-func (r *Router) forward(ups map[string]*upstream, node string, msg protocol.Message, rawFrame []byte) (*protocol.Frame, error) {
+func (r *Router) forward(ups map[string]*upstream, node string, f *protocol.Frame) (*protocol.Frame, error) {
 	r.forwards.Add(1)
 	var lastErr error
 	for attempt := 0; attempt < forwardAttempts; attempt++ {
@@ -337,14 +300,8 @@ func (r *Router) forward(ups map[string]*upstream, node string, msg protocol.Mes
 			up.conn.SetTimeout(forwardTimeout)
 			ups[node] = up
 		}
-		var err error
-		if rawFrame != nil {
-			err = up.conn.WriteRaw(rawFrame)
-		} else {
-			up.conn.SetVersion(protocol.V2)
-			err = up.conn.Send(msg)
-		}
-		if err != nil {
+		up.conn.SetVersion(f.WireVersion)
+		if err := up.conn.SendFrame(f); err != nil {
 			lastErr = err
 			up.conn.Close()
 			delete(ups, node)

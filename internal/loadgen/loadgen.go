@@ -59,7 +59,7 @@ type Config struct {
 	// comparison reproducible.
 	FsyncCost time.Duration
 	// JournalSegmentBytes forwards the journal rotation threshold (0 =
-	// single-file journal). The cold-restart benchmarks use it to build
+	// the server default). The cold-restart benchmarks use it to build
 	// multi-segment state directories under real ingest load.
 	JournalSegmentBytes int64
 	// ReplayWorkers forwards the restart-replay worker count (0 =

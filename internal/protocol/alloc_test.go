@@ -94,9 +94,10 @@ func BenchmarkEncodeMessage(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeMessage measures the receive path each wire version's
-// server actually runs: full Recv materialization for v2, the borrowed
-// RecvFrame view for v3 (the zero-copy ingest path).
+// BenchmarkDecodeMessage measures the receive path the server runs for
+// each wire version: RecvFrame, which for v2 decodes and verifies the
+// JSON line and converts it to a frame, and for v3 decodes the borrowed
+// view in place (the zero-copy ingest path).
 func BenchmarkDecodeMessage(b *testing.B) {
 	for _, ver := range []int{V2, V3} {
 		b.Run(versionName(ver), func(b *testing.B) {

@@ -32,9 +32,10 @@ import (
 // forward-extensible. The CRC32 trailer covers the payload bytes
 // exactly as they sit in the frame, which makes verification a single
 // table walk instead of a re-encode, and makes the frame safe to store
-// and forward verbatim: the server journals accepted v3 result frames
-// byte-for-byte, replicas receive those same bytes, and replay,
-// compaction, and merge all re-read them without ever re-encoding.
+// and forward verbatim: the server journals accepted result frames
+// byte-for-byte (a v2 upload as the frame RecvFrame converted it to),
+// replicas receive those same bytes, and replay, compaction, and merge
+// all re-read them without ever re-encoding.
 //
 // The first byte distinguishes the framings on sight: a v2 frame
 // begins with '{' (0x7B), a v3 frame with 0xB3 — not valid UTF-8, so
@@ -289,16 +290,14 @@ func appendHaveField(dst []byte, have []string) []byte {
 	return dst
 }
 
-// Frame is one decoded wire message. For a v3 frame every byte-slice
-// field is a BORROWED view into the connection's (or caller's) buffer:
-// zero bytes are copied between the read buffer and the caller, and
-// the views stay valid only until the next RecvFrame on the same Conn
-// (or, for DecodeFrame, while the input buffer lives). Callers that
-// retain a field must copy it.
-//
-// For a v2 (JSON) frame only WireVersion, Type, and the scalar fields
-// are populated here; the fully materialized form is available from
-// Message(). Raw() is the v3 frame's exact wire bytes — nil for v2.
+// Frame is one decoded wire message, in v3 form whatever framing it
+// arrived in: RecvFrame re-encodes a verified v2 JSON line as a v3 frame
+// at the edge, so every consumer behind it reads one shape. Every
+// byte-slice field is a BORROWED view into the connection's (or
+// caller's) buffer: zero bytes are copied between the read buffer and
+// the caller, and the views stay valid only until the next RecvFrame on
+// the same Conn (or, for DecodeFrame, while the input buffer lives).
+// Callers that retain a field must copy it.
 type Frame struct {
 	// WireVersion is the framing the message arrived in: V2 or V3.
 	WireVersion int
@@ -318,8 +317,7 @@ type Frame struct {
 
 	snapRaw []byte
 	snap    *Snapshot
-	msg     Message // v2 only: the decoded message
-	raw     []byte  // v3 only: the complete frame bytes
+	raw     []byte // the complete v3 frame bytes
 }
 
 // reset clears f for reuse, keeping the Have backing array.
@@ -328,11 +326,11 @@ func (f *Frame) reset() {
 	*f = Frame{Have: have}
 }
 
-// Raw returns the frame's verbatim wire bytes (magic through CRC
-// trailer) for a v3 frame, nil for a v2 frame. The slice is borrowed:
-// valid until the next RecvFrame on the same Conn. These are the bytes
-// the server journals and the router forwards — stored and shipped
-// exactly as they arrived, CRC and all.
+// Raw returns the frame's v3 bytes, magic through CRC trailer: the
+// verbatim wire bytes for a v3 arrival, the receive-time re-encoding for
+// a v2 one. The slice is borrowed: valid until the next RecvFrame on the
+// same Conn. These are the bytes the server journals and a v3 hop
+// forwards — stored and shipped as they are, CRC and all.
 func (f *Frame) Raw() []byte { return f.raw }
 
 // DecodeSnapshot returns the registration snapshot carried by the
@@ -400,14 +398,10 @@ func (f *Frame) AsError() error {
 }
 
 // Message materializes the frame as a Message, copying every borrowed
-// byte field into owned strings. For v2 frames this is the original
-// decoded message (checksum field included) at no extra cost; for v3
-// frames it is the compatibility bridge for callers that want owned
-// data.
+// byte field into owned strings — the bridge for callers that want
+// owned data. Sum is never set: a frame's integrity check is its CRC
+// trailer.
 func (f *Frame) Message() (Message, error) {
-	if f.WireVersion == V2 {
-		return f.msg, nil
-	}
 	m := Message{
 		Type: f.Type, Ver: f.Ver, Want: f.Want, Count: f.Count,
 		Seq: f.Seq, Dup: f.Dup,
@@ -636,50 +630,69 @@ func (c *Conn) Version() int {
 // Conn. As a side effect the connection's send framing is set to the
 // frame's, so replies go back the way the request came.
 //
-// This is the zero-copy ingest path: for a v3 frame the payload bytes
-// the caller sees (and the Raw() bytes it may journal or forward) are
-// read into a buffer reused across messages — steady state receives
-// allocate nothing.
+// This is the one ingest path. A v3 frame is read into a buffer reused
+// across messages and decoded in place — steady state receives allocate
+// nothing, and Raw() is the exact wire bytes. A v2 line is the edge
+// adapter: decoded and checksum-verified, then re-encoded as a v3 frame
+// into the same buffer and decoded from there, so consumers never see a
+// second shape. WireVersion stays V2, which keeps replies in JSON lines.
 func (c *Conn) RecvFrame() (*Frame, error) {
-	if c.d != nil && c.timeout > 0 {
-		if err := c.d.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
-			return nil, err
-		}
-	}
-	first, err := c.r.r.Peek(1)
+	v3, err := c.startRecv()
 	if err != nil {
 		return nil, err
 	}
 	f := &c.frame
-	if first[0] == FrameMagic {
-		if err := c.readBinaryFrame(f); err != nil {
-			return nil, err
-		}
+	if v3 {
+		err = c.readBinaryFrame(f)
 	} else {
-		line, err := c.r.readLine()
-		if err != nil {
-			return nil, err
-		}
-		m, err := decodeLine(line)
-		if err != nil {
-			return nil, err
-		}
-		f.reset()
-		f.WireVersion = V2
-		f.msg = m
-		f.Type = m.Type
-		f.Ver = m.Ver
-		f.Want = m.Want
-		f.Count = m.Count
-		f.Seq = m.Seq
-		f.Dup = m.Dup
-		f.snap = m.Snapshot
+		err = c.readLineFrame(f)
 	}
-	if f.Type == "" {
-		return nil, fmt.Errorf("protocol: message without type")
+	if err != nil {
+		return nil, err
 	}
 	c.version = f.WireVersion
 	return f, nil
+}
+
+// startRecv arms the read deadline, releases oversized receive buffers,
+// and reports whether the next message is v3-framed. The previous
+// message's borrowed views die here, so one large message does not pin
+// a buffer its size for the rest of an idle connection's life.
+func (c *Conn) startRecv() (v3 bool, err error) {
+	if cap(c.rbuf) > ConnBufSize {
+		c.rbuf = nil
+	}
+	if cap(c.r.buf) > ConnBufSize {
+		c.r.buf = nil
+	}
+	if c.d != nil && c.timeout > 0 {
+		if err := c.d.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
+			return false, err
+		}
+	}
+	first, err := c.r.r.Peek(1)
+	if err != nil {
+		return false, err
+	}
+	return first[0] == FrameMagic, nil
+}
+
+// readLineFrame is the v2 receive adapter: it reads and verifies one
+// JSON line, then re-encodes the message as a v3 frame in the reused
+// receive buffer and decodes that in place.
+func (c *Conn) readLineFrame(f *Frame) error {
+	m, err := c.readLineMessage()
+	if err != nil {
+		return err
+	}
+	if c.rbuf, err = AppendFrame(c.rbuf[:0], m); err != nil {
+		return err
+	}
+	if _, err := DecodeFrame(c.rbuf, f); err != nil {
+		return err
+	}
+	f.WireVersion = V2
+	return nil
 }
 
 // readBinaryFrame assembles one complete v3 frame into the reused
@@ -731,37 +744,33 @@ func (c *Conn) readBinaryFrame(f *Frame) error {
 		}
 		return err
 	}
-	_, err = DecodeFrame(buf, f)
-	return err
+	if _, err := DecodeFrame(buf, f); err != nil {
+		return err
+	}
+	if f.Type == "" {
+		return fmt.Errorf("protocol: message without type")
+	}
+	return nil
 }
 
-// decodeLine decodes and checksum-verifies one v2 JSON line.
-func decodeLine(line []byte) (Message, error) {
-	var m Message
-	if err := unmarshalMessage(line, &m); err != nil {
-		return m, fmt.Errorf("protocol: bad message: %w", err)
+// SendFrame relays a received frame in the connection's framing: its
+// Raw() bytes verbatim on a v3 connection (no re-encode, no
+// allocation), its materialized Message as a JSON line on a v2 one. The
+// router uses it in both directions, so each hop keeps the client's
+// framing.
+func (c *Conn) SendFrame(f *Frame) error {
+	if c.version != V3 {
+		m, err := f.Message()
+		if err != nil {
+			return err
+		}
+		return c.Send(m)
 	}
-	if m.Type == "" {
-		return m, fmt.Errorf("protocol: message without type")
-	}
-	if m.Sum == nil {
-		return m, fmt.Errorf("protocol: message without checksum")
-	}
-	want, err := checksum(m)
-	if err != nil {
-		return m, fmt.Errorf("protocol: marshal: %w", err)
-	}
-	if want != *m.Sum {
-		return m, fmt.Errorf("protocol: checksum mismatch (message corrupted in flight)")
-	}
-	return m, nil
+	return c.write(f.Raw())
 }
 
-// WriteRaw writes pre-encoded frame bytes — a Raw() view, a journal
-// record — to the stream verbatim, under the connection's write
-// deadline. The router's forwarding path uses this to relay frames
-// without re-encoding them.
-func (c *Conn) WriteRaw(b []byte) error {
+// write writes pre-encoded bytes under the connection's write deadline.
+func (c *Conn) write(b []byte) error {
 	if c.d != nil && c.timeout > 0 {
 		if err := c.d.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
 			return err
@@ -782,13 +791,7 @@ func (c *Conn) sendBinary(m Message, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if c.d != nil && c.timeout > 0 {
-		if err := c.d.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
-			return err
-		}
-	}
-	_, err = c.rw.Write(e.bin)
-	return err
+	return c.write(e.bin)
 }
 
 // SendPayload sends m with its payload taken directly from a byte

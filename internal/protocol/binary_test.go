@@ -218,3 +218,62 @@ func TestBinaryFrameMaxLine(t *testing.T) {
 		t.Fatalf("oversized length prefix: got %v, want hard decode error", err)
 	}
 }
+
+// TestSendFrameKeepsFraming checks the relay primitive: a v3
+// connection writes the frame's wire bytes verbatim, a v2 connection
+// re-encodes it as a JSON line carrying the same message.
+func TestSendFrameKeepsFraming(t *testing.T) {
+	m := benchMessage()
+	wire := encodedFrameV(t, m, V3)
+	f, err := NewConn(&repeatReader{frame: wire}).RecvFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []int{V2, V3} {
+		var cw captureWriter
+		c := NewConn(&cw)
+		c.SetVersion(ver)
+		if err := c.SendFrame(f); err != nil {
+			t.Fatalf("v%d: %v", ver, err)
+		}
+		if ver == V3 && !bytes.Equal(cw.frame, wire) {
+			t.Fatalf("v3 relay re-encoded the frame")
+		}
+		if ver == V2 && cw.frame[0] != '{' {
+			t.Fatalf("v2 relay is not a JSON line: %q", cw.frame)
+		}
+		got, err := NewConn(&repeatReader{frame: cw.frame}).Recv()
+		if err != nil {
+			t.Fatalf("v%d: relayed frame rejected: %v", ver, err)
+		}
+		got.Sum = nil
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("v%d: relay changed the message:\n got %+v\nwant %+v", ver, got, m)
+		}
+	}
+}
+
+// TestRecvReleasesOversizedBuffers checks that one large message does
+// not pin its receive buffers for the rest of the connection: once the
+// next message is read, neither the frame buffer nor the line buffer
+// holds more than ConnBufSize, in either framing.
+func TestRecvReleasesOversizedBuffers(t *testing.T) {
+	big := Message{Type: TypeResults, ClientID: "c", Seq: 1, Payload: strings.Repeat("x", 8<<20)}
+	for _, ver := range []int{V2, V3} {
+		stream := append(encodedFrameV(t, big, ver), encodedFrameV(t, benchMessage(), ver)...)
+		c := NewConn(rwBuffer{in: bytes.NewBuffer(stream), out: &bytes.Buffer{}})
+		if _, err := c.RecvFrame(); err != nil {
+			t.Fatalf("v%d: large frame: %v", ver, err)
+		}
+		if cap(c.rbuf) < 8<<20 {
+			t.Fatalf("v%d: large frame did not pass through the frame buffer", ver)
+		}
+		if _, err := c.RecvFrame(); err != nil {
+			t.Fatalf("v%d: small frame: %v", ver, err)
+		}
+		if cap(c.rbuf) > ConnBufSize || cap(c.r.buf) > ConnBufSize {
+			t.Errorf("v%d: retained %d B frame buffer and %d B line buffer after a small message, want ≤ %d",
+				ver, cap(c.rbuf), cap(c.r.buf), ConnBufSize)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"unicode/utf8"
@@ -40,8 +41,8 @@ func FuzzRecv(f *testing.F) {
 			return b
 		}(),
 		append(append([]byte(nil), v3frame...), []byte(`{"type":"ack","seq":1,"sum":0}`+"\n")...), // mixed framings on one stream
-		[]byte{FrameMagic, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge declared length
-		[]byte{FrameMagic, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, // overlong varint
+		[]byte{FrameMagic, 0xff, 0xff, 0xff, 0xff, 0x7f},                                          // huge declared length
+		[]byte{FrameMagic, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},      // overlong varint
 	)
 	for _, s := range seed {
 		f.Add(s)
@@ -185,4 +186,96 @@ func FuzzSendRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRecvFrameAdapter is the differential check on the v2 receive
+// adapter: the same bytes go to Recv and to RecvFrame, which must
+// accept and reject the same messages, and every accepted message's
+// frame must materialize to Recv's message (checksum field aside) from
+// both the frame itself and its Raw() bytes re-decoded.
+func FuzzRecvFrameAdapter(f *testing.F) {
+	var stream []byte
+	for _, m := range roundTripMessages() {
+		line := encodedFrame(f, m)
+		f.Add(line)
+		stream = append(stream, line...)
+		f.Add(encodedFrameV(f, m, V3))
+	}
+	f.Add(stream)
+	// Empty lists survive the JSON decode as non-nil slices but are
+	// omitted from the checksummed encoding, so this line verifies.
+	sum, err := checksum(Message{Type: TypeSync})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(fmt.Sprintf(`{"type":"sync","have":[],"snapshot":{"apps":[]},"sum":%d}`+"\n", sum)))
+	f.Add([]byte(`{"type":"ack","seq":1,"sum":0}` + "\n"))
+	f.Add([]byte("not json\n"))
+	f.Fuzz(func(t *testing.T, input []byte) {
+		mc := NewConn(rwBuffer{in: bytes.NewBuffer(input), out: &bytes.Buffer{}})
+		fc := NewConn(rwBuffer{in: bytes.NewBuffer(input), out: &bytes.Buffer{}})
+		for i := 0; i < 16; i++ {
+			m, merr := mc.Recv()
+			fr, ferr := fc.RecvFrame()
+			if (merr == nil) != (ferr == nil) {
+				t.Fatalf("message %d: Recv error %v, RecvFrame error %v", i, merr, ferr)
+			}
+			if merr != nil {
+				return
+			}
+			if fr.WireVersion != mc.Version() {
+				t.Fatalf("message %d: frame reports wire v%d, Recv saw v%d", i, fr.WireVersion, mc.Version())
+			}
+			if msg := checkAdapted(fr, m); msg != "" {
+				t.Fatalf("message %d: %s", i, msg)
+			}
+		}
+	})
+}
+
+// checkAdapted reports how a received frame departs from the message
+// Recv decoded from the same bytes, or "" if they agree: f.Message()
+// and the re-decode of f.Raw() must both equal want with Sum cleared.
+// Nil and empty lists compare equal — JSON keeps "[]" as an empty
+// slice, but no encoding distinguishes the two.
+func checkAdapted(f *Frame, want Message) string {
+	want.Sum = nil
+	want = normalizeLists(want)
+	got, err := f.Message()
+	if err != nil {
+		return fmt.Sprintf("frame does not materialize: %v", err)
+	}
+	if got = normalizeLists(got); !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("frame message differs:\n got %+v\nwant %+v", got, want)
+	}
+	raw := f.Raw()
+	if len(raw) == 0 || raw[0] != FrameMagic {
+		return "Raw() is not a v3 frame"
+	}
+	var again Frame
+	n, err := DecodeFrame(raw, &again)
+	if err != nil || n != len(raw) {
+		return fmt.Sprintf("Raw() does not re-decode: n=%d of %d, err %v", n, len(raw), err)
+	}
+	re, err := again.Message()
+	if err != nil {
+		return fmt.Sprintf("re-decoded frame does not materialize: %v", err)
+	}
+	if re = normalizeLists(re); !reflect.DeepEqual(re, want) {
+		return fmt.Sprintf("re-decoded message differs:\n got %+v\nwant %+v", re, want)
+	}
+	return ""
+}
+
+// normalizeLists maps empty Have and Apps lists to nil.
+func normalizeLists(m Message) Message {
+	if len(m.Have) == 0 {
+		m.Have = nil
+	}
+	if m.Snapshot != nil && len(m.Snapshot.Apps) == 0 {
+		s := *m.Snapshot
+		s.Apps = nil
+		m.Snapshot = &s
+	}
+	return m
 }

@@ -30,6 +30,8 @@
 // trailer) and a zero-copy decode path. Both framings coexist on one
 // port: receivers sniff the first byte of each frame and reply in
 // kind, and registration negotiates the version a client should speak.
+// Behind RecvFrame there is one message shape, the v3 Frame: a v2 line
+// is converted to one at receive time.
 package protocol
 
 import (
@@ -206,8 +208,8 @@ type Conn struct {
 	c       io.Closer
 	d       deadliner
 	timeout time.Duration
-	version int   // send framing: V3, or V2 when unset
-	rbuf    []byte // v3 frame assembly buffer, reused across receives
+	version int    // send framing: V3, or V2 when unset
+	rbuf    []byte // frame assembly (v3) or conversion (v2) buffer, reused across receives
 	frame   Frame  // the connection-owned decoded frame RecvFrame returns
 }
 
@@ -266,32 +268,59 @@ func (c *Conn) Send(m Message) error {
 	if e.buf.Len() > maxLine {
 		return fmt.Errorf("protocol: message too large (%d bytes)", e.buf.Len())
 	}
-	if c.d != nil && c.timeout > 0 {
-		if err := c.d.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
-			return err
-		}
-	}
-	if _, err := c.rw.Write(e.buf.Bytes()); err != nil {
-		return err
-	}
-	return nil
+	return c.write(e.buf.Bytes())
 }
 
 // Recv reads one message in either framing, verifies its integrity
 // (checksum field for v2, CRC trailer for v3), and returns it fully
-// materialized. Servers prefer RecvFrame, which skips the
-// materialization for v3 frames.
+// materialized. A v2 message comes back exactly as decoded, Sum
+// included, without the frame conversion RecvFrame applies. Servers
+// prefer RecvFrame, which skips the materialization.
 func (c *Conn) Recv() (Message, error) {
-	f, err := c.RecvFrame()
+	v3, err := c.startRecv()
 	if err != nil {
 		return Message{}, err
 	}
-	return f.Message()
+	if !v3 {
+		m, err := c.readLineMessage()
+		if err != nil {
+			return Message{}, err
+		}
+		c.version = V2
+		return m, nil
+	}
+	if err := c.readBinaryFrame(&c.frame); err != nil {
+		return Message{}, err
+	}
+	c.version = V3
+	return c.frame.Message()
 }
 
-// unmarshalMessage decodes one JSON line into m (the v2 frame body).
-func unmarshalMessage(line []byte, m *Message) error {
-	return json.Unmarshal(line, m)
+// readLineMessage reads one v2 JSON line and decodes it, verifying its
+// checksum.
+func (c *Conn) readLineMessage() (Message, error) {
+	var m Message
+	line, err := c.r.readLine()
+	if err != nil {
+		return m, err
+	}
+	if err := json.Unmarshal(line, &m); err != nil {
+		return m, fmt.Errorf("protocol: bad message: %w", err)
+	}
+	if m.Type == "" {
+		return m, fmt.Errorf("protocol: message without type")
+	}
+	if m.Sum == nil {
+		return m, fmt.Errorf("protocol: message without checksum")
+	}
+	want, err := checksum(m)
+	if err != nil {
+		return m, fmt.Errorf("protocol: marshal: %w", err)
+	}
+	if want != *m.Sum {
+		return m, fmt.Errorf("protocol: checksum mismatch (message corrupted in flight)")
+	}
+	return m, nil
 }
 
 // lineReader is a thin alias over bufio.Reader that reassembles long

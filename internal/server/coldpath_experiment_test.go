@@ -63,7 +63,7 @@ func TestColdPathExperiment(t *testing.T) {
 				runs[i] = r
 			}
 			payload := encodeRuns(t, runs)
-			if _, err := s.addResults(ids[c], seq, payload, runs); err != nil {
+			if _, err := s.addResults(resultsFrame(t, ids[c], seq, payload), runs); err != nil {
 				t.Fatal(err)
 			}
 			written += int64(len(payload))

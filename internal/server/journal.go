@@ -39,8 +39,9 @@ import (
 // on top of a journal in an unknown state (the fsync-failure stance
 // databases take: stop acking rather than guess).
 
-// Group-commit defaults, overridable via Server.JournalBatch /
-// Server.JournalDelay (-journal-batch / -journal-delay on uucs-server).
+// Journal defaults, overridable via Server.JournalBatch,
+// Server.JournalDelay and Server.JournalSegmentBytes (-journal-batch,
+// -journal-delay and -journal-segment-bytes on uucs-server).
 const (
 	defaultJournalBatch = 64
 	// defaultJournalDelay of zero means "never wait": a batch is
@@ -49,6 +50,11 @@ const (
 	// latency without adding throughput — but a positive delay can
 	// trade latency for bigger batches on spinning disks.
 	defaultJournalDelay = 0 * time.Millisecond
+	// defaultJournalSegmentBytes is the rotation threshold when
+	// Server.JournalSegmentBytes is zero: the journal is always
+	// segmented, so restart replay can fan out across sealed segments
+	// and compaction deletes files instead of rewriting one.
+	defaultJournalSegmentBytes = 64 << 20
 )
 
 // batchHistBuckets is the number of power-of-two group-commit batch
@@ -128,9 +134,8 @@ type journalWriter struct {
 	// dir is the state directory the journal lives in (segment files
 	// are its siblings).
 	dir string
-	// segBytes, when positive, seals the active file into a numbered
-	// segment once its physical size reaches it. Zero keeps the legacy
-	// single-file journal.
+	// segBytes seals the active file into a numbered segment once its
+	// physical size reaches it.
 	segBytes int64
 	// segs are the sealed segments still on disk, ascending seq.
 	segs []segInfo
@@ -357,7 +362,7 @@ func (w *journalWriter) commit(batch []*journalReq) {
 			}
 			if err == nil {
 				w.fsize += int64(len(w.wbuf))
-				if w.segBytes > 0 && w.fsize >= w.segBytes {
+				if w.fsize >= w.segBytes {
 					// The batch just flushed is durable and about to be
 					// acked; seal the file behind it so the next batch
 					// opens a fresh segment. A rotation failure poisons

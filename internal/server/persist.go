@@ -42,16 +42,17 @@ import (
 //
 // Record formats: the snapshot holds one JSON op per line. The journal
 // mixes two record formats, distinguished per record by the first byte:
-// '{' starts a JSON op line (every v2-era record, plus the cold ops —
-// registrations, testcases — a v3 server still writes as JSON), and
-// protocol.FrameMagic starts a verbatim v3 wire frame. Hot v3 result
-// uploads are journaled as the exact frame bytes the client sent, so
-// the append is a memcpy, the record carries its own CRC, and replay
-// re-validates it with the wire decoder instead of a JSON parse. A
-// fresh journal opens with a self-identifying jmeta header frame; a
-// v2-era journal has no header and replays through the same scanner
-// unchanged, which is the whole migration story — no rewrite, no
-// conversion. Torn-tail semantics per format: a JSON record is torn if
+// '{' starts a JSON op line (the cold ops — registrations, testcases —
+// plus every record a v2-era build wrote), and protocol.FrameMagic
+// starts a v3 frame. Every result upload is journaled as a frame: a v3
+// upload as the exact bytes the client sent, a v2 upload as the frame
+// RecvFrame converted it to. The append is a memcpy, the record carries
+// its own CRC, and replay re-validates it with the wire decoder instead
+// of a JSON parse; JSON results lines are read-only replay input left
+// by older builds. A fresh journal file opens with a self-identifying
+// jmeta header frame; a v2-era journal has no header and replays
+// through the same scanner unchanged, which is the whole migration
+// story — no rewrite, no conversion. Torn-tail semantics per format: a JSON record is torn if
 // its final newline is missing; a binary record is torn if the file
 // ends before the frame's declared length (ErrShortFrame). A complete
 // binary record that fails its CRC — e.g. a corrupted header mid-file —
@@ -176,8 +177,8 @@ func (s *Server) OpenState(dir string) error {
 	// drop them once a snapshot covers them. At open, every surviving
 	// physical byte counts as logical (skip stays zero): logical offsets
 	// are session-local, and assigning segment bases cumulatively from
-	// zero keeps enq = "total logical bytes on disk" exactly as in the
-	// single-file scheme.
+	// zero keeps enq = "total logical bytes on disk" exactly as for a
+	// journal with no sealed segments.
 	jpaths, err := journalFilesIn(dir)
 	if err != nil {
 		f.Close()
@@ -200,6 +201,9 @@ func (s *Server) OpenState(dir string) error {
 	jw := newJournalWriter(f, segBase+size, s.JournalBatch, s.JournalDelay)
 	jw.dir = dir
 	jw.segBytes = s.JournalSegmentBytes
+	if jw.segBytes <= 0 {
+		jw.segBytes = defaultJournalSegmentBytes
+	}
 	jw.segs = segs
 	jw.nextSeq = nextSeq
 	jw.base = segBase
@@ -571,10 +575,9 @@ func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error 
 
 // StateFilePaths returns the snapshot and active journal paths of a
 // state directory in replay order (snapshot first). Either file may be
-// absent; ScanStateOps treats a missing file as empty. Directories
-// written with journal segmentation enabled hold sealed segment files
-// between the two — use StateFiles for the complete replay-ordered
-// list.
+// absent; ScanStateOps treats a missing file as empty. Once the
+// journal has rotated, sealed segment files sit between the two — use
+// StateFiles for the complete replay-ordered list.
 func StateFilePaths(dir string) (snapshot, journal string) {
 	return filepath.Join(dir, snapshotFile), journalPathIn(dir)
 }

@@ -51,7 +51,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(id, 1, encodeRuns(t, runs), runs); err != nil {
+	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveState(dir); err != nil {
@@ -91,7 +91,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Errorf("retried registration after restore: got %s, want %s", id3, id)
 	}
 	// So must the sequence high-water mark: the acked batch is a dup.
-	dup, err := restored.addResults(id, 1, encodeRuns(t, runs), runs)
+	dup, err := restored.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestLoadStateToleratesTornJournalTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(id, 1, encodeRuns(t, runs), runs); err != nil {
+	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -205,7 +205,7 @@ func TestOpenStateJournalsBeforeAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(id, 1, encodeRuns(t, runs), runs); err != nil {
+	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
 		t.Fatal(err)
 	}
 	// Crash without SaveState: the journal alone must restore everything.
@@ -235,7 +235,7 @@ func TestSaveStateCompactsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(id, 1, encodeRuns(t, runs), runs); err != nil {
+	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveState(dir); err != nil {
@@ -277,7 +277,7 @@ func TestSaveStateKeepsOpsAckedDuringSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(id, 1, encodeRuns(t, runs), runs); err != nil {
+	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
 		t.Fatal(err)
 	}
 	raced := testRun()
@@ -287,7 +287,7 @@ func TestSaveStateKeepsOpsAckedDuringSnapshot(t *testing.T) {
 	testHookAfterSnapshot = func(srv *Server) {
 		// A client upload and a registration land after the state copy
 		// but before compaction: journaled, acked, not in the snapshot.
-		if _, err := srv.addResults(id, 2, encodeRuns(t, racedRuns), racedRuns); err != nil {
+		if _, err := srv.addResults(resultsFrame(t, id, 2, encodeRuns(t, racedRuns)), racedRuns); err != nil {
 			t.Error(err)
 		}
 		late := testSnapshot()
@@ -321,7 +321,7 @@ func TestSaveStateKeepsOpsAckedDuringSnapshot(t *testing.T) {
 	}
 	// The raced batch's sequence number must survive too: a retry after
 	// restart is still a dup, not a double count.
-	dup, err := restored.addResults(id, 2, encodeRuns(t, racedRuns), racedRuns)
+	dup, err := restored.addResults(resultsFrame(t, id, 2, encodeRuns(t, racedRuns)), racedRuns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,9 +379,9 @@ func v2Journal(t *testing.T, id string) []byte {
 }
 
 // resultsFrame encodes a v3 results wire frame and decodes it back into
-// the borrowed Frame view the server's zero-copy ingest path holds when
-// it journals an upload.
-func resultsFrame(t *testing.T, id string, seq uint64, payload string) (*protocol.Frame, []byte) {
+// the borrowed Frame view the server's ingest path holds when it
+// journals an upload; Raw() is the wire bytes.
+func resultsFrame(t testing.TB, id string, seq uint64, payload string) *protocol.Frame {
 	t.Helper()
 	wire, err := protocol.AppendFrame(nil, protocol.Message{
 		Type: protocol.TypeResults, ClientID: id, Seq: seq, Payload: payload,
@@ -393,7 +393,7 @@ func resultsFrame(t *testing.T, id string, seq uint64, payload string) (*protoco
 	if _, err := protocol.DecodeFrame(wire, f); err != nil {
 		t.Fatal(err)
 	}
-	return f, wire
+	return f
 }
 
 // TestV2JournalReplaysUnderV3Server is the upgrade path: a journal left
@@ -433,8 +433,9 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	// JSON lines, one mixed-format journal.
 	run2 := testRun()
 	run2.Offset = 99
-	f, wire := resultsFrame(t, id, 2, encodeRuns(t, []*core.Run{run2}))
-	if _, err := s.addResultsFrame(f, []*core.Run{run2}); err != nil {
+	f := resultsFrame(t, id, 2, encodeRuns(t, []*core.Run{run2}))
+	wire := f.Raw()
+	if _, err := s.addResults(f, []*core.Run{run2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -460,7 +461,7 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 		t.Fatalf("mixed-journal restore: clients=%d results=%d", restored.ClientCount(), len(restored.Results()))
 	}
 	for _, seq := range []uint64{1, 2} {
-		dup, err := restored.addResults(id, seq, encodeRuns(t, []*core.Run{run2}), []*core.Run{run2})
+		dup, err := restored.addResults(resultsFrame(t, id, seq, encodeRuns(t, []*core.Run{run2})), []*core.Run{run2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +514,7 @@ func TestJournalMigrationCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientLine := append(clientJSON, '\n')
-	_, resWire := resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()}))
+	resWire := resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()})).Raw()
 
 	join := func(parts ...[]byte) []byte {
 		var b []byte
@@ -615,8 +616,9 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	f, wire := resultsFrame(t, id, 1, encodeRuns(t, runs))
-	if _, err := s.addResultsFrame(f, runs); err != nil {
+	f := resultsFrame(t, id, 1, encodeRuns(t, runs))
+	wire := f.Raw()
+	if _, err := s.addResults(f, runs); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -644,7 +646,7 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 	if got := restored.Results(); len(got) != 1 || got[0].Offset != 55 {
 		t.Errorf("results = %+v", got)
 	}
-	dup, err := restored.addResults(id, 1, encodeRuns(t, runs), runs)
+	dup, err := restored.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,7 +277,7 @@ func (s *Server) applyClientShard(op *journalOp) error {
 		return fmt.Errorf("client op without snapshot")
 	}
 	s.regMu.Lock()
-	sh := s.shardFor(op.ID)
+	sh := shardFor(s, op.ID)
 	sh.lock()
 	sh.clients[op.ID] = *op.Snapshot
 	if op.LastSeq > sh.lastSeq[op.ID] {
@@ -297,7 +297,7 @@ func (s *Server) applyClientShard(op *journalOp) error {
 // the append so record order is preserved no matter which goroutine
 // runs the shard half.
 func (s *Server) applyResultsShard(op *journalOp) (keep bool, err error) {
-	sh := s.shardFor(op.ID)
+	sh := shardFor(s, op.ID)
 	sh.lock()
 	defer sh.mu.Unlock()
 	if op.Seq > 0 {
@@ -545,10 +545,4 @@ dispatch:
 	s.replayStats.files.Store(uint64(nfiles))
 	s.replayStats.bytes.Store(uint64(totalBytes))
 	return tail, nil
-}
-
-// shardIndex returns the shard slot owning a client id (shardFor's
-// index form, for the per-shard apply queues).
-func shardIndex(clientID string) int {
-	return int(hashString(0xcbf29ce484222325, clientID) & (numShards - 1))
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"uucs/internal/core"
+	"uucs/internal/protocol"
 )
 
 // seedSegmentedState drives nClients registrations and nBatches result
@@ -36,7 +38,7 @@ func seedSegmentedState(t *testing.T, dir string, segBytes int64, nClients, nBat
 			run := testRun()
 			run.Offset = float64(seq*100 + i)
 			runs := []*core.Run{run}
-			if _, err := s.addResults(id, uint64(seq), encodeRuns(t, runs), runs); err != nil {
+			if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,7 +110,7 @@ func TestJournalRotationSealsSegments(t *testing.T) {
 	// every acked (id, seq) pair is still a dup.
 	runs := []*core.Run{testRun()}
 	for _, id := range ids {
-		dup, err := restored.addResults(id, 10, encodeRuns(t, runs), runs)
+		dup, err := restored.addResults(resultsFrame(t, id, 10, encodeRuns(t, runs)), runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +181,7 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 
 	// Poison mid-file: a complete frame whose CRC is wrong, followed by
 	// more valid records, replicated into every dir layout.
-	_, resWire := resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()}))
+	resWire := resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()})).Raw()
 	bad := append([]byte(nil), resWire...)
 	bad[len(bad)-1] ^= 0x01
 	poisoned := t.TempDir()
@@ -306,7 +308,7 @@ func TestOpenStateRepairsTornTail(t *testing.T) {
 		run := testRun()
 		run.Offset = 777
 		runs := []*core.Run{run}
-		if _, err := s.addResults(ids[0], 3, encodeRuns(t, runs), runs); err != nil {
+		if _, err := s.addResults(resultsFrame(t, ids[0], 3, encodeRuns(t, runs)), runs); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -366,7 +368,7 @@ func TestOpenStateRepairsTornTail(t *testing.T) {
 		run2 := testRun()
 		run2.Offset = 888
 		runs := []*core.Run{run2}
-		if _, err := s.addResults(ids[0], 4, encodeRuns(t, runs), runs); err != nil {
+		if _, err := s.addResults(resultsFrame(t, ids[0], 4, encodeRuns(t, runs)), runs); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -401,7 +403,7 @@ func TestSaveStateCompactsSegments(t *testing.T) {
 		run := testRun()
 		run.Offset = float64(seq)
 		runs := []*core.Run{run}
-		if _, err := s.addResults(id, uint64(seq), encodeRuns(t, runs), runs); err != nil {
+		if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,7 +431,7 @@ func TestSaveStateCompactsSegments(t *testing.T) {
 		run := testRun()
 		run.Offset = float64(seq)
 		runs := []*core.Run{run}
-		if _, err := s.addResults(id, uint64(seq), encodeRuns(t, runs), runs); err != nil {
+		if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -458,10 +460,23 @@ func TestDuplicatedShippedRecordsReplayIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-ship from a record boundary: find a mid-file newline.
-	cut := len(data) / 2
-	for cut < len(data) && data[cut-1] != '\n' {
-		cut++
+	// Re-ship from the first record boundary past the middle, walking
+	// the records: frames by their declared length, JSON ops by newline.
+	cut := 0
+	for cut < len(data)/2 {
+		if data[cut] == protocol.FrameMagic {
+			n, err := protocol.FrameLen(data[cut:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut += n
+			continue
+		}
+		nl := bytes.IndexByte(data[cut:], '\n')
+		if nl < 0 {
+			t.Fatal("unterminated JSON record")
+		}
+		cut += nl + 1
 	}
 	if cut >= len(data) {
 		t.Fatal("no record boundary in the back half")

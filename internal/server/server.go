@@ -129,13 +129,12 @@ type Server struct {
 	// zero. Set before OpenState.
 	JournalSyncCost time.Duration
 
-	// JournalSegmentBytes, when positive, rotates the active journal
-	// into a sealed, numbered segment file (journal-NNNNNN.seg) once its
-	// size reaches this many bytes. Sealed segments are immutable:
-	// restart replay scans them in parallel, and SaveState's compaction
-	// deletes the fully covered ones instead of rewriting one growing
-	// file. Zero (the default) keeps the legacy single-file journal.
-	// Set before OpenState.
+	// JournalSegmentBytes rotates the active journal into a sealed,
+	// numbered segment file (journal-NNNNNN.seg) once its size reaches
+	// this many bytes. Sealed segments are immutable: restart replay
+	// scans them in parallel, and SaveState's compaction deletes the
+	// fully covered ones instead of rewriting one growing file. Zero
+	// means defaultJournalSegmentBytes. Set before OpenState.
 	JournalSegmentBytes int64
 	// ReplayWorkers bounds the concurrent record-decode workers
 	// LoadState uses when replaying state files (0 means GOMAXPROCS;
@@ -213,15 +212,15 @@ func New(seed uint64) *Server {
 	return s
 }
 
-// shardFor returns the shard owning a client id.
-func (s *Server) shardFor(clientID string) *shard {
-	return &s.shards[hashString(0xcbf29ce484222325, clientID)&(numShards-1)]
+// shardIndex returns the shard slot owning a client id, given as a
+// string or as a borrowed frame view (both hash identically).
+func shardIndex[T string | []byte](clientID T) int {
+	return int(hashID(0xcbf29ce484222325, clientID) & (numShards - 1))
 }
 
-// shardForBytes is shardFor for a borrowed client-id view (the v3
-// frame path), avoiding the string materialization.
-func (s *Server) shardForBytes(clientID []byte) *shard {
-	return &s.shards[hashBytes(0xcbf29ce484222325, clientID)&(numShards-1)]
+// shardFor returns the shard owning a client id.
+func shardFor[T string | []byte](s *Server, clientID T) *shard {
+	return &s.shards[shardIndex(clientID)]
 }
 
 // maxProto returns the highest protocol version this server speaks.
@@ -317,7 +316,7 @@ func (s *Server) ClientCount() int {
 
 // Snapshot returns the registration snapshot for a client id.
 func (s *Server) Snapshot(clientID string) (protocol.Snapshot, bool) {
-	sh := s.shardFor(clientID)
+	sh := shardFor(s, clientID)
 	sh.lock()
 	defer sh.mu.Unlock()
 	snap, ok := sh.clients[clientID]
@@ -332,29 +331,21 @@ func hashMix(h, v uint64) uint64 {
 	return h
 }
 
-// hashString folds a string into a running hash byte by byte.
-func hashString(h uint64, s string) uint64 {
+// hashID folds a string or byte slice into a running hash byte by
+// byte; the two forms of one id hash identically.
+func hashID[T string | []byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = hashMix(h, uint64(s[i]))
 	}
 	return hashMix(h, uint64(len(s))+1)
 }
 
-// hashBytes is hashString over a byte slice (identical folding, so a
-// borrowed id hashes to the same shard as its string form).
-func hashBytes(h uint64, b []byte) uint64 {
-	for i := 0; i < len(b); i++ {
-		h = hashMix(h, uint64(b[i]))
-	}
-	return hashMix(h, uint64(len(b))+1)
-}
-
 // snapshotHash derives a 64-bit identity from a registration snapshot
 // and the server seed.
 func snapshotHash(seed uint64, snap protocol.Snapshot) uint64 {
 	h := hashMix(seed, 0x75756373) // "uucs"
-	h = hashString(h, snap.Hostname)
-	h = hashString(h, snap.OS)
+	h = hashID(h, snap.Hostname)
+	h = hashID(h, snap.OS)
 	h = hashMix(h, math.Float64bits(snap.CPUGHz))
 	h = hashMix(h, math.Float64bits(snap.MemMB))
 	h = hashMix(h, math.Float64bits(snap.DiskGB))
@@ -391,7 +382,7 @@ func (s *Server) register(snap protocol.Snapshot, nonce string) (string, error) 
 	var home *shard
 	for {
 		id = fmt.Sprintf("uucs-%016x", h)
-		home = s.shardFor(id)
+		home = shardFor(s, id)
 		home.lock()
 		_, taken := home.clients[id]
 		if !taken {
@@ -465,7 +456,7 @@ func (s *Server) sample(clientID string, have map[string]bool, want int) []*test
 	if want >= len(candidates) {
 		return candidates
 	}
-	h := hashString(hashMix(s.seed, 0x73616d70), clientID) // "samp"
+	h := hashID(hashMix(s.seed, 0x73616d70), clientID) // "samp"
 	h = hashMix(h, uint64(len(have)))
 	rng := stats.NewStream(h)
 	rng.Shuffle(len(candidates), func(i, j int) {
@@ -474,71 +465,23 @@ func (s *Server) sample(clientID string, have map[string]bool, want int) []*test
 	return candidates[:want]
 }
 
-// addResults ingests an uploaded run batch. seq 0 marks an unsequenced
-// (legacy) upload, applied unconditionally. For seq > 0 the batch is
-// applied exactly once per client: a retried batch (seq at or below the
-// last applied) reports dup without storing anything. The batch's
-// journal op is enqueued before the shard lock is released and the ack
-// waits for the fsync covering it, so an acked batch survives a crash.
-func (s *Server) addResults(clientID string, seq uint64, payload string, runs []*core.Run) (dup bool, err error) {
-	jw := s.journal()
-	var op []byte
-	if jw != nil {
-		op, err = marshalOp(journalOp{Op: opResults, ID: clientID, Seq: seq, Payload: payload})
-		if err != nil {
-			return false, err
-		}
-	}
-	sh := s.shardFor(clientID)
-	sh.lock()
-	if seq > 0 && seq <= sh.lastSeq[clientID] {
-		sh.mu.Unlock()
-		if jw != nil {
-			// The original upload may still be inside a group commit
-			// (its client timed out and retried); the dup ack must not
-			// claim durability before that commit lands.
-			if err := jw.barrier(); err != nil {
-				return false, err
-			}
-		}
-		s.stats.dupBatches.Add(1)
-		return true, nil
-	}
-	var pending *journalReq
-	if jw != nil {
-		pending = jw.enqueue(op)
-	}
-	if seq > 0 {
-		sh.lastSeq[clientID] = seq
-	}
-	s.resMu.Lock()
-	s.results = append(s.results, runs...)
-	s.resMu.Unlock()
-	sh.mu.Unlock()
-	if pending != nil {
-		if err := <-pending.done; err != nil {
-			return false, err
-		}
-	}
-	s.stats.batches.Add(1)
-	s.stats.runs.Add(uint64(len(runs)))
-	return false, nil
-}
-
-// addResultsFrame is addResults for a borrowed v3 frame: identical
-// dedup and ack semantics, but the journal record is the wire frame
-// itself. The only copy on the path is the one that hands the frame
-// bytes to the journal queue (which outlives the connection's read
-// buffer); the journaled record is byte-identical to what the client
-// sent — CRC trailer included — so replay re-validates it for free and
-// replication ships it verbatim.
-func (s *Server) addResultsFrame(f *protocol.Frame, runs []*core.Run) (dup bool, err error) {
+// addResults ingests an uploaded run batch. Seq 0 marks an unsequenced
+// (legacy) upload, applied unconditionally. For Seq > 0 the batch is
+// applied exactly once per client: a retried batch (Seq at or below the
+// last applied) reports dup without storing anything. The journal
+// record is the frame itself, CRC trailer included, so replay
+// re-validates it for free and replication ships it verbatim; the only
+// copy on the path hands those bytes to the journal queue, which
+// outlives the connection's read buffer. The op is enqueued before the
+// shard lock is released and the ack waits for the fsync covering it,
+// so an acked batch survives a crash.
+func (s *Server) addResults(f *protocol.Frame, runs []*core.Run) (dup bool, err error) {
 	jw := s.journal()
 	var op []byte
 	if jw != nil {
 		op = append([]byte(nil), f.Raw()...)
 	}
-	sh := s.shardForBytes(f.ClientID)
+	sh := shardFor(s, f.ClientID)
 	sh.lock()
 	if f.Seq > 0 && f.Seq <= sh.lastSeq[string(f.ClientID)] {
 		sh.mu.Unlock()
@@ -685,10 +628,9 @@ func (s *Server) Crash() {
 
 // handle runs one client session: any number of requests until EOF,
 // a broken connection, or an idle timeout. Each message is received as
-// a borrowed frame; v3 frames dispatch zero-copy, v2 frames are
-// materialized into a Message and take the original dispatch path.
-// RecvFrame mirrors the request's framing onto the connection, so
-// every reply (errors included) goes back the way the request came.
+// a borrowed frame — RecvFrame converts v2 lines at the edge — and
+// mirrors the request's framing onto the connection, so every reply
+// (errors included) goes back the way the request came.
 func (s *Server) handle(conn *protocol.Conn) {
 	defer conn.Close()
 	for {
@@ -701,7 +643,7 @@ func (s *Server) handle(conn *protocol.Conn) {
 		} else {
 			s.stats.v2Msgs.Add(1)
 		}
-		if err := s.dispatchFrame(conn, f); err != nil {
+		if err := s.dispatch(conn, f); err != nil {
 			// Every in-band rejection — unknown client, undecodable
 			// payload, bad version — lands here; the counter is the USE
 			// errors reading for the wire.
@@ -711,77 +653,52 @@ func (s *Server) handle(conn *protocol.Conn) {
 	}
 }
 
-// dispatchFrame routes one received frame. The hot path — a v3 results
-// upload — runs entirely on borrowed views: the client id is checked
-// and sharded as bytes, the runs decode straight from the payload view,
-// and the journal stores the wire frame verbatim. Cold requests
-// (register, sync) and all v2 frames materialize a Message and share
-// the original dispatch.
-func (s *Server) dispatchFrame(conn *protocol.Conn, f *protocol.Frame) error {
-	if f.WireVersion == protocol.V3 {
-		if s.maxProto() < protocol.V3 {
-			return fmt.Errorf("protocol v3 disabled on this server (max v%d)", s.maxProto())
-		}
-		if f.Type == protocol.TypeResults {
-			if err := s.checkClientBytes(f.ClientID); err != nil {
-				return err
-			}
-			runs, err := core.ParseRuns(f.Payload)
-			if err != nil {
-				return fmt.Errorf("bad results payload: %w", err)
-			}
-			dup, err := s.addResultsFrame(f, runs)
-			if err != nil {
-				return err
-			}
-			return conn.Send(protocol.Message{Type: protocol.TypeAck, Count: len(runs), Seq: f.Seq, Dup: dup})
-		}
+// dispatch routes one received frame. The hot path — a results upload
+// — runs entirely on borrowed views: the client id is checked and
+// sharded as bytes, the runs decode straight from the payload view, and
+// the journal stores the frame verbatim.
+func (s *Server) dispatch(conn *protocol.Conn, f *protocol.Frame) error {
+	if f.WireVersion == protocol.V3 && s.maxProto() < protocol.V3 {
+		return fmt.Errorf("protocol v3 disabled on this server (max v%d)", s.maxProto())
 	}
-	msg, err := f.Message()
-	if err != nil {
-		return err
-	}
-	return s.dispatch(conn, msg)
-}
-
-func (s *Server) dispatch(conn *protocol.Conn, msg protocol.Message) error {
-	switch msg.Type {
+	switch f.Type {
 	case protocol.TypeRegister:
-		if msg.Ver < protocol.V2 || msg.Ver > protocol.Version {
-			return fmt.Errorf("unsupported protocol version %d", msg.Ver)
+		if f.Ver < protocol.V2 || f.Ver > protocol.Version {
+			return fmt.Errorf("unsupported protocol version %d", f.Ver)
 		}
 		// Negotiate: grant the requested version, capped at what this
 		// server speaks. The granted version rides the registered reply;
 		// the client frames every subsequent message in it.
-		ver := msg.Ver
-		if mp := s.maxProto(); ver > mp {
-			ver = mp
-		}
-		if msg.Snapshot == nil {
-			return fmt.Errorf("register without snapshot")
-		}
-		if err := msg.Snapshot.Validate(); err != nil {
+		ver := min(f.Ver, s.maxProto())
+		snap, err := f.DecodeSnapshot()
+		if err != nil {
 			return err
 		}
-		id, err := s.register(*msg.Snapshot, msg.Nonce)
+		if snap == nil {
+			return fmt.Errorf("register without snapshot")
+		}
+		if err := snap.Validate(); err != nil {
+			return err
+		}
+		id, err := s.register(*snap, string(f.Nonce))
 		if err != nil {
 			return err
 		}
 		return conn.Send(protocol.Message{Type: protocol.TypeRegistered, ClientID: id, Ver: ver})
 
 	case protocol.TypeSync:
-		if err := s.checkClient(msg.ClientID); err != nil {
+		if err := s.checkClient(f.ClientID); err != nil {
 			return err
 		}
-		want := msg.Want
+		want := f.Want
 		if want <= 0 {
 			want = 16
 		}
-		have := make(map[string]bool, len(msg.Have))
-		for _, id := range msg.Have {
-			have[id] = true
+		have := make(map[string]bool, len(f.Have))
+		for _, id := range f.Have {
+			have[string(id)] = true
 		}
-		tcs := s.sample(msg.ClientID, have, want)
+		tcs := s.sample(string(f.ClientID), have, want)
 		var b strings.Builder
 		if err := testcase.EncodeAll(&b, tcs); err != nil {
 			return err
@@ -789,38 +706,28 @@ func (s *Server) dispatch(conn *protocol.Conn, msg protocol.Message) error {
 		return conn.Send(protocol.Message{Type: protocol.TypeTestcases, Payload: b.String(), Count: len(tcs)})
 
 	case protocol.TypeResults:
-		if err := s.checkClient(msg.ClientID); err != nil {
+		if err := s.checkClient(f.ClientID); err != nil {
 			return err
 		}
-		runs, err := core.ParseRuns(borrowBytes(msg.Payload))
+		runs, err := core.ParseRuns(f.Payload)
 		if err != nil {
 			return fmt.Errorf("bad results payload: %w", err)
 		}
-		dup, err := s.addResults(msg.ClientID, msg.Seq, msg.Payload, runs)
+		dup, err := s.addResults(f, runs)
 		if err != nil {
 			return err
 		}
-		return conn.Send(protocol.Message{Type: protocol.TypeAck, Count: len(runs), Seq: msg.Seq, Dup: dup})
+		return conn.Send(protocol.Message{Type: protocol.TypeAck, Count: len(runs), Seq: f.Seq, Dup: dup})
 
 	default:
-		return fmt.Errorf("unexpected message type %q", msg.Type)
+		return fmt.Errorf("unexpected message type %q", f.Type)
 	}
 }
 
-func (s *Server) checkClient(id string) error {
-	sh := s.shardFor(id)
-	sh.lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.clients[id]; !ok {
-		return fmt.Errorf("unknown client %q (register first)", id)
-	}
-	return nil
-}
-
-// checkClientBytes is checkClient for a borrowed id view; the map
-// lookup through string(id) does not allocate.
-func (s *Server) checkClientBytes(id []byte) error {
-	sh := s.shardForBytes(id)
+// checkClient reports whether a borrowed client-id view is registered;
+// the map lookup through string(id) does not allocate.
+func (s *Server) checkClient(id []byte) error {
+	sh := shardFor(s, id)
 	sh.lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.clients[string(id)]; !ok {

@@ -64,7 +64,7 @@ type IngestStats struct {
 	// MeanBatch is JournalOps / JournalFsyncs (0 when no fsync ran).
 	MeanBatch float64 `json:"mean_batch"`
 	// SegmentsSealed is how many journal segments rotation sealed this
-	// process life (0 when segmentation is off).
+	// process life.
 	SegmentsSealed uint64 `json:"segments_sealed,omitempty"`
 	// Replay* describe the most recent LoadState — the cold-path health
 	// readings: how long restart replay took and how much it covered.

@@ -181,10 +181,12 @@ func TestServerTelemetrySnapshot(t *testing.T) {
 }
 
 // TestIngestAllocCeilings pins the steady-state allocation count of the
-// memory-only ingest hot path (addResults), proving the telemetry
-// instrumentation — the shard lock counters and the stats counters —
-// added zero allocations. The accepted path's only allocation source is
-// the amortized result-slice growth; the dup path allocates nothing.
+// memory-only ingest hot path (addResults on one decoded frame whose
+// Seq is advanced per call), proving the telemetry instrumentation —
+// the shard lock counters and the stats counters — added zero
+// allocations. The accepted path allocates the dedup map's key string
+// (AllocsPerRun's integer average absorbs the amortized result-slice
+// growth); the dup path allocates nothing.
 func TestIngestAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
@@ -202,12 +204,13 @@ func TestIngestAllocCeilings(t *testing.T) {
 		LastFive:        map[testcase.Resource][]float64{},
 	}}
 
-	// Accepted path: ceiling 1 covers the amortized append growth.
-	seq := uint64(0)
+	// Accepted path: ceiling 1 covers the lastSeq key and the amortized
+	// append growth.
+	f := resultsFrame(t, id, 0, "")
 	const acceptCeiling = 1
 	avg := testing.AllocsPerRun(500, func() {
-		seq++
-		if _, err := s.addResults(id, seq, "", runs); err != nil {
+		f.Seq++
+		if _, err := s.addResults(f, runs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -216,8 +219,9 @@ func TestIngestAllocCeilings(t *testing.T) {
 	}
 
 	// Dup path: pure counter work, exactly zero.
+	f.Seq = 1
 	avg = testing.AllocsPerRun(500, func() {
-		dup, err := s.addResults(id, 1, "", runs)
+		dup, err := s.addResults(f, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +234,7 @@ func TestIngestAllocCeilings(t *testing.T) {
 	}
 
 	// The contention-counting shard lock itself: zero on both paths.
-	sh := s.shardFor(id)
+	sh := shardFor(s, id)
 	avg = testing.AllocsPerRun(500, func() {
 		sh.lock()
 		sh.mu.Unlock()

@@ -104,13 +104,11 @@ func (s *Server) Telemetry() *telemetry.Snapshot {
 		// Cold-path health: segment churn. Rotation keeps the next
 		// restart's replay (and compaction cost) bounded; the sample is
 		// informational, so it carries no pressure.
-		if st.SegmentsSealed > 0 || jw.segBytes > 0 {
-			snap.Add(telemetry.Sample{
-				Resource: "journal-segments", Axis: telemetry.Utilization,
-				Metric: "segments sealed", Value: float64(st.SegmentsSealed), Unit: "segs",
-				Detail: fmt.Sprintf("%d on disk, rotate at %d bytes", jw.segCount(), jw.segBytes),
-			})
-		}
+		snap.Add(telemetry.Sample{
+			Resource: "journal-segments", Axis: telemetry.Utilization,
+			Metric: "segments sealed", Value: float64(st.SegmentsSealed), Unit: "segs",
+			Detail: fmt.Sprintf("%d on disk, rotate at %d bytes", jw.segCount(), jw.segBytes),
+		})
 	}
 
 	// Cold-path health: how long the last restart replay took and how
