@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -228,7 +229,7 @@ func (s *Server) OpenState(dir string) error {
 
 // stateCopy is the coordinated cut SaveState works from.
 type stateCopy struct {
-	tcs     []*testcase.Testcase
+	tcs     []*tcSlot
 	runs    []*core.Run
 	clients []clientEntry
 	// journalOff is the logical journal offset the copy covers; ops at
@@ -269,8 +270,7 @@ func (s *Server) copyState(dir string) stateCopy {
 		journaling: jw != nil,
 		compact:    jw != nil && stateDir == dir,
 	}
-	c.tcs = make([]*testcase.Testcase, len(s.testcases))
-	copy(c.tcs, s.testcases)
+	c.tcs = slices.Clone(s.testcases)
 	c.runs = make([]*core.Run, len(s.results))
 	copy(c.runs, s.results)
 	nonceByID := make(map[string]string, len(s.nonces))
@@ -329,9 +329,14 @@ func (s *Server) SaveState(dir string) error {
 			return err
 		}
 		if len(c.tcs) > 0 {
+			// The stored encodings, rendering any slot replay left empty.
 			var b strings.Builder
-			if err := testcase.EncodeAll(&b, c.tcs); err != nil {
-				return err
+			for _, sl := range c.tcs {
+				text, err := sl.encoding()
+				if err != nil {
+					return err
+				}
+				b.WriteString(text)
 			}
 			if err := emit(journalOp{Op: opTestcases, Payload: b.String()}); err != nil {
 				return err

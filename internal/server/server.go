@@ -27,11 +27,14 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uucs/internal/core"
@@ -161,7 +164,7 @@ type Server struct {
 	// tcMu guards the testcase store (read-mostly: every sync samples
 	// it, additions are rare).
 	tcMu      sync.RWMutex
-	testcases []*testcase.Testcase
+	testcases []*tcSlot
 	tcIndex   map[string]int
 
 	// resMu guards the uploaded-run store (append-only).
@@ -238,30 +241,83 @@ func (s *Server) journal() *journalWriter {
 	return s.jw
 }
 
+// tcSlot is one stored testcase with its text encoding, kept so every
+// sync reply and snapshot is built from bytes rendered once. A slot is
+// never mutated after it is stored except to fill text; replacing a
+// testcase swaps the whole slot.
+type tcSlot struct {
+	tc *testcase.Testcase
+	// text is the testcase's encoding, nil until first rendered. Syncs
+	// (under tcMu.RLock) and SaveState (on its copy of the store) may
+	// race to fill it; they store identical bytes.
+	text atomic.Pointer[string]
+}
+
+// encoding returns the slot's text encoding, rendering and storing an
+// exact-size copy on first use.
+func (sl *tcSlot) encoding() (string, error) {
+	if p := sl.text.Load(); p != nil {
+		return *p, nil
+	}
+	text, err := testcase.EncodeString(sl.tc)
+	if err != nil {
+		return "", fmt.Errorf("testcase %s: %w", sl.tc.ID, err)
+	}
+	sl.text.Store(&text)
+	return text, nil
+}
+
 // AddTestcases adds testcases to the store; new testcases can be added
 // to the server at any time and propagate to clients at their next hot
-// sync. Duplicate IDs are replaced.
+// sync. Duplicate IDs are replaced. Each testcase is rendered to text
+// here, once: syncs and snapshots serve these bytes verbatim, so
+// mutating a *Testcase after adding it changes neither (just as it
+// never changed the journal).
 func (s *Server) AddTestcases(tcs ...*testcase.Testcase) error {
 	return s.addTestcases(tcs, true)
 }
 
-func (s *Server) addTestcases(tcs []*testcase.Testcase, journal bool) error {
+// addTestcases stores tcs, replacing same-ID entries. With encode set
+// it renders the batch once, journals it when a journal is attached,
+// and keeps each testcase's bytes as a view of one exact-size copy.
+// Replay passes encode=false and renders nothing: a slot left empty is
+// filled by the first sync that picks it.
+func (s *Server) addTestcases(tcs []*testcase.Testcase, encode bool) error {
 	for _, tc := range tcs {
 		if err := tc.Validate(); err != nil {
 			return err
 		}
 	}
+	slots := make([]tcSlot, len(tcs))
+	for i, tc := range tcs {
+		slots[i].tc = tc
+	}
 	var op []byte
 	jw := s.journal()
-	if journal && jw != nil {
-		var b strings.Builder
-		if err := testcase.EncodeAll(&b, tcs); err != nil {
-			return err
+	if encode {
+		var buf []byte
+		ends := make([]int, len(tcs))
+		for i, tc := range tcs {
+			var err error
+			if buf, err = testcase.Append(buf, tc); err != nil {
+				return fmt.Errorf("testcase %s: %w", tc.ID, err)
+			}
+			ends[i] = len(buf)
 		}
-		var err error
-		op, err = marshalOp(journalOp{Op: opTestcases, Payload: b.String()})
-		if err != nil {
-			return err
+		payload := string(buf)
+		texts := make([]string, len(tcs))
+		start := 0
+		for i, end := range ends {
+			texts[i] = payload[start:end]
+			slots[i].text.Store(&texts[i])
+			start = end
+		}
+		if jw != nil {
+			var err error
+			op, err = marshalOp(journalOp{Op: opTestcases, Payload: payload})
+			if err != nil {
+				return err
+			}
 		}
 	}
 	s.tcMu.Lock()
@@ -271,13 +327,13 @@ func (s *Server) addTestcases(tcs []*testcase.Testcase, journal bool) error {
 		// the op is in the journal queue (the compaction invariant).
 		pending = jw.enqueue(op)
 	}
-	for _, tc := range tcs {
-		if i, ok := s.tcIndex[tc.ID]; ok {
-			s.testcases[i] = tc
+	for i, tc := range tcs {
+		if j, ok := s.tcIndex[tc.ID]; ok {
+			s.testcases[j] = &slots[i]
 			continue
 		}
 		s.tcIndex[tc.ID] = len(s.testcases)
-		s.testcases = append(s.testcases, tc)
+		s.testcases = append(s.testcases, &slots[i])
 	}
 	s.tcMu.Unlock()
 	if pending != nil {
@@ -436,33 +492,85 @@ func failedReq(err error) *journalReq {
 	return r
 }
 
-// sample returns up to want testcases the client does not yet have,
-// chosen uniformly at random — combined with the client's local random
-// choice and Poisson execution times, this makes the fleet execute a
-// random sample with respect to testcases, users, and times (§2). The
-// shuffle stream derives from (seed, client, sync generation), never
-// from shared state, so a client's sample sequence is the same whether
-// the fleet runs serially or fully interleaved — and a retried sync
-// with the same have-list receives the identical sample again.
-func (s *Server) sample(clientID string, have map[string]bool, want int) []*testcase.Testcase {
+// sampleScratch is the reusable per-request working set of sample.
+type sampleScratch struct {
+	held    []bool   // held[i]: store index i is on the have-list
+	unknown [][]byte // have-list ids the store does not hold
+	cand    []int32  // candidate store indices, then the shuffled sample
+}
+
+var samplePool = sync.Pool{New: func() any { return new(sampleScratch) }}
+
+// sample returns the encoded text of up to want testcases the client
+// does not yet have, chosen uniformly at random, and how many it chose.
+// Combined with the client's local random choice and Poisson execution
+// times, this makes the fleet execute a random sample with respect to
+// testcases, users, and times (§2). The shuffle stream derives from
+// (seed, client, count of distinct have-list ids), never from shared
+// state, so a client's sample sequence is the same whether the fleet
+// runs serially or fully interleaved — and a retried sync with the same
+// have-list receives the identical sample again. want must be positive.
+//
+// The selection works on store indices with pooled scratch, and the
+// reply concatenates the stored encodings into one exact-size string,
+// its only allocation once every chosen slot has been rendered.
+func (s *Server) sample(clientID []byte, have [][]byte, want int) (string, int, error) {
+	sc := samplePool.Get().(*sampleScratch)
+	defer samplePool.Put(sc)
 	s.tcMu.RLock()
 	defer s.tcMu.RUnlock()
-	var candidates []*testcase.Testcase
-	for _, tc := range s.testcases {
-		if !have[tc.ID] {
-			candidates = append(candidates, tc)
+
+	// Distinct have-list ids, unknown ones included, seed the shuffle.
+	sc.held = slices.Grow(sc.held[:0], len(s.testcases))[:len(s.testcases)]
+	clear(sc.held)
+	sc.unknown = sc.unknown[:0]
+	distinct := 0
+	for _, id := range have {
+		i, ok := s.tcIndex[string(id)]
+		switch {
+		case !ok:
+			sc.unknown = append(sc.unknown, id)
+		case !sc.held[i]:
+			sc.held[i] = true
+			distinct++
 		}
 	}
-	if want >= len(candidates) {
-		return candidates
+	shuffle := want < len(s.testcases)-distinct
+	if shuffle && len(sc.unknown) > 0 {
+		slices.SortFunc(sc.unknown, bytes.Compare)
+		distinct += len(slices.CompactFunc(sc.unknown, bytes.Equal))
 	}
-	h := hashID(hashMix(s.seed, 0x73616d70), clientID) // "samp"
-	h = hashMix(h, uint64(len(have)))
-	rng := stats.NewStream(h)
-	rng.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	return candidates[:want]
+	clear(sc.unknown) // drop the borrowed frame views before pooling
+
+	sc.cand = sc.cand[:0]
+	for i, h := range sc.held {
+		if !h {
+			sc.cand = append(sc.cand, int32(i))
+		}
+	}
+	if shuffle {
+		h := hashID(hashMix(s.seed, 0x73616d70), clientID) // "samp"
+		rng := stats.NewStream(hashMix(h, uint64(distinct)))
+		rng.Shuffle(len(sc.cand), func(i, j int) {
+			sc.cand[i], sc.cand[j] = sc.cand[j], sc.cand[i]
+		})
+		sc.cand = sc.cand[:want]
+	}
+
+	size := 0
+	for _, i := range sc.cand {
+		text, err := s.testcases[i].encoding()
+		if err != nil {
+			return "", 0, err
+		}
+		size += len(text)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, i := range sc.cand {
+		b.WriteString(*s.testcases[i].text.Load())
+	}
+	return b.String(), len(sc.cand), nil
 }
 
 // addResults ingests an uploaded run batch. Seq 0 marks an unsequenced
@@ -694,16 +802,11 @@ func (s *Server) dispatch(conn *protocol.Conn, f *protocol.Frame) error {
 		if want <= 0 {
 			want = 16
 		}
-		have := make(map[string]bool, len(f.Have))
-		for _, id := range f.Have {
-			have[string(id)] = true
-		}
-		tcs := s.sample(string(f.ClientID), have, want)
-		var b strings.Builder
-		if err := testcase.EncodeAll(&b, tcs); err != nil {
+		payload, n, err := s.sample(f.ClientID, f.Have, want)
+		if err != nil {
 			return err
 		}
-		return conn.Send(protocol.Message{Type: protocol.TypeTestcases, Payload: b.String(), Count: len(tcs)})
+		return conn.Send(protocol.Message{Type: protocol.TypeTestcases, Payload: payload, Count: n})
 
 	case protocol.TypeResults:
 		if err := s.checkClient(f.ClientID); err != nil {

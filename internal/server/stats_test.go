@@ -243,3 +243,24 @@ func TestIngestAllocCeilings(t *testing.T) {
 		t.Errorf("shard lock allocates %.2f/op, want 0", avg)
 	}
 }
+
+// TestSyncAllocCeiling pins the steady-state allocation count of a
+// sync's selection and reply on a warm 400-testcase store (have-list
+// of 32, want 4): the index-based sample runs on pooled scratch and
+// the stored encodings are concatenated, so the one allocation is the
+// exact-size reply payload.
+func TestSyncAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under the race detector")
+	}
+	s, have, id := syncBenchServer(t)
+	const syncAllocs = 1
+	avg := testing.AllocsPerRun(500, func() {
+		if _, n, err := s.sample(id, have, 4); err != nil || n != 4 {
+			t.Fatalf("sample: %d testcases, %v", n, err)
+		}
+	})
+	if avg != syncAllocs {
+		t.Errorf("sync sample allocates %.2f/op, want %d", avg, syncAllocs)
+	}
+}
