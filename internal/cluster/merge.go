@@ -5,7 +5,6 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -96,6 +95,13 @@ const defaultSpillBytes = 32 << 20
 type batchKey struct {
 	id  string
 	seq uint64
+}
+
+// aggKey identifies one piece of an unsequenced aggregate: its content
+// hash and chunk index.
+type aggKey struct {
+	hash uint64
+	part int
 }
 
 // chunk is one worker's in-memory run of (encoding, run) pairs, sorted
@@ -227,7 +233,7 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 	// chunks, spilling oversized chunks to disk.
 	var (
 		seen    = make(map[batchKey]struct{})
-		aggSeen = make(map[uint64]struct{})
+		aggSeen = make(map[aggKey]struct{})
 		chunks  = make([]*chunk, workers)
 		spills  []*os.File
 		spillMu sync.Mutex
@@ -295,19 +301,22 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		} else {
 			// Unsequenced payload: a compacted aggregate. Its identity
 			// is its content (the same aggregate reappears wherever a
-			// snapshot's bytes were shipped or copied).
-			h := fnv.New64a()
-			io.WriteString(h, op.ID)
-			h.Write([]byte{0})
-			io.WriteString(h, op.Payload)
-			sum := h.Sum64()
-			if _, dup := aggSeen[sum]; dup {
-				st.DupAggregates++
+			// snapshot's bytes were shipped or copied); a chunk's is
+			// the whole aggregate's content plus its index, and the
+			// aggregate is counted once, at chunk 0.
+			hash, part := op.AggregateKey()
+			k := aggKey{hash, part}
+			if _, dup := aggSeen[k]; dup {
+				if k.part == 0 {
+					st.DupAggregates++
+				}
 				mu.Unlock()
 				return nil
 			}
-			aggSeen[sum] = struct{}{}
-			st.Aggregates++
+			aggSeen[k] = struct{}{}
+			if k.part == 0 {
+				st.Aggregates++
+			}
 		}
 		mu.Unlock()
 

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -78,10 +79,10 @@ const (
 	TypeShip    MsgType = "ship"
 	TypeShipAck MsgType = "ship-ack"
 	// TypeJournalMeta never crosses the wire between peers: it is the
-	// self-identifying header record a v3 server writes at the head of a
-	// fresh journal file, encoded as an ordinary frame (Ver carries the
-	// journal format version) so the journal scanner needs no second
-	// record grammar.
+	// self-identifying header record a server writes at the head of a
+	// fresh journal file and of every snapshot, encoded as an ordinary
+	// frame (Ver carries the journal format version) like every other
+	// record in those files.
 	TypeJournalMeta MsgType = "jmeta"
 )
 
@@ -103,11 +104,16 @@ func (s Snapshot) Validate() error {
 	if s.Hostname == "" {
 		return fmt.Errorf("protocol: snapshot missing hostname")
 	}
-	if s.CPUGHz <= 0 || s.MemMB <= 0 {
-		return fmt.Errorf("protocol: snapshot has implausible hardware (cpu %g GHz, mem %g MB)", s.CPUGHz, s.MemMB)
+	if s.CPUGHz <= 0 || s.MemMB <= 0 || !finite(s.CPUGHz) || !finite(s.MemMB) || !finite(s.DiskGB) {
+		return fmt.Errorf("protocol: snapshot has implausible hardware (cpu %g GHz, mem %g MB, disk %g GB)", s.CPUGHz, s.MemMB, s.DiskGB)
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor an infinity. A v3 frame
+// carries the hardware figures as raw float64 bits, so unlike a JSON
+// line it can deliver either.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Message is the single wire envelope.
 type Message struct {
@@ -216,6 +222,12 @@ type Conn struct {
 // maxLine bounds a single message; testcase payloads are sizable but a
 // 2000-testcase store is still only a few MB.
 const maxLine = 64 << 20
+
+// MaxMessageBytes is maxLine for other packages: the largest v2 line,
+// or v3 frame payload (the tagged fields between the length prefix and
+// the CRC), a message may have. The server cuts journal records that
+// would exceed it.
+const MaxMessageBytes = maxLine
 
 // NewConn wraps a stream. If rw also implements io.Closer, Close closes
 // it; if it implements deadline setting (net.Conn does), SetTimeout

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,11 @@ func TestSnapshotValidate(t *testing.T) {
 		{OS: "linux", CPUGHz: 2, MemMB: 512},
 		{Hostname: "h", CPUGHz: 0, MemMB: 512},
 		{Hostname: "h", CPUGHz: 2, MemMB: 0},
+		{Hostname: "h", CPUGHz: math.NaN(), MemMB: 512},
+		{Hostname: "h", CPUGHz: math.Inf(1), MemMB: 512},
+		{Hostname: "h", CPUGHz: 2, MemMB: math.Inf(1)},
+		{Hostname: "h", CPUGHz: 2, MemMB: 512, DiskGB: math.NaN()},
+		{Hostname: "h", CPUGHz: 2, MemMB: 512, DiskGB: math.Inf(-1)},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"uucs/internal/core"
+	"uucs/internal/stats"
+	"uucs/internal/testcase"
 )
 
 // FuzzPersistReload throws arbitrary bytes at the journal loader — the
@@ -29,6 +34,33 @@ func FuzzPersistReload(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	// Records as this build writes them: the format 4 header, a
+	// registration with a LastSeq floor, a testcase batch, a snapshot
+	// aggregate cut into two chunks, and a whole framed history.
+	snap := testSnapshot()
+	reg, _ := appendClientRecord(nil, "uucs-1", "n-1", &snap, 3)
+	gen, _ := testcase.Generate("t", testcase.GeneratorConfig{Count: 2, Rate: 1, Duration: 20, MaxCPU: 10, MaxDisk: 7}, stats.NewStream(1))
+	var tc []byte
+	var tcEnds []int
+	for _, g := range gen {
+		tc, _ = testcase.Append(tc, g)
+		tcEnds = append(tcEnds, len(tc))
+	}
+	run2 := testRun()
+	run2.Offset = 56
+	runs := core.AppendRuns(nil, []*core.Run{testRun()}, true)
+	runEnds := []int{len(runs)}
+	runs = core.AppendRuns(runs, []*core.Run{run2}, true)
+	runEnds = append(runEnds, len(runs))
+	saved := recordChunkBytes
+	recordChunkBytes = 1 // one record per frame
+	tcs, _ := appendTestcaseRecords(nil, tc, tcEnds)
+	agg, _ := appendAggregateRecords(nil, runs, runEnds)
+	recordChunkBytes = saved
+	for _, seed := range [][]byte{journalHeader, reg, tcs, agg} {
+		f.Add(seed)
+	}
+	f.Add(bytes.Join([][]byte{journalHeader, tcs, reg, agg}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {

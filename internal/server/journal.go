@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uucs/internal/protocol"
 	"uucs/internal/telemetry"
 )
 
@@ -433,15 +432,11 @@ func (w *journalWriter) rotateLocked() error {
 	}
 	w.segs = append(w.segs, segInfo{path: segPath, seq: w.nextSeq, base: w.base, skip: w.skip, size: w.fsize})
 	w.nextSeq++
-	hdr, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalMeta, Ver: journalFormatVersion})
-	if err != nil {
-		return err
-	}
 	nf, err := os.OpenFile(active, os.O_CREATE|os.O_EXCL|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("server: journal rotate: %w", err)
 	}
-	if _, err := nf.Write(hdr); err != nil {
+	if _, err := nf.Write(journalHeader); err != nil {
 		nf.Close()
 		return fmt.Errorf("server: journal rotate: %w", err)
 	}
@@ -450,8 +445,8 @@ func (w *journalWriter) rotateLocked() error {
 		return fmt.Errorf("server: journal rotate: %w", err)
 	}
 	w.base += w.fsize - w.skip
-	w.skip = int64(len(hdr))
-	w.fsize = int64(len(hdr))
+	w.skip = int64(len(journalHeader))
+	w.fsize = int64(len(journalHeader))
 	w.f = nf
 	w.sealed.Add(1)
 	return nil

@@ -2,21 +2,21 @@ package server
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"unsafe"
 
 	"uucs/internal/core"
 	"uucs/internal/protocol"
-	"uucs/internal/testcase"
 )
 
 // Server-side permanent storage. Like the client, the paper's server
@@ -41,25 +41,43 @@ import (
 // state. A partial final journal record (crash mid-append) is detected
 // and dropped.
 //
-// Record formats: the snapshot holds one JSON op per line. The journal
-// mixes two record formats, distinguished per record by the first byte:
-// '{' starts a JSON op line (the cold ops — registrations, testcases —
-// plus every record a v2-era build wrote), and protocol.FrameMagic
-// starts a v3 frame. Every result upload is journaled as a frame: a v3
-// upload as the exact bytes the client sent, a v2 upload as the frame
-// RecvFrame converted it to. The append is a memcpy, the record carries
-// its own CRC, and replay re-validates it with the wire decoder instead
-// of a JSON parse; JSON results lines are read-only replay input left
-// by older builds. A fresh journal file opens with a self-identifying
-// jmeta header frame; a v2-era journal has no header and replays
-// through the same scanner unchanged, which is the whole migration
-// story — no rewrite, no conversion. Torn-tail semantics per format: a JSON record is torn if
-// its final newline is missing; a binary record is torn if the file
-// ends before the frame's declared length (ErrShortFrame). A complete
-// binary record that fails its CRC — e.g. a corrupted header mid-file —
-// is never treated as tearing: it poisons the load, because a CRC-valid
-// prefix cannot be reconstructed from a corrupt length field without
-// risking silently mis-parsing everything after it.
+// Record formats: every record this build writes — to the journal and
+// to the snapshot alike — is a v3 wire frame (protocol.FrameMagic, a
+// length prefix, tagged fields, a CRC32 trailer) of a type the protocol
+// already has:
+//
+//	jmeta       file header; Ver = journalFormatVersion
+//	registered  a registration: ClientID, Nonce, Snapshot, and Seq =
+//	            the client's LastSeq floor (snapshot records only)
+//	testcases   a testcase batch: Payload
+//	results     an upload, as the exact frame the client sent (a v2
+//	            upload as the frame RecvFrame converted it to); or, with
+//	            no ClientID and Seq 0, one chunk of a snapshot's run
+//	            aggregate, carrying the whole aggregate's content hash
+//	            (Nonce, 8 bytes) and the chunk's index (Count)
+//
+// A frame holds at most protocol.MaxMessageBytes, so testcase batches
+// and aggregates are cut at record boundaries into consecutive frames
+// (recordChunkBytes); replay applies the pieces in order, which is the
+// state the whole would give. Appends are a memcpy, every record
+// carries its own CRC, and replay re-validates it with the wire decoder.
+//
+// JSON op lines ('{' first) are legacy input only, read but never
+// written: v2-era journals are pure JSON lines with no header, and
+// journals with a jmeta version 3 header (the builds that framed only
+// uploads) hold JSON registration and testcase lines; legacy snapshots
+// are JSON lines opened by a "meta" version 2 line. Both load unchanged
+// through the same scanner, which is the whole migration story — no
+// rewrite, no conversion. The version-4 header makes an older build,
+// which accepts only version 3, refuse a directory this one wrote.
+//
+// Torn-tail semantics per format: a JSON record is torn if its final
+// newline is missing; a binary record is torn if the file ends before
+// the frame's declared length (ErrShortFrame). A complete binary record
+// that fails its CRC — e.g. a corrupted header mid-file — is never
+// treated as tearing: it poisons the load, because a CRC-valid prefix
+// cannot be reconstructed from a corrupt length field without risking
+// silently mis-parsing everything after it.
 
 // State file names.
 const (
@@ -76,16 +94,32 @@ const (
 	opJournalMeta = "jmeta"
 )
 
-// stateVersion identifies the state file format.
+// stateVersion is the legacy JSON snapshot format ("meta" header),
+// still read.
 const stateVersion = 2
 
-// journalFormatVersion identifies the journal record format a jmeta
-// header frame declares. Version 3 is the first to carry a header at
-// all (v2 journals are pure JSON lines and headerless), so the only
-// accepted value is 3; a higher one means a future build wrote records
-// this build cannot be sure it parses correctly, which must poison the
-// load rather than mis-parse.
-const journalFormatVersion = 3
+// Journal format versions a jmeta header declares. Version 3 marked the
+// builds that framed uploads but wrote JSON registration and testcase
+// lines; version 4 writes every record as a frame. Both are read; a
+// newer version means a future build wrote records this one cannot be
+// sure it parses, which must poison the load rather than mis-parse.
+const (
+	legacyJournalFormat  = 3
+	journalFormatVersion = 4
+)
+
+// newestJournalFormat is the newest jmeta version this build reads. It
+// is a variable only so tests can stand in for an older build.
+var newestJournalFormat = journalFormatVersion
+
+// journalHeader is the jmeta frame that opens every journal file and
+// snapshot this build writes. Shared and never mutated.
+var journalHeader, _ = protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalMeta, Ver: journalFormatVersion})
+
+// recordChunkBytes bounds the payload of one testcase or aggregate
+// frame, leaving headroom under protocol.MaxMessageBytes for the other
+// fields. A variable so tests can force the split on small inputs.
+var recordChunkBytes = protocol.MaxMessageBytes - 1<<10
 
 // testHookAfterSnapshot, when non-nil, runs between SaveState's
 // snapshot write and its journal compaction — the window in which a
@@ -93,10 +127,11 @@ const journalFormatVersion = 3
 // snapshot's state copy predates. Tests use it to pin that race open.
 var testHookAfterSnapshot func(*Server)
 
-// journalOp is one line of the snapshot or journal.
+// journalOp is one decoded record of the snapshot or journal, from a
+// frame (frameOp) or a legacy JSON line (its json tags).
 type journalOp struct {
 	Op string `json:"op"`
-	// Ver is the format version (opMeta).
+	// Ver is the format version (opMeta, opJournalMeta).
 	Ver int `json:"ver,omitempty"`
 	// ID is the client id (opClient: the registered id; opResults: the
 	// uploading client).
@@ -113,6 +148,12 @@ type journalOp struct {
 	// Payload holds text-encoded testcases (opTestcases) or run
 	// records (opResults).
 	Payload string `json:"payload,omitempty"`
+	// AggHash and Part identify one chunk of a snapshot aggregate
+	// (opResults from a frame with no client id): the 8-byte content
+	// hash of the whole aggregate and the chunk's index. Empty and 0 on
+	// every other record.
+	AggHash string `json:"-"`
+	Part    int    `json:"-"`
 }
 
 // OpenState attaches the server to a state directory: it restores any
@@ -163,16 +204,11 @@ func (s *Server) OpenState(dir string) error {
 		// goes straight to the file, outside the journal writer, so it
 		// is neither counted as an op (crash-after hooks and op counts
 		// see only real mutations) nor acked to anyone.
-		hdr, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalMeta, Ver: journalFormatVersion})
-		if err != nil {
+		if _, err := f.Write(journalHeader); err != nil {
 			f.Close()
 			return err
 		}
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return err
-		}
-		size = int64(len(hdr))
+		size = int64(len(journalHeader))
 	}
 	// Register any sealed segments already on disk so compaction can
 	// drop them once a snapshot covers them. At open, every surviving
@@ -317,42 +353,44 @@ func (s *Server) SaveState(dir string) error {
 
 	err := writeFileAtomic(filepath.Join(dir, snapshotFile), func(f *os.File) error {
 		w := bufio.NewWriter(f)
-		emit := func(op journalOp) error {
-			b, err := json.Marshal(op)
-			if err != nil {
-				return err
-			}
-			w.Write(b)
-			return w.WriteByte('\n')
-		}
-		if err := emit(journalOp{Op: opMeta, Ver: stateVersion}); err != nil {
-			return err
-		}
+		w.Write(journalHeader)
+		var rec []byte
 		if len(c.tcs) > 0 {
 			// The stored encodings, rendering any slot replay left empty.
-			var b strings.Builder
-			for _, sl := range c.tcs {
+			var payload []byte
+			ends := make([]int, len(c.tcs))
+			for i, sl := range c.tcs {
 				text, err := sl.encoding()
 				if err != nil {
 					return err
 				}
-				b.WriteString(text)
+				payload = append(payload, text...)
+				ends[i] = len(payload)
 			}
-			if err := emit(journalOp{Op: opTestcases, Payload: b.String()}); err != nil {
+			var err error
+			if rec, err = appendTestcaseRecords(rec, payload, ends); err != nil {
 				return err
 			}
 		}
 		for _, cl := range c.clients {
-			snap := cl.snap
-			if err := emit(journalOp{Op: opClient, ID: cl.id, Nonce: cl.nonce, Snapshot: &snap, LastSeq: cl.seq}); err != nil {
+			var err error
+			if rec, err = appendClientRecord(rec, cl.id, cl.nonce, &cl.snap, cl.seq); err != nil {
 				return err
 			}
 		}
+		w.Write(rec)
 		if len(c.runs) > 0 {
-			b := core.AppendRuns(nil, c.runs, true)
-			if err := emit(journalOp{Op: opResults, Payload: borrowString(b)}); err != nil {
+			var payload []byte
+			ends := make([]int, len(c.runs))
+			for i := range c.runs {
+				payload = core.AppendRuns(payload, c.runs[i:i+1], true)
+				ends[i] = len(payload)
+			}
+			var err error
+			if rec, err = appendAggregateRecords(rec[:0], payload, ends); err != nil {
 				return err
 			}
+			w.Write(rec)
 		}
 		return w.Flush()
 	})
@@ -413,13 +451,12 @@ func (s *Server) LoadState(dir string) error {
 }
 
 // scanOpsFile parses one state file record by record, calling fn per
-// op. A missing file is an empty file. Each record's format is
-// identified by its first byte: a verbatim v3 wire frame
-// (protocol.FrameMagic) or a newline-terminated JSON op line. Binary
-// record payloads are handed to fn as borrowed views of the file
-// buffer — the buffer is immutable and garbage-collected normally, so
-// the views stay valid even if retained; replay never copies or
-// re-encodes a journaled frame.
+// op. A missing file is an empty file. Records are cut by the same
+// scanner replay uses and decoded by the same decodeOp, so the two
+// readers agree on every record. Binary record payloads are handed to
+// fn as borrowed views of the file buffer — the buffer is immutable and
+// garbage-collected normally, so the views stay valid even if retained;
+// nothing copies or re-encodes a journaled frame.
 //
 // tolerateTail drops a torn final record: a JSON line with no
 // terminating newline (plus any parse/fn error on it), or a binary
@@ -435,73 +472,153 @@ func scanOpsFile(path string, tolerateTail bool, fn func(journalOp) error) error
 	if err != nil {
 		return err
 	}
-	base := filepath.Base(path)
-	rec := 0
-	pos := 0
+	sc := recordScanner{data: data, file: filepath.Base(path), tolerateTail: tolerateTail}
 	var f protocol.Frame
-	for pos < len(data) {
-		switch data[pos] {
-		case '\n', '\r', ' ', '\t':
-			pos++ // blank separators between JSON lines
-			continue
+	for {
+		r, ok := sc.next()
+		if !ok {
+			return nil
 		}
-		rec++
-		if data[pos] == protocol.FrameMagic {
-			n, err := protocol.DecodeFrame(data[pos:], &f)
-			if err != nil {
-				if tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
-					return nil // torn tail: crash mid-append
-				}
-				return fmt.Errorf("server: %s record %d (offset %d): %w", base, rec, pos, err)
-			}
-			op, err := frameOp(&f)
-			if err == nil {
-				err = fn(op)
-			}
-			if err != nil {
-				return fmt.Errorf("server: %s record %d (offset %d): %w", base, rec, pos, err)
-			}
-			pos += n
-			continue
+		op, err := decodeOp(&r, &f)
+		if err == nil {
+			err = fn(op)
 		}
-		nl := bytes.IndexByte(data[pos:], '\n')
-		torn := nl < 0
-		var line []byte
-		if torn {
-			line = data[pos:]
-			pos = len(data)
-		} else {
-			line = data[pos : pos+nl]
-			pos += nl + 1
+		if err != nil {
+			if r.torn {
+				return nil
+			}
+			return errAt(&r, err)
 		}
+	}
+}
+
+// decodeOp decodes one record into its op: a frame through the wire
+// decoder (CRC check included) and frameOp, a legacy JSON line through
+// encoding/json. f is scratch; the op borrows the record's bytes, not f.
+func decodeOp(r *replayRec, f *protocol.Frame) (journalOp, error) {
+	if r.err != nil {
+		return journalOp{}, r.err
+	}
+	if !r.frame {
 		var op journalOp
-		if err := json.Unmarshal(line, &op); err != nil {
-			if tolerateTail && torn {
-				return nil
-			}
-			return fmt.Errorf("server: %s record %d: %w", base, rec, err)
+		err := json.Unmarshal(r.data, &op)
+		return op, err
+	}
+	if _, err := protocol.DecodeFrame(r.data, f); err != nil {
+		return journalOp{}, err
+	}
+	return frameOp(f)
+}
+
+// frameOp converts a journaled frame into its journalOp view. Payloads
+// borrow the frame's bytes without copying; ids, nonces and snapshots,
+// which the stores keep, are copied so they do not pin the file buffer.
+func frameOp(f *protocol.Frame) (journalOp, error) {
+	switch f.Type {
+	case protocol.TypeJournalMeta:
+		return journalOp{Op: opJournalMeta, Ver: f.Ver}, nil
+	case protocol.TypeRegistered:
+		snap, err := f.DecodeSnapshot()
+		if err != nil {
+			return journalOp{}, err
 		}
-		if err := fn(op); err != nil {
-			if tolerateTail && torn {
-				return nil
+		return journalOp{Op: opClient, ID: string(f.ClientID), Nonce: string(f.Nonce), Snapshot: snap, LastSeq: f.Seq}, nil
+	case protocol.TypeTestcases:
+		return journalOp{Op: opTestcases, Payload: borrowString(f.Payload)}, nil
+	case protocol.TypeResults:
+		op := journalOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}
+		// Only a snapshot aggregate has no client id (every upload is
+		// checked against the registry), so a client cannot make its
+		// upload's Nonce or Count mean anything here.
+		if len(f.ClientID) == 0 && len(f.Nonce) > 0 {
+			if len(f.Nonce) != 8 {
+				return journalOp{}, fmt.Errorf("aggregate hash of %d bytes", len(f.Nonce))
 			}
-			return fmt.Errorf("server: %s record %d: %w", base, rec, err)
+			op.AggHash, op.Part = borrowString(f.Nonce), f.Count
+		}
+		return op, nil
+	default:
+		return journalOp{}, fmt.Errorf("unexpected %q frame in journal", f.Type)
+	}
+}
+
+// checkHeader rejects a file header of a format this build does not
+// read: a legacy "meta" line of any version but stateVersion, or a
+// jmeta frame outside [legacyJournalFormat, newestJournalFormat]. Other
+// ops pass.
+func checkHeader(op *journalOp) error {
+	switch op.Op {
+	case opMeta:
+		if op.Ver != stateVersion {
+			return fmt.Errorf("unsupported state version %d", op.Ver)
+		}
+	case opJournalMeta:
+		if op.Ver < legacyJournalFormat || op.Ver > newestJournalFormat {
+			return fmt.Errorf("unsupported journal format version %d", op.Ver)
 		}
 	}
 	return nil
 }
 
-// frameOp converts a journaled wire frame into its journalOp view. The
-// payload borrows the frame's bytes without copying.
-func frameOp(f *protocol.Frame) (journalOp, error) {
-	switch f.Type {
-	case protocol.TypeJournalMeta:
-		return journalOp{Op: opJournalMeta, Ver: f.Ver}, nil
-	case protocol.TypeResults:
-		return journalOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}, nil
-	default:
-		return journalOp{}, fmt.Errorf("unexpected %q frame in journal", f.Type)
+// appendClientRecord appends a registration record: a TypeRegistered
+// frame with the client's id, nonce and machine snapshot, and its
+// LastSeq floor as Seq (non-zero only in a snapshot).
+func appendClientRecord(dst []byte, id, nonce string, snap *protocol.Snapshot, lastSeq uint64) ([]byte, error) {
+	return protocol.AppendFrame(dst, protocol.Message{
+		Type: protocol.TypeRegistered, ClientID: id, Nonce: nonce, Snapshot: snap, Seq: lastSeq,
+	})
+}
+
+// appendTestcaseRecords appends text-encoded testcases as TypeTestcases
+// frames; ends holds each testcase's end offset in payload.
+func appendTestcaseRecords(dst, payload []byte, ends []int) ([]byte, error) {
+	return appendChunked(dst, payload, ends, func(_ int, chunk string) protocol.Message {
+		return protocol.Message{Type: protocol.TypeTestcases, Payload: chunk}
+	})
+}
+
+// appendAggregateRecords appends a snapshot's run aggregate as
+// TypeResults frames with no client id and Seq 0; ends holds each run's
+// end offset in payload. Every chunk carries the whole aggregate's
+// content hash and its own index, so the cluster merge deduplicates the
+// aggregate as one unit however it was cut.
+func appendAggregateRecords(dst, payload []byte, ends []int) ([]byte, error) {
+	var sum [8]byte
+	binary.LittleEndian.PutUint64(sum[:], aggregateHash("", borrowString(payload)))
+	return appendChunked(dst, payload, ends, func(part int, chunk string) protocol.Message {
+		return protocol.Message{Type: protocol.TypeResults, Nonce: string(sum[:]), Count: part, Payload: chunk}
+	})
+}
+
+// appendChunked appends payload as consecutive frames built by frame,
+// cut only at the record ends in ends (ascending, the last one
+// len(payload)) so that no chunk exceeds recordChunkBytes unless a
+// single record does. Chunks are numbered from 0.
+func appendChunked(dst, payload []byte, ends []int, frame func(part int, chunk string) protocol.Message) ([]byte, error) {
+	start := 0
+	for i, part := 0, 0; i < len(ends); part++ {
+		end := ends[i]
+		for i++; i < len(ends) && ends[i]-start <= recordChunkBytes; i++ {
+			end = ends[i]
+		}
+		var err error
+		if dst, err = protocol.AppendFrame(dst, frame(part, borrowString(payload[start:end]))); err != nil {
+			return dst, err
+		}
+		start = end
 	}
+	return dst, nil
+}
+
+// aggregateHash is an unsequenced run payload's identity in the cluster
+// merge: FNV-64a over the uploading client's id (empty for a snapshot
+// aggregate), a zero byte, and the payload.
+func aggregateHash(id, payload string) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, id)
+	h.Write([]byte{0})
+	io.WriteString(h, payload)
+	return h.Sum64()
 }
 
 // borrowString returns a string view of b without copying. Safe here
@@ -521,7 +638,7 @@ func borrowBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
-// Exported op-kind names for StateOp.Kind (the on-disk op tags).
+// Exported op-kind names for StateOp.Kind (the op tags).
 const (
 	OpKindMeta        = opMeta
 	OpKindTestcases   = opTestcases
@@ -536,7 +653,7 @@ const (
 type StateOp struct {
 	// Kind is the op tag (OpKind*).
 	Kind string
-	// Ver is the state format version (OpKindMeta).
+	// Ver is the header's format version (OpKindMeta, OpKindJournalMeta).
 	Ver int
 	// ID is the client id (OpKindClient: the registered id;
 	// OpKindResults: the uploading client, empty for a compacted
@@ -552,28 +669,42 @@ type StateOp struct {
 	Seq uint64
 	// Payload holds text-encoded testcases or run records.
 	Payload string
+
+	aggHash string
+	part    int
 }
 
 // PayloadBytes returns a read-only byte view of op.Payload, for the
 // payload parsers, without copying it.
 func (op StateOp) PayloadBytes() []byte { return borrowBytes(op.Payload) }
 
+// AggregateKey identifies an unsequenced OpKindResults op for the
+// cluster merge's dedup: the content hash of the whole payload it
+// belongs to, and its chunk index. A snapshot aggregate written as
+// several chunks carries its hash in every chunk; any other unsequenced
+// record — a legacy JSON aggregate, an unsequenced upload — is chunk 0
+// of itself and is hashed here, as (ID, payload).
+func (op StateOp) AggregateKey() (hash uint64, part int) {
+	if op.aggHash != "" {
+		return binary.LittleEndian.Uint64([]byte(op.aggHash)), op.part
+	}
+	return aggregateHash(op.ID, op.Payload), 0
+}
+
 // ScanStateOps parses one state file (a journal or a snapshot), calling
-// fn for every op in file order. tolerateTail drops a torn final line —
-// pass true for journals (a crash mid-append tears them), false for
-// snapshots (written atomically). A missing file scans as empty. It
-// validates op meta versions like a state load would.
+// fn for every op in file order. tolerateTail drops a torn final
+// record — pass true for journals (a crash mid-append tears them),
+// false for snapshots (written atomically). A missing file scans as
+// empty. It validates header versions like a state load would.
 func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error {
 	return scanOpsFile(path, tolerateTail, func(op journalOp) error {
-		if op.Op == opMeta && op.Ver != stateVersion {
-			return fmt.Errorf("unsupported state version %d", op.Ver)
-		}
-		if op.Op == opJournalMeta && op.Ver != journalFormatVersion {
-			return fmt.Errorf("unsupported journal format version %d", op.Ver)
+		if err := checkHeader(&op); err != nil {
+			return err
 		}
 		return fn(StateOp{
 			Kind: op.Op, Ver: op.Ver, ID: op.ID, Nonce: op.Nonce,
 			LastSeq: op.LastSeq, Seq: op.Seq, Payload: op.Payload,
+			aggHash: op.AggHash, part: op.Part,
 		})
 	})
 }
@@ -585,49 +716,6 @@ func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error 
 // StateFiles for the complete replay-ordered list.
 func StateFilePaths(dir string) (snapshot, journal string) {
 	return filepath.Join(dir, snapshotFile), journalPathIn(dir)
-}
-
-// applyOp replays one journal op into the in-memory stores,
-// deduplicating so replay is idempotent.
-func (s *Server) applyOp(op journalOp) error {
-	switch op.Op {
-	case opMeta:
-		if op.Ver != stateVersion {
-			return fmt.Errorf("unsupported state version %d", op.Ver)
-		}
-		return nil
-	case opJournalMeta:
-		// The journal format header. A replica journal can carry several
-		// (one per bootstrap segment shipped after a primary restart);
-		// each just re-declares the format.
-		if op.Ver != journalFormatVersion {
-			return fmt.Errorf("unsupported journal format version %d", op.Ver)
-		}
-		return nil
-	case opTestcases:
-		tcs, err := testcase.Parse(borrowBytes(op.Payload))
-		if err != nil {
-			return err
-		}
-		return s.addTestcases(tcs, false)
-	case opClient:
-		return s.applyClientShard(&op)
-	case opResults:
-		runs, err := core.ParseRuns(borrowBytes(op.Payload))
-		if err != nil {
-			return err
-		}
-		keep, err := s.applyResultsShard(&op)
-		if err != nil || !keep {
-			return err
-		}
-		s.resMu.Lock()
-		s.results = append(s.results, runs...)
-		s.resMu.Unlock()
-		return nil
-	default:
-		return fmt.Errorf("unknown op %q", op.Op)
-	}
 }
 
 func fileExists(path string) bool {

@@ -515,6 +515,42 @@ func TestJournalMigrationCorruption(t *testing.T) {
 	}
 	clientLine := append(clientJSON, '\n')
 	resWire := resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()})).Raw()
+	tcs, err := testcase.Generate("m", testcase.GeneratorConfig{Count: 1, Rate: 1, Duration: 20, MaxCPU: 10, MaxDisk: 7}, stats.NewStream(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcText, err := testcase.EncodeString(tcs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcLine, err := marshalOp(journalOp{Op: opTestcases, Payload: tcText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyHdr := legacyHeader(t)
+	regFrame, err := appendClientRecord(nil, id, "n1", &snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcFrame, err := appendTestcaseRecords(nil, []byte(tcText), []int{len(tcText)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot as this build writes it: header, a registration with
+	// its LastSeq floor, and the run aggregate.
+	flooredReg, err := appendClientRecord(nil, id, "n1", &snap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggPayload := []byte(encodeRuns(t, []*core.Run{testRun()}))
+	aggFrame, err := appendAggregateRecords(nil, aggPayload, []int{len(aggPayload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badHashAgg, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeResults, Nonce: "abc", Payload: string(aggPayload)})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	join := func(parts ...[]byte) []byte {
 		var b []byte
@@ -530,16 +566,47 @@ func TestJournalMigrationCorruption(t *testing.T) {
 	}
 
 	tests := []struct {
-		name    string
-		journal []byte
-		wantErr bool
-		clients int
-		results int
+		name     string
+		snapshot []byte
+		journal  []byte
+		// newest, when set, stands in for an older build's version
+		// check (newestJournalFormat).
+		newest    int
+		wantErr   bool
+		clients   int
+		results   int
+		testcases int
 	}{
 		{
 			name:    "clean mixed journal",
 			journal: join(header, clientLine, resWire),
 			clients: 1, results: 1,
+		},
+		{
+			name:    "format 3 journal with JSON client and tc lines",
+			journal: join(legacyHdr, clientLine, tcLine, resWire),
+			clients: 1, results: 1, testcases: 1,
+		},
+		{
+			name:    "format 4 journal, every record a frame",
+			journal: join(header, regFrame, tcFrame, resWire),
+			clients: 1, results: 1, testcases: 1,
+		},
+		{
+			name:     "format 4 snapshot",
+			snapshot: join(header, flooredReg, aggFrame),
+			clients:  1, results: 1,
+		},
+		{
+			name:     "format 4 snapshot under an older build's version check",
+			snapshot: join(header, flooredReg, aggFrame),
+			newest:   legacyJournalFormat,
+			wantErr:  true,
+		},
+		{
+			name:    "aggregate chunk with a malformed hash",
+			journal: join(header, badHashAgg),
+			wantErr: true,
 		},
 		{
 			name:    "jmeta header corrupted mid-file",
@@ -583,6 +650,15 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, journalFile), tc.journal, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			if tc.snapshot != nil {
+				if err := os.WriteFile(filepath.Join(dir, snapshotFile), tc.snapshot, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.newest != 0 {
+				defer func(v int) { newestJournalFormat = v }(newestJournalFormat)
+				newestJournalFormat = tc.newest
+			}
 			s := New(1)
 			err := s.LoadState(dir)
 			if tc.wantErr {
@@ -594,8 +670,9 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.ClientCount() != tc.clients || len(s.Results()) != tc.results {
-				t.Errorf("clients=%d results=%d, want %d/%d", s.ClientCount(), len(s.Results()), tc.clients, tc.results)
+			if s.ClientCount() != tc.clients || len(s.Results()) != tc.results || s.TestcaseCount() != tc.testcases {
+				t.Errorf("clients=%d results=%d testcases=%d, want %d/%d/%d",
+					s.ClientCount(), len(s.Results()), s.TestcaseCount(), tc.clients, tc.results, tc.testcases)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -19,51 +18,51 @@ import (
 	"uucs/internal/testcase"
 )
 
-// Parallel journal replay. The serial loader (scanOpsFile + applyOp)
-// walks one file record by record, paying the expensive part — JSON
-// unmarshal, run-payload decode, frame CRC — inline on one core. At a
-// 64MB multi-segment journal that is the whole cost of a cold restart
-// and of failover promotion, so this file splits replay into three
-// phases that put the expensive part on every core while keeping the
-// result provably bit-identical to the serial loader:
+// Parallel journal replay. The reference semantics are serial: decode
+// each record and apply it in file order, paying the expensive part —
+// frame CRC and field parse, run-payload decode — inline on one core.
+// At a 64MB multi-segment journal that is the whole cost of a cold
+// restart and of failover promotion, so this file splits replay into
+// three phases that put the expensive part on every core while keeping
+// the result provably bit-identical to the serial order:
 //
-//  1. Boundary scan (sequential, cheap): each state file is split into
-//     records without decoding anything — protocol.FrameLen reads just
-//     the magic byte and length prefix of a binary frame, JSON lines
-//     end at their newline. This phase fixes the record order: the
-//     global record index is (file order, offset order), exactly the
-//     order the serial loader applies.
+//  1. Boundary scan (sequential, cheap): recordScanner splits each
+//     state file into records without decoding anything —
+//     protocol.FrameLen reads just the magic byte and length prefix of
+//     a frame, a legacy JSON line ends at its newline. This phase fixes
+//     the record order: the global record index is (file order, offset
+//     order), exactly the serial order.
 //  2. Decode (parallel): workers grab record indexes from an atomic
-//     cursor and fully decode each record in isolation — frame CRC +
-//     field parse, JSON unmarshal, run/testcase payload decode. No
-//     record's decode depends on any other record, so this phase is
-//     embarrassingly parallel and holds the dominant cost.
+//     cursor and fully decode each record in isolation (decodeRec:
+//     frame CRC + field parse, or a legacy line's JSON unmarshal, then
+//     the run/testcase payload). No record's decode depends on any
+//     other record, so this phase is embarrassingly parallel and holds
+//     the dominant cost.
 //  3. Apply (per-shard queues): the main goroutine dispatches records
 //     in global order. Client and results ops go to one of 16 apply
 //     queues keyed by shardFor(client id) — the same hash that shards
 //     the live server — so all ops of one client apply in record
-//     order, which is the only order applyOp's dedup logic (lastSeq
+//     order, which is the only order the replay dedup logic (lastSeq
 //     monotonicity, registration-before-upload) ever reads. Ops with
-//     cross-shard effects (meta, jmeta, testcases) apply inline on the
+//     cross-shard effects (headers, testcases) apply inline on the
 //     dispatch goroutine, still in record order. Accepted run batches
 //     are not appended to the result store by the workers — they are
 //     collected per record index and concatenated in record order
 //     after the queues drain, so s.results is byte-for-byte the serial
-//     loader's.
+//     order's.
 //
-// Why per-client order is sufficient: applyOp's replay decisions read
-// only per-client state (shard.clients[id], shard.lastSeq[id]) and
+// Why per-client order is sufficient: the replay decisions read only
+// per-client state (shard.clients[id], shard.lastSeq[id]) and
 // idempotent global maps (nonce → id, testcase id dedup). Two records
 // touching different clients commute; two records touching the same
 // client share a queue. Errors are collected with their record index
 // and the minimum-index error is returned, which is exactly the first
-// error the serial loader would have hit.
+// error a serial replay would have hit.
 //
 // Torn tails keep their serial semantics: only the final record of the
-// active journal may be torn. A torn binary frame is dropped at the
-// boundary scan; a torn JSON line is decoded and applied, with any
-// error silently dropping it — if it applies cleanly it is state,
-// matching the serial loader bit for bit.
+// active journal may be torn. A torn frame is dropped at the boundary
+// scan; a torn legacy JSON line is decoded and applied, with any error
+// silently dropping it — if it applies cleanly it is state.
 
 // replayStats describes one LoadState replay.
 type replayStats struct {
@@ -92,9 +91,9 @@ type replayDec struct {
 	err  error
 }
 
-// errAt formats a record-scoped error exactly as the serial scanner
-// does: binary records carry their byte offset (their CRC makes the
-// position meaningful), JSON records do not.
+// errAt formats a record-scoped error, the same for replay and
+// ScanStateOps: binary records carry their byte offset (their CRC makes
+// the position meaningful), JSON records do not.
 func errAt(r *replayRec, err error) error {
 	if r.frame {
 		return fmt.Errorf("server: %s record %d (offset %d): %w", r.file, r.rec, r.pos, err)
@@ -177,98 +176,87 @@ type tailState struct {
 	terminate bool
 }
 
-// splitRecords boundary-scans one state file into records, appending to
-// recs. It returns the extended slice and the file's valid prefix
-// length (bytes through the last whole record, separators included).
+// recordScanner cuts one state file into records without decoding
+// anything: a binary frame ends where protocol.FrameLen says, a JSON
+// line at its newline. Replay and ScanStateOps both read through it.
 // tolerateTail marks the file as the active journal: a torn final
-// binary frame is dropped here (the serial scanner never decodes it),
-// and a torn final JSON line is kept but flagged so decode/apply
-// errors drop it silently. A scan error that tearing cannot explain is
-// attached to a sentinel record so dispatch reports it at the exact
-// record index the serial scanner would have.
-func splitRecords(recs []replayRec, data []byte, base string, tolerateTail bool) ([]replayRec, int64) {
-	rec := 0
-	pos := 0
-	valid := 0
-	for pos < len(data) {
-		switch data[pos] {
-		case '\n', '\r', ' ', '\t':
-			pos++ // blank separators between JSON lines
-			valid = pos
-			continue
-		}
-		rec++
-		if data[pos] == protocol.FrameMagic {
-			n, err := protocol.FrameLen(data[pos:])
-			if err != nil {
-				if tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
-					return recs, int64(valid) // torn tail: crash mid-append
-				}
-				r := replayRec{file: base, rec: rec, pos: pos, frame: true}
-				r.err = err
-				return append(recs, r), int64(valid)
-			}
-			recs = append(recs, replayRec{file: base, rec: rec, pos: pos, data: data[pos : pos+n], frame: true})
-			pos += n
-			valid = pos
-			continue
-		}
-		nl := bytes.IndexByte(data[pos:], '\n')
-		if nl < 0 {
-			recs = append(recs, replayRec{file: base, rec: rec, pos: pos, data: data[pos:], torn: tolerateTail})
-			return recs, int64(valid)
-		}
-		recs = append(recs, replayRec{file: base, rec: rec, pos: pos, data: data[pos : pos+nl]})
-		pos += nl + 1
-		valid = pos
-	}
-	return recs, int64(valid)
+// binary frame ends the scan (it is never decoded), and a torn final
+// JSON line is returned flagged torn, so decode and apply errors drop
+// it silently. A framing error tearing cannot explain comes back as a
+// record carrying err, after which the scan ends — so a reader reports
+// it at the exact record index a record-by-record decode would.
+type recordScanner struct {
+	data         []byte
+	file         string
+	tolerateTail bool
+	pos          int
+	rec          int
+	// valid is the length of the prefix through the last whole record,
+	// separators included.
+	valid int
 }
 
-// decodeRec fully decodes one record: frame CRC + fields or JSON
-// unmarshal, then the payload (runs or testcases). f is a per-worker
-// scratch frame; the decoded op borrows views of the file buffer, not
-// of f.
-func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
-	if r.err != nil {
-		d.err = r.err
-		return
+// next returns the next record, or ok == false once the file is done.
+func (sc *recordScanner) next() (r replayRec, ok bool) {
+	for sc.pos < len(sc.data) {
+		switch sc.data[sc.pos] {
+		case '\n', '\r', ' ', '\t':
+			sc.pos++ // blank separators between JSON lines
+			sc.valid = sc.pos
+			continue
+		}
+		sc.rec++
+		r = replayRec{file: sc.file, rec: sc.rec, pos: sc.pos}
+		rest := sc.data[sc.pos:]
+		if rest[0] == protocol.FrameMagic {
+			r.frame = true
+			n, err := protocol.FrameLen(rest)
+			if err != nil {
+				sc.pos = len(sc.data)
+				if sc.tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
+					return r, false // torn tail: crash mid-append
+				}
+				r.err = err
+				return r, true
+			}
+			r.data = rest[:n]
+			sc.pos += n
+			sc.valid = sc.pos
+			return r, true
+		}
+		nl := bytes.IndexByte(rest, '\n')
+		if nl < 0 {
+			r.data, r.torn = rest, sc.tolerateTail
+			sc.pos = len(sc.data)
+			return r, true
+		}
+		r.data = rest[:nl]
+		sc.pos += nl + 1
+		sc.valid = sc.pos
+		return r, true
 	}
-	if r.frame {
-		if _, err := protocol.DecodeFrame(r.data, f); err != nil {
-			d.err = err
-			return
-		}
-		op, err := frameOp(f)
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.op = op
-	} else if err := json.Unmarshal(r.data, &d.op); err != nil {
+	return r, false
+}
+
+// decodeRec fully decodes one record: its op (decodeOp), then the
+// payload (runs or testcases). f is a per-worker scratch frame; the
+// decoded op borrows views of the file buffer, not of f.
+func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
+	op, err := decodeOp(r, f)
+	if err != nil {
 		d.err = err
 		return
 	}
-	switch d.op.Op {
+	d.op = op
+	switch op.Op {
 	case opResults:
-		runs, err := core.ParseRuns(borrowBytes(d.op.Payload))
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.runs = runs
+		d.runs, d.err = core.ParseRuns(borrowBytes(op.Payload))
 	case opTestcases:
-		tcs, err := testcase.Parse(borrowBytes(d.op.Payload))
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.tcs = tcs
+		d.tcs, d.err = testcase.Parse(borrowBytes(op.Payload))
 	}
 }
 
-// applyClientShard replays one opClient into the shard stores —
-// applyOp's client case, shared verbatim with the parallel path.
+// applyClientShard replays one opClient into the shard stores.
 func (s *Server) applyClientShard(op *journalOp) error {
 	if op.ID == "" {
 		return fmt.Errorf("client op without id")
@@ -314,8 +302,8 @@ func (s *Server) applyResultsShard(op *journalOp) (keep bool, err error) {
 
 // replayError collects record-indexed errors from the dispatch
 // goroutine and the shard workers, keeping the minimum-index one — the
-// error the serial loader, which stops at the first failure, would
-// have returned.
+// error a serial replay, which stops at the first failure, would have
+// returned.
 type replayError struct {
 	mu  sync.Mutex
 	idx int
@@ -366,17 +354,23 @@ func (s *Server) loadStateDir(dir string) (tailState, error) {
 		nfiles++
 		totalBytes += int64(len(data))
 		active := i == len(files)-1
-		before := len(recs)
-		var valid int64
-		recs, valid = splitRecords(recs, data, filepath.Base(path), active)
+		sc := recordScanner{data: data, file: filepath.Base(path), tolerateTail: active}
+		for {
+			r, ok := sc.next()
+			if !ok {
+				break
+			}
+			recs = append(recs, r)
+		}
 		if active {
-			tail.size = valid
+			tail.size = int64(sc.valid)
 			// A kept torn JSON line may extend the valid prefix to the
 			// whole file — decided after apply, below.
 		}
-		if len(recs) > before && recs[len(recs)-1].err != nil {
+		if n := len(recs); n > 0 && recs[n-1].err != nil {
 			// A scan error tearing cannot explain: stop at it, exactly
-			// where the serial scanner would. Later files never load.
+			// where a record-by-record decode would. Later files never
+			// load.
 			break
 		}
 	}
@@ -466,21 +460,15 @@ dispatch:
 			break
 		}
 		switch d.op.Op {
-		case opMeta:
-			if d.op.Ver != stateVersion {
+		case opMeta, opJournalMeta:
+			// File headers. A replica journal can carry several jmeta
+			// frames (one per bootstrap segment shipped after a primary
+			// restart); each just re-declares the format.
+			if err := checkHeader(&d.op); err != nil {
 				if r.torn {
 					continue
 				}
-				re.record(idx, errAt(r, fmt.Errorf("unsupported state version %d", d.op.Ver)))
-				break dispatch
-			}
-			applied[idx] = true
-		case opJournalMeta:
-			if d.op.Ver != journalFormatVersion {
-				if r.torn {
-					continue
-				}
-				re.record(idx, errAt(r, fmt.Errorf("unsupported journal format version %d", d.op.Ver)))
+				re.record(idx, errAt(r, err))
 				break dispatch
 			}
 			applied[idx] = true

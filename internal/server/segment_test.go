@@ -386,8 +386,11 @@ func TestOpenStateRepairsTornTail(t *testing.T) {
 
 // TestSaveStateCompactsSegments: once a snapshot covers them, sealed
 // segments are deleted outright (never rewritten) and the active
-// journal truncates to empty — then the compacted dir restores the
-// identical state.
+// journal keeps no op — then the compacted dir restores the identical
+// state. Whether the active file ends up empty or holding only the
+// jmeta header a rotation opened it with depends on where the last
+// rotation fell, which depends on record sizes; both are a logically
+// empty journal, so the test accepts either.
 func TestSaveStateCompactsSegments(t *testing.T) {
 	dir := t.TempDir()
 	s := New(1)
@@ -418,12 +421,10 @@ func TestSaveStateCompactsSegments(t *testing.T) {
 	if segs := segmentFiles(t, dir); len(segs) != 0 {
 		t.Errorf("covered sealed segments survived compaction: %v", segs)
 	}
-	fi, err := os.Stat(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != 0 {
-		t.Errorf("active journal not truncated after compaction: %d bytes", fi.Size())
+	for _, ty := range frameRecords(t, filepath.Join(dir, journalFile)) {
+		if ty != protocol.TypeJournalMeta {
+			t.Errorf("active journal holds a %q record after compaction; want at most its header", ty)
+		}
 	}
 
 	// The server keeps journaling into fresh segments after compaction.

@@ -314,8 +314,7 @@ func (s *Server) addTestcases(tcs []*testcase.Testcase, encode bool) error {
 		}
 		if jw != nil {
 			var err error
-			op, err = marshalOp(journalOp{Op: opTestcases, Payload: payload})
-			if err != nil {
+			if op, err = appendTestcaseRecords(nil, buf, ends); err != nil {
 				return err
 			}
 		}
@@ -455,7 +454,7 @@ func (s *Server) register(snap protocol.Snapshot, nonce string) (string, error) 
 	var pending *journalReq
 	jw := s.journal()
 	if jw != nil {
-		op, err := marshalOp(journalOp{Op: opClient, ID: id, Nonce: nonce, Snapshot: &snap})
+		op, err := appendClientRecord(nil, id, nonce, &snap, 0)
 		if err == nil {
 			// Enqueued while regMu pins the nonce/id assignment, so any
 			// state copy taken under regMu covers this op.
@@ -837,10 +836,4 @@ func (s *Server) checkClient(id []byte) error {
 		return fmt.Errorf("unknown client %q (register first)", id)
 	}
 	return nil
-}
-
-// marshalOp encodes one journal op as a newline-terminated JSON line,
-// returning a private copy safe to hand to the journal writer queue.
-func marshalOp(op journalOp) ([]byte, error) {
-	return appendJSONLine(nil, op)
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"math"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +105,62 @@ func TestRegistrationRejectsBadVersionAndSnapshot(t *testing.T) {
 	resp, _ = conn.Recv()
 	if resp.Type != protocol.TypeError {
 		t.Errorf("missing snapshot accepted: %+v", resp)
+	}
+}
+
+// TestRegistrationRejectsNonFiniteHardware: a v3 register frame carries
+// the hardware figures as raw float64 bits, so it can deliver NaN or an
+// infinity that no JSON line can. The server must refuse such a
+// snapshot over the wire whether or not it journals — the frame
+// journal would store it as faithfully as any other.
+func TestRegistrationRejectsNonFiniteHardware(t *testing.T) {
+	bad := map[string]func(*protocol.Snapshot){
+		"disk NaN":  func(s *protocol.Snapshot) { s.DiskGB = math.NaN() },
+		"disk -Inf": func(s *protocol.Snapshot) { s.DiskGB = math.Inf(-1) },
+		"cpu NaN":   func(s *protocol.Snapshot) { s.CPUGHz = math.NaN() },
+		"mem +Inf":  func(s *protocol.Snapshot) { s.MemMB = math.Inf(1) },
+	}
+	for _, journaled := range []bool{false, true} {
+		s := New(42)
+		dir := t.TempDir()
+		if journaled {
+			if err := s.OpenState(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addr, err := s.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := dialT(t, addr)
+		conn.SetVersion(protocol.V3)
+		for name, mutate := range bad {
+			snap := testSnapshot()
+			mutate(&snap)
+			if err := conn.Send(protocol.Message{Type: protocol.TypeRegister, Ver: protocol.Version, Snapshot: &snap, Nonce: name}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := conn.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Type != protocol.TypeError {
+				t.Errorf("journaled=%v: %s snapshot registered: %+v", journaled, name, resp)
+			}
+		}
+		if n := s.ClientCount(); n != 0 {
+			t.Errorf("journaled=%v: %d clients registered", journaled, n)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if journaled {
+			for _, ty := range frameRecords(t, filepath.Join(dir, journalFile)) {
+				if ty != protocol.TypeJournalMeta {
+					t.Errorf("rejected registration journaled as a %q record", ty)
+				}
+			}
+		}
 	}
 }
 

@@ -1,12 +1,6 @@
 package server
 
-import (
-	"bytes"
-	"encoding/json"
-	"sync"
-
-	"uucs/internal/telemetry"
-)
+import "uucs/internal/telemetry"
 
 // Ingest observability. Every counter here is lock-free so reading
 // stats never perturbs the hot path it is measuring; uucs-server
@@ -125,33 +119,4 @@ func (s *Server) Stats() IngestStats {
 		st.BatchHist = hist
 	}
 	return st
-}
-
-// jsonLineEncoder is a pooled buffer + encoder pair for one-line JSON
-// encodings (journal ops and state snapshots share it with nothing on
-// the wire path — protocol has its own pool).
-type jsonLineEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonLinePool = sync.Pool{New: func() any {
-	e := &jsonLineEncoder{}
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
-
-// appendJSONLine appends v's JSON encoding plus a trailing newline to
-// dst via the pooled encoder, so hot callers allocate only the returned
-// slice growth.
-func appendJSONLine(dst []byte, v any) ([]byte, error) {
-	e := jsonLinePool.Get().(*jsonLineEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
-		jsonLinePool.Put(e)
-		return dst, err
-	}
-	dst = append(dst, e.buf.Bytes()...) // Encode already appended '\n'
-	jsonLinePool.Put(e)
-	return dst, nil
 }
