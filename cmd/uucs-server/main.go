@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"uucs/internal/atomicfile"
 	"uucs/internal/core"
 	"uucs/internal/protocol"
 	"uucs/internal/server"
@@ -191,17 +192,19 @@ func main() {
 	}
 }
 
+// flush exports the collected results to path, replacing the previous
+// export only once the new one is complete and on disk.
 func flush(srv *server.Server, path string) error {
 	runs := srv.Results()
 	if len(runs) == 0 {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return core.EncodeRuns(f, runs, false)
+	return atomicfile.Write(path, func(f *os.File) error {
+		if err := f.Chmod(0o644); err != nil {
+			return err
+		}
+		return core.EncodeRuns(f, runs, false)
+	})
 }
 
 func fatal(err error) {

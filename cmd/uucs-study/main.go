@@ -84,8 +84,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		if err := core.EncodeRuns(f, res.Runs, *withLoad); err != nil {
+		err = core.EncodeRuns(f, res.Runs, *withLoad)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d run records to %s\n", len(res.Runs), *runsPath)

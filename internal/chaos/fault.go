@@ -53,7 +53,10 @@ type Profile struct {
 	StallFor time.Duration
 	// MaxFaults caps the total number of randomized faults injected, so
 	// a retry budget is guaranteed to outlast the chaos; 0 means
-	// unlimited. Scripted faults do not count against it.
+	// unlimited. Scripted faults do not count against it. The cap is
+	// split evenly among the ops the profile can fault (dial, write,
+	// read, in that order, taking any remainder first), so which op
+	// spends it does not depend on how ops interleave.
 	MaxFaults int
 }
 
@@ -69,18 +72,21 @@ type ScriptFault struct {
 
 // Injector derives a deterministic fault schedule from a seed. Wrap a
 // dial function (WrapDial) or a single connection (WrapConn); every
-// operation then consults the injector in call order, so one goroutine
-// driving one injector replays the identical schedule every run.
+// operation then consults the injector. The fault for the n-th
+// occurrence of an op is a pure function of (seed, op, n), so a read
+// that races a write cannot shift any later decision: the schedule of
+// each op depends only on how many times that op has occurred.
 //
 // An injector is safe for concurrent use, but a deterministic schedule
-// requires its operations to arrive in a deterministic order — give
-// each simulated host its own injector.
+// requires each op's occurrences to be counted in a deterministic
+// order — give each simulated host its own injector.
 type Injector struct {
 	mu      sync.Mutex
-	rng     *stats.Stream
+	seed    uint64
 	profile Profile
 	script  []ScriptFault
-	faults  int
+	budget  map[string]int // each op's share of MaxFaults
+	faults  map[string]int // randomized faults injected per op
 	ops     map[string]int
 	events  []string
 }
@@ -90,11 +96,29 @@ func NewInjector(seed uint64, profile Profile) *Injector {
 	if profile.StallFor <= 0 {
 		profile.StallFor = 50 * time.Millisecond
 	}
-	return &Injector{
-		rng:     stats.NewStream(seed ^ 0x6368616f73), // "chaos"
+	in := &Injector{
+		seed:    seed ^ 0x6368616f73, // "chaos"
 		profile: profile,
+		budget:  make(map[string]int),
+		faults:  make(map[string]int),
 		ops:     make(map[string]int),
 	}
+	p := profile
+	ops := [...]string{"dial", "write", "read"}
+	rates := [...]float64{p.DialFail, p.Drop + p.PartialWrite + p.Corrupt + p.Stall, p.Drop + p.Stall}
+	var active []string
+	for i, op := range ops {
+		if rates[i] > 0 {
+			active = append(active, op)
+		}
+	}
+	for i, op := range active {
+		in.budget[op] = p.MaxFaults / len(active)
+		if i < p.MaxFaults%len(active) {
+			in.budget[op]++
+		}
+	}
+	return in
 }
 
 // Scripted appends scripted faults; see ScriptFault.
@@ -126,6 +150,12 @@ func (in *Injector) Faults() int {
 
 // decide picks the fault (or none) for the next occurrence of op.
 func (in *Injector) decide(op string) Kind {
+	kind, _ := in.next(op)
+	return kind
+}
+
+// next counts the next occurrence n of op and picks its fault.
+func (in *Injector) next(op string) (Kind, int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.ops[op]++
@@ -133,15 +163,16 @@ func (in *Injector) decide(op string) Kind {
 	for _, sf := range in.script {
 		if sf.Op == op && sf.N == n && sf.Kind != KindNone {
 			in.events = append(in.events, fmt.Sprintf("%s#%d %s", op, n, sf.Kind))
-			return sf.Kind
+			return sf.Kind, n
 		}
 	}
 	p := in.profile
-	if p.MaxFaults > 0 && in.faults >= p.MaxFaults {
-		return KindNone
+	if p.MaxFaults > 0 && in.faults[op] >= in.budget[op] {
+		return KindNone, n
 	}
 	var kind Kind
-	u := in.rng.Float64()
+	draws := in.stream(op, n)
+	u := draws.Float64()
 	switch op {
 	case "dial":
 		if u < p.DialFail {
@@ -167,21 +198,33 @@ func (in *Injector) decide(op string) Kind {
 		}
 	}
 	if kind == KindNone {
-		return KindNone
+		return KindNone, n
 	}
-	in.faults++
+	in.faults[op]++
 	in.events = append(in.events, fmt.Sprintf("%s#%d %s", op, n, kind))
-	return kind
+	return kind, n
 }
 
-// pick returns a deterministic integer in [0, n).
-func (in *Injector) pick(n int) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if n <= 0 {
+// stream returns the draws for occurrence n of op.
+func (in *Injector) stream(op string, n int) stats.Stream {
+	h := uint64(14695981039346656037) // FNV-1a of op
+	for i := 0; i < len(op); i++ {
+		h = (h ^ uint64(op[i])) * 1099511628211
+	}
+	var s stats.Stream
+	s.Reseed(stats.DeriveSeed(in.seed^h, uint64(n)))
+	return s
+}
+
+// pick returns a deterministic integer in [0, size) for occurrence n of
+// op: the draw after the one that decided its fault.
+func (in *Injector) pick(op string, n, size int) int {
+	if size <= 0 {
 		return 0
 	}
-	return in.rng.IntN(n)
+	draws := in.stream(op, n)
+	draws.Uint64()
+	return draws.IntN(size)
 }
 
 // WrapDial decorates a dial function with dial-time faults and wraps
@@ -228,7 +271,8 @@ func (f *faultConn) Read(p []byte) (int, error) {
 }
 
 func (f *faultConn) Write(p []byte) (int, error) {
-	switch f.in.decide("write") {
+	kind, n := f.in.next("write")
+	switch kind {
 	case KindDrop:
 		f.Conn.Close()
 		return 0, errInjected("connection drop (write)")
@@ -245,7 +289,7 @@ func (f *faultConn) Write(p []byte) (int, error) {
 	case KindCorrupt:
 		q := make([]byte, len(p))
 		copy(q, p)
-		corruptByte(q, f.in.pick(len(q)))
+		corruptByte(q, f.in.pick("write", n, len(q)))
 		return f.Conn.Write(q)
 	case KindStall:
 		time.Sleep(f.in.stallFor())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -65,12 +66,17 @@ func TestInjectorDeterministicSchedule(t *testing.T) {
 }
 
 func TestInjectorFaultBudget(t *testing.T) {
+	// Drop applies to writes and reads, so each gets half the budget.
 	in := NewInjector(3, Profile{Drop: 1.0, MaxFaults: 2})
 	for i := 0; i < 10; i++ {
 		in.decide("write")
+		in.decide("read")
 	}
 	if in.Faults() != 2 {
 		t.Errorf("faults = %d, want budget cap of 2", in.Faults())
+	}
+	if want := []string{"write#1 drop", "read#1 drop"}; !reflect.DeepEqual(in.Events(), want) {
+		t.Errorf("events = %v, want %v", in.Events(), want)
 	}
 	// Scripted faults ignore the budget.
 	in.Scripted(ScriptFault{Op: "write", N: 11, Kind: KindCorrupt})
@@ -224,5 +230,41 @@ func TestCorruptByteNeverTouchesNewlines(t *testing.T) {
 	corruptByte(all, 1)
 	if !bytes.Equal(all, []byte("\n\n\n")) {
 		t.Error("all-newline buffer was modified")
+	}
+}
+
+// TestInjectorScheduleIndependentOfInterleaving checks that the fault
+// drawn for each occurrence of an op does not depend on how other ops
+// interleave with it, nor on which op reaches the fault budget first.
+func TestInjectorScheduleIndependentOfInterleaving(t *testing.T) {
+	profile := Profile{DialFail: 0.2, Drop: 0.1, PartialWrite: 0.1, Corrupt: 0.1, Stall: 0.05, MaxFaults: 6}
+	perOp := func(in *Injector) map[string][]string {
+		got := make(map[string][]string)
+		for _, e := range in.Events() {
+			op := e[:strings.IndexByte(e, '#')]
+			got[op] = append(got[op], e)
+		}
+		return got
+	}
+	a := NewInjector(77, profile)
+	for i := 0; i < 50; i++ {
+		a.decide("dial")
+		a.decide("write")
+		a.decide("read")
+	}
+	b := NewInjector(77, profile)
+	for _, op := range []string{"read", "write", "dial"} {
+		for i := 0; i < 50; i++ {
+			b.decide(op)
+		}
+	}
+	if a.Faults() == 0 {
+		t.Fatal("no faults drawn at these rates; the test is vacuous")
+	}
+	if !reflect.DeepEqual(perOp(a), perOp(b)) {
+		t.Errorf("interleaving changed the schedule:\n%v\n%v", perOp(a), perOp(b))
+	}
+	if got := a.pick("write", 3, 1000); got != b.pick("write", 3, 1000) {
+		t.Errorf("pick differs between injectors with one seed: %d", got)
 	}
 }

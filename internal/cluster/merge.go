@@ -349,14 +349,23 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 	// Final pass: k-way heap merge over every chunk cursor. Each input
 	// is sorted, so the heap emits the globally sorted sequence — the
 	// exact byte stream a serial collect-all + sort would produce.
-	var cursors []*mergeCursor
+	// The in-memory chunks are sorted one per goroutine.
+	var (
+		cursors []*mergeCursor
+		sorts   sync.WaitGroup
+	)
 	for _, c := range chunks {
 		if len(c.encs) == 0 {
 			continue
 		}
-		sort.Sort(c)
+		sorts.Add(1)
+		go func() {
+			defer sorts.Done()
+			sort.Sort(c)
+		}()
 		cursors = append(cursors, &mergeCursor{mem: c})
 	}
+	sorts.Wait()
 	for _, f := range spills {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return st, err

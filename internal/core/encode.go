@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"uucs/internal/hostsim"
 	"uucs/internal/testcase"
@@ -114,10 +116,104 @@ func appendFloat(dst []byte, v float64) []byte {
 }
 
 // EncodeRuns writes runs to w in the text format; see AppendRuns.
+// Below two blocks it encodes on the caller's goroutine through one
+// pooled buffer without allocating; larger inputs go through
+// EncodeRunBlocks, one w.Write per block.
 func EncodeRuns(w io.Writer, runs []*Run, withLoad bool) error {
-	return textrec.Write(w, runs, func(dst []byte, r *Run) ([]byte, error) {
-		return AppendRuns(dst, []*Run{r}, withLoad), nil
+	if len(runs) < 2*blockRuns {
+		return textrec.Write(w, runs, func(dst []byte, r *Run) ([]byte, error) {
+			return AppendRuns(dst, []*Run{r}, withLoad), nil
+		})
+	}
+	return EncodeRunBlocks(runs, withLoad, func(block []byte, _ []int) error {
+		_, err := w.Write(block)
+		return err
 	})
+}
+
+// blockRuns is how many consecutive runs EncodeRunBlocks encodes as one
+// block.
+const blockRuns = 512
+
+// runBlock is one encoded block: its text and each run's end offset in
+// it. Blocks are pooled, so their buffers outlive one call.
+type runBlock struct {
+	buf  []byte
+	ends []int
+}
+
+var runBlocks = sync.Pool{New: func() any { return new(runBlock) }}
+
+func (b *runBlock) encode(runs []*Run, withLoad bool) {
+	b.buf, b.ends = b.buf[:0], b.ends[:0]
+	for i := range runs {
+		b.buf = AppendRuns(b.buf, runs[i:i+1], withLoad)
+		b.ends = append(b.ends, len(b.buf))
+	}
+}
+
+// blockSlot is one of the in-flight places a block is encoded into;
+// ready holds a token once its block is encoded.
+type blockSlot struct {
+	*runBlock
+	ready chan struct{}
+}
+
+// EncodeRunBlocks encodes runs in order and hands the text to emit one
+// block of blockRuns runs at a time (the last may be shorter); ends[i]
+// is the end offset in block of the block's i-th run. block and ends
+// are reused once emit returns. The concatenated blocks are exactly
+// AppendRuns(nil, runs, withLoad) at any GOMAXPROCS.
+//
+// GOMAXPROCS workers encode blocks while the caller emits them
+// strictly in block order. The caller alone hands out blocks: block i
+// goes into slot i mod 2×GOMAXPROCS, and is handed out only once the
+// slot's previous block has been emitted, so memory stays bounded at
+// any input size. The first emit error stops the encoding and is
+// returned; emit is not called again, and every worker has exited by
+// the time it returns.
+func EncodeRunBlocks(runs []*Run, withLoad bool, emit func(block []byte, ends []int) error) error {
+	nblocks := (len(runs) + blockRuns - 1) / blockRuns
+	if nblocks == 0 {
+		return nil
+	}
+	procs := runtime.GOMAXPROCS(0)
+	slots := make([]blockSlot, min(2*procs, nblocks))
+	jobs := make(chan int, len(slots))
+	for i := range slots {
+		slots[i] = blockSlot{runBlocks.Get().(*runBlock), make(chan struct{}, 1)}
+		jobs <- i
+	}
+	var wg sync.WaitGroup
+	for range min(procs, nblocks) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				s := &slots[i%len(slots)]
+				s.encode(runs[i*blockRuns:min((i+1)*blockRuns, len(runs))], withLoad)
+				s.ready <- struct{}{}
+			}
+		}()
+	}
+	defer func() {
+		close(jobs)
+		wg.Wait()
+		for _, s := range slots {
+			runBlocks.Put(s.runBlock)
+		}
+	}()
+	for i := range nblocks {
+		s := &slots[i%len(slots)]
+		<-s.ready
+		if err := emit(s.buf, s.ends); err != nil {
+			return err
+		}
+		if next := i + len(slots); next < nblocks {
+			jobs <- next
+		}
+	}
+	return nil
 }
 
 // DecodeRuns reads r to EOF and parses the run records; see ParseRuns.

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uucs/internal/atomicfile"
 	"uucs/internal/telemetry"
 )
 
@@ -480,7 +481,7 @@ func (w *journalWriter) compactTo(off int64, path string) error {
 				return err
 			}
 			tail := data[sg.skip+(off-sg.base):]
-			if err := writeFileAtomic(sg.path, func(f *os.File) error {
+			if err := atomicfile.Write(sg.path, func(f *os.File) error {
 				if len(tail) == 0 {
 					return nil
 				}
@@ -507,7 +508,7 @@ func (w *journalWriter) compactTo(off int64, path string) error {
 	if cut := w.skip + (off - w.base); int64(len(data)) > cut {
 		tail = data[cut:]
 	}
-	if err := writeFileAtomic(path, func(f *os.File) error {
+	if err := atomicfile.Write(path, func(f *os.File) error {
 		if len(tail) == 0 {
 			return nil
 		}

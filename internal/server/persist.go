@@ -15,6 +15,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"uucs/internal/atomicfile"
 	"uucs/internal/core"
 	"uucs/internal/protocol"
 )
@@ -351,7 +352,7 @@ func (s *Server) SaveState(dir string) error {
 	}
 	c := s.copyState(dir)
 
-	err := writeFileAtomic(filepath.Join(dir, snapshotFile), func(f *os.File) error {
+	err := atomicfile.Write(filepath.Join(dir, snapshotFile), func(f *os.File) error {
 		w := bufio.NewWriter(f)
 		w.Write(journalHeader)
 		var rec []byte
@@ -381,13 +382,18 @@ func (s *Server) SaveState(dir string) error {
 		w.Write(rec)
 		if len(c.runs) > 0 {
 			var payload []byte
-			ends := make([]int, len(c.runs))
-			for i := range c.runs {
-				payload = core.AppendRuns(payload, c.runs[i:i+1], true)
-				ends[i] = len(payload)
+			ends := make([]int, 0, len(c.runs))
+			err := core.EncodeRunBlocks(c.runs, true, func(block []byte, blockEnds []int) error {
+				for _, e := range blockEnds {
+					ends = append(ends, len(payload)+e)
+				}
+				payload = append(payload, block...)
+				return nil
+			})
+			if err == nil {
+				rec, err = appendAggregateRecords(rec[:0], payload, ends)
 			}
-			var err error
-			if rec, err = appendAggregateRecords(rec[:0], payload, ends); err != nil {
+			if err != nil {
 				return err
 			}
 			w.Write(rec)
@@ -721,24 +727,4 @@ func StateFilePaths(dir string) (snapshot, journal string) {
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
-}
-
-func writeFileAtomic(path string, fill func(*os.File) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := fill(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
