@@ -44,6 +44,7 @@ import (
 	"uucs/internal/hostsim"
 	"uucs/internal/internetstudy"
 	"uucs/internal/loadgen"
+	"uucs/internal/profiling"
 	"uucs/internal/server"
 	"uucs/internal/stats"
 	"uucs/internal/study"
@@ -388,11 +389,12 @@ func clusterStateFixture(b *testing.B) (string, *loadgen.Report) {
 
 // BenchmarkColdRestart measures the crash-recovery path: a full state
 // replay over the multi-segment journal a real ingest run laid down.
-// Sealed segments decode on parallel workers (0 = GOMAXPROCS) and
-// apply through the per-shard queues; the restored state is
-// bit-identical to a serial replay at any worker count
-// (TestParallelReplayMatchesSerial), so this measures the cold path
-// alone.
+// Replay is one bounded, ordered pipeline: parallel workers (0 =
+// GOMAXPROCS) decode blocks of records while the loader applies them
+// in record order, so the restored state is bit-identical to a serial
+// replay at any worker count (TestParallelReplayMatchesSerial). peak-MB
+// is the largest heap in use during one more, untimed restart, sampled
+// every millisecond.
 func BenchmarkColdRestart(b *testing.B) {
 	dir := b.TempDir()
 	rep, err := loadgen.Run(loadgen.Config{
@@ -406,19 +408,24 @@ func BenchmarkColdRestart(b *testing.B) {
 	if rep.Lost > 0 || rep.Duplicated > 0 {
 		b.Fatalf("fixture broke durability: lost=%d duplicated=%d", rep.Lost, rep.Duplicated)
 	}
-	b.ResetTimer()
-	restored := 0
-	for i := 0; i < b.N; i++ {
+	restart := func() int {
 		srv := server.New(1)
 		if err := srv.LoadState(dir); err != nil {
 			b.Fatal(err)
 		}
-		restored = len(srv.Results())
+		return len(srv.Results())
 	}
+	b.ResetTimer()
+	restored := 0
+	for i := 0; i < b.N; i++ {
+		restored = restart()
+	}
+	b.StopTimer()
 	if uint64(restored) != rep.Runs {
 		b.Fatalf("restored %d runs, want %d", restored, rep.Runs)
 	}
 	b.ReportMetric(float64(restored), "runs_restored")
+	b.ReportMetric(float64(profiling.PeakHeap(func() { restart() }))/1e6, "peak-MB")
 }
 
 // BenchmarkFailoverPromote measures the availability-critical half of

@@ -35,6 +35,7 @@ import (
 	"uucs/internal/hostsim"
 	"uucs/internal/internetstudy"
 	"uucs/internal/loadgen"
+	"uucs/internal/profiling"
 	"uucs/internal/protocol"
 	"uucs/internal/server"
 	"uucs/internal/study"
@@ -472,8 +473,9 @@ func benchClusterFixture(b *testing.B) (root string, runs uint64, cleanup func()
 }
 
 // benchColdRestart mirrors bench_test.go's BenchmarkColdRestart: a
-// full state replay over a multi-segment journal laid down by real
-// ingest load.
+// full state replay, through the bounded ordered replay pipeline, over
+// a multi-segment journal laid down by real ingest load, plus the peak
+// heap of one more, untimed restart.
 func benchColdRestart(b *testing.B) {
 	dir, err := os.MkdirTemp("", "uucs-bench-restart-")
 	if err != nil {
@@ -491,19 +493,24 @@ func benchColdRestart(b *testing.B) {
 	if rep.Lost > 0 || rep.Duplicated > 0 {
 		b.Fatalf("fixture broke durability: lost=%d duplicated=%d", rep.Lost, rep.Duplicated)
 	}
-	b.ResetTimer()
-	restored := 0
-	for i := 0; i < b.N; i++ {
+	restart := func() int {
 		srv := server.New(1)
 		if err := srv.LoadState(dir); err != nil {
 			b.Fatal(err)
 		}
-		restored = len(srv.Results())
+		return len(srv.Results())
 	}
+	b.ResetTimer()
+	restored := 0
+	for i := 0; i < b.N; i++ {
+		restored = restart()
+	}
+	b.StopTimer()
 	if uint64(restored) != rep.Runs {
 		b.Fatalf("restored %d runs, want %d", restored, rep.Runs)
 	}
 	b.ReportMetric(float64(restored), "runs_restored")
+	b.ReportMetric(float64(profiling.PeakHeap(func() { restart() }))/1e6, "peak-MB")
 }
 
 // benchFailoverPromote mirrors bench_test.go's

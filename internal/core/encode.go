@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"uucs/internal/hostsim"
+	"uucs/internal/pool"
 	"uucs/internal/testcase"
 	"uucs/internal/textrec"
 )
@@ -152,11 +153,11 @@ func (b *runBlock) encode(runs []*Run, withLoad bool) {
 	}
 }
 
-// blockSlot is one of the in-flight places a block is encoded into;
-// ready holds a token once its block is encoded.
+// blockSlot is one of the in-flight places a block is encoded into:
+// the runs it covers and their encoding.
 type blockSlot struct {
 	*runBlock
-	ready chan struct{}
+	runs []*Run
 }
 
 // EncodeRunBlocks encodes runs in order and hands the text to emit one
@@ -166,12 +167,10 @@ type blockSlot struct {
 // AppendRuns(nil, runs, withLoad) at any GOMAXPROCS.
 //
 // GOMAXPROCS workers encode blocks while the caller emits them
-// strictly in block order. The caller alone hands out blocks: block i
-// goes into slot i mod 2×GOMAXPROCS, and is handed out only once the
-// slot's previous block has been emitted, so memory stays bounded at
-// any input size. The first emit error stops the encoding and is
-// returned; emit is not called again, and every worker has exited by
-// the time it returns.
+// strictly in block order, through pool.Ordered with 2×GOMAXPROCS
+// slots, so memory stays bounded at any input size. The first emit
+// error stops the encoding and is returned; emit is not called again,
+// and every worker has exited by the time it returns.
 func EncodeRunBlocks(runs []*Run, withLoad bool, emit func(block []byte, ends []int) error) error {
 	nblocks := (len(runs) + blockRuns - 1) / blockRuns
 	if nblocks == 0 {
@@ -179,41 +178,23 @@ func EncodeRunBlocks(runs []*Run, withLoad bool, emit func(block []byte, ends []
 	}
 	procs := runtime.GOMAXPROCS(0)
 	slots := make([]blockSlot, min(2*procs, nblocks))
-	jobs := make(chan int, len(slots))
 	for i := range slots {
-		slots[i] = blockSlot{runBlocks.Get().(*runBlock), make(chan struct{}, 1)}
-		jobs <- i
-	}
-	var wg sync.WaitGroup
-	for range min(procs, nblocks) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				s := &slots[i%len(slots)]
-				s.encode(runs[i*blockRuns:min((i+1)*blockRuns, len(runs))], withLoad)
-				s.ready <- struct{}{}
-			}
-		}()
+		slots[i].runBlock = runBlocks.Get().(*runBlock)
 	}
 	defer func() {
-		close(jobs)
-		wg.Wait()
 		for _, s := range slots {
 			runBlocks.Put(s.runBlock)
 		}
 	}()
-	for i := range nblocks {
-		s := &slots[i%len(slots)]
-		<-s.ready
-		if err := emit(s.buf, s.ends); err != nil {
-			return err
-		}
-		if next := i + len(slots); next < nblocks {
-			jobs <- next
-		}
-	}
-	return nil
+	next := 0
+	return pool.Ordered(procs, slots,
+		func(s *blockSlot) bool {
+			s.runs = runs[next:min(next+blockRuns, len(runs))]
+			next += len(s.runs)
+			return len(s.runs) > 0
+		},
+		func(s *blockSlot) { s.encode(s.runs, withLoad) },
+		func(s *blockSlot) error { return emit(s.buf, s.ends) })
 }
 
 // DecodeRuns reads r to EOF and parses the run records; see ParseRuns.

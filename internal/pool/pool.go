@@ -4,7 +4,8 @@
 // Internet study's per-host client lifecycles. Units are identified by
 // index and callers write each unit's output into a pre-allocated slot,
 // so result ordering is fully determined by the unit list and never by
-// goroutine scheduling.
+// goroutine scheduling. Ordered is the streaming counterpart: a
+// bounded pipeline whose output order is the input order.
 package pool
 
 import (
@@ -160,4 +161,72 @@ func RunScratch[S any](workers, n int, newScratch func() S, fn func(i int, scrat
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// Ordered runs a bounded pipeline that keeps input order. fill loads
+// the next unit of input into a free slot and reports false once the
+// input is done; work processes a filled slot; emit consumes it. fill
+// and emit run on the calling goroutine, and emit sees the units in
+// exactly the order fill produced them. work runs on up to workers
+// goroutines (workers <= 0 selects GOMAXPROCS; at most len(slots),
+// which must be at least 1).
+//
+// The calling goroutine alone hands out slots: unit i goes into slot
+// i mod len(slots), and a slot is refilled only after its unit was
+// emitted. A slot therefore holds one unit at a time, which is both the
+// memory bound (at most len(slots) units in flight, whatever the input
+// size) and the ordering proof: the ready token emit waits for on slot
+// k can only come from the one unit slot k holds. The fill of unit
+// i+len(slots) runs right after unit i's emit, so with one slot fill
+// follows the previous unit's emit; a caller whose fill and emit share
+// state must not assume fill runs ahead.
+//
+// The first emit error stops the pipeline and is returned; fill and
+// emit are not called again, and every worker has exited by the time
+// Ordered returns.
+func Ordered[T any](workers int, slots []T, fill func(*T) bool, work func(*T), emit func(*T) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(slots))
+
+	// At most one index per slot is ever queued, so no send blocks.
+	jobs := make(chan int, len(slots))
+	ready := make([]chan struct{}, len(slots))
+	for k := range ready {
+		ready[k] = make(chan struct{}, 1)
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for k := range jobs {
+				work(&slots[k])
+				ready[k] <- struct{}{}
+			}
+		}()
+	}
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+	n := 0
+	for n < len(slots) && fill(&slots[n]) {
+		jobs <- n
+		n++
+	}
+	more := n == len(slots)
+	for i := 0; i < n; i++ {
+		k := i % len(slots)
+		<-ready[k]
+		if err := emit(&slots[k]); err != nil {
+			return err
+		}
+		if more = more && fill(&slots[k]); more {
+			jobs <- k
+			n++
+		}
+	}
+	return nil
 }

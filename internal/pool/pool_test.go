@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunAllUnits(t *testing.T) {
@@ -209,5 +210,102 @@ func TestRunScratchErrorPropagation(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err=%v, want %v", err, sentinel)
+	}
+}
+
+// orderedUnit is a test slot for Ordered: the unit it holds and the
+// work's result.
+type orderedUnit struct{ in, out int }
+
+// TestOrderedKeepsInputOrder runs more workers than cores over many
+// refills of every slot, with a yield in emit so workers are often
+// preempted mid-unit: emit must still see every unit once, in input
+// order, with its own work's result.
+func TestOrderedKeepsInputOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const n = 2000
+	for _, workers := range []int{0, 1, 2, 8, 64} {
+		for _, nslots := range []int{1, 2, 3, 16} {
+			next, fills := 0, 0
+			var got []int
+			err := Ordered(workers, make([]orderedUnit, nslots),
+				func(u *orderedUnit) bool {
+					fills++
+					if next == n {
+						return false
+					}
+					u.in, next = next, next+1
+					return true
+				},
+				func(u *orderedUnit) {
+					if u.in%7 == 0 {
+						runtime.Gosched()
+					}
+					u.out = u.in * u.in
+				},
+				func(u *orderedUnit) error {
+					runtime.Gosched()
+					if u.out != u.in*u.in {
+						return fmt.Errorf("unit %d carries result %d", u.in, u.out)
+					}
+					got = append(got, u.in)
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("workers=%d slots=%d: %v", workers, nslots, err)
+			}
+			if len(got) != n {
+				t.Fatalf("workers=%d slots=%d: emitted %d units, want %d", workers, nslots, len(got), n)
+			}
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("workers=%d slots=%d: emit %d saw unit %d", workers, nslots, i, v)
+				}
+			}
+			if fills != n+1 {
+				t.Errorf("workers=%d slots=%d: fill called %d times after reporting the end", workers, nslots, fills-n-1)
+			}
+		}
+	}
+}
+
+// TestOrderedEmitErrorStops checks that the first emit error is
+// returned, that neither fill nor emit is called after it, and that no
+// worker outlives the call.
+func TestOrderedEmitErrorStops(t *testing.T) {
+	sentinel := errors.New("boom")
+	for _, workers := range []int{1, 2, 8} {
+		before := runtime.NumGoroutine()
+		next, emits, fillsAfter := 0, 0, 0
+		failed := false
+		err := Ordered(workers, make([]orderedUnit, 4),
+			func(u *orderedUnit) bool {
+				if failed {
+					fillsAfter++
+				}
+				u.in, next = next, next+1
+				return next <= 100
+			},
+			func(*orderedUnit) {},
+			func(u *orderedUnit) error {
+				emits++
+				if u.in == 37 {
+					failed = true
+					return sentinel
+				}
+				return nil
+			})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, sentinel)
+		}
+		if emits != 38 || fillsAfter != 0 {
+			t.Errorf("workers=%d: %d emits (want 38), %d fills after the error", workers, emits, fillsAfter)
+		}
+		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("workers=%d: %d goroutines after a failed pipeline, %d before", workers, n, before)
+		}
 	}
 }

@@ -2,14 +2,18 @@
 // into the study CLIs. It is a thin veneer over runtime/pprof so every
 // command exposes profiles the same way `go test` does, and the
 // performance work in this repository can always be grounded in a
-// profile of the real binaries.
+// profile of the real binaries. PeakHeap gives benchmarks a peak-heap
+// reading.
 package profiling
 
 import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
+	"sync"
+	"time"
 )
 
 // Start begins CPU profiling to cpuPath (if non-empty) and arranges a
@@ -49,4 +53,39 @@ func Start(cpuPath, memPath string) (func(), error) {
 		}
 	}
 	return stop, nil
+}
+
+// PeakHeap runs fn and returns the largest heap in use — live objects
+// plus dead ones not yet swept — seen while it ran, in bytes, sampled
+// every millisecond. The heap is collected first, so garbage left by
+// earlier work does not count against fn.
+func PeakHeap(fn func()) uint64 {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	inUse := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	runtime.GC()
+	peak := inUse()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				peak = max(peak, inUse())
+			}
+		}
+	}()
+	fn()
+	last := inUse()
+	close(stop)
+	wg.Wait() // orders the sampler's writes to peak before the read below
+	return max(peak, last)
 }

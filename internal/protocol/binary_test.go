@@ -2,8 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -219,6 +223,25 @@ func TestBinaryFrameMaxLine(t *testing.T) {
 	}
 }
 
+// TestRecvClaimedLengthCostsNothing checks the receive bound: a peer
+// that claims a 60 MiB frame, sends 10 payload bytes and closes gets
+// io.ErrUnexpectedEOF, and the connection allocates for the bytes that
+// arrived, not for the length claimed.
+func TestRecvClaimedLengthCostsNothing(t *testing.T) {
+	claim := binary.AppendUvarint([]byte{FrameMagic}, 60<<20)
+	c := NewConn(rwBuffer{in: bytes.NewBuffer(append(claim, "0123456789"...)), out: &bytes.Buffer{}})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.RecvFrame()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a 10-byte frame claiming 60 MiB allocated %d bytes", grew)
+	}
+}
+
 // TestSendFrameKeepsFraming checks the relay primitive: a v3
 // connection writes the frame's wire bytes verbatim, a v2 connection
 // re-encodes it as a JSON line carrying the same message.
@@ -275,5 +298,39 @@ func TestRecvReleasesOversizedBuffers(t *testing.T) {
 			t.Errorf("v%d: retained %d B frame buffer and %d B line buffer after a small message, want ≤ %d",
 				ver, cap(c.rbuf), cap(c.r.buf), ConnBufSize)
 		}
+	}
+}
+
+// BenchmarkRecvLargeFrame receives frames above ConnBufSize: "first"
+// is the first frame of a connection, whose buffer grows as the
+// payload arrives; "stream" is a connection that already received one,
+// whose buffer is reused.
+func BenchmarkRecvLargeFrame(b *testing.B) {
+	for _, size := range []int{256 << 10, 4 << 20, 32 << 20} {
+		m := benchMessage()
+		m.Payload = strings.Repeat("run\tword\tcpu\t0.45\t1\t173ms\tok\n", size/30)
+		frame := encodedFrameV(b, m, V3)
+		b.Run(fmt.Sprintf("first/%dKiB", size>>10), func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			r := bytes.NewReader(frame)
+			for i := 0; i < b.N; i++ {
+				r.Reset(frame)
+				if _, err := NewConn(struct {
+					io.Reader
+					io.Writer
+				}{r, io.Discard}).RecvFrame(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("stream/%dKiB", size>>10), func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			c := NewConn(&repeatReader{frame: frame})
+			for i := 0; i < b.N; i++ {
+				if _, err := c.RecvFrame(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

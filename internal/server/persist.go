@@ -440,9 +440,10 @@ func (s *Server) SaveState(dir string) error {
 
 // LoadState restores a server's stores from dir: the snapshot first,
 // then the journal — sealed segments in seal order, then the active
-// file — replayed on top. Record decode runs on ReplayWorkers
-// goroutines with per-shard apply queues (replay.go); the restored
-// stores are bit-identical to a serial replay at any worker count.
+// file — replayed on top. Records decode on ReplayWorkers goroutines
+// and apply in record order through a bounded pipeline (replay.go); the
+// restored stores are bit-identical to a serial replay at any worker
+// count.
 // Missing files are treated as empty stores, so a fresh directory
 // loads cleanly. A truncated final record in the active journal — the
 // signature of a crash mid-append — is dropped; corruption anywhere

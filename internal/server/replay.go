@@ -9,67 +9,75 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"uucs/internal/core"
+	"uucs/internal/pool"
 	"uucs/internal/protocol"
 	"uucs/internal/testcase"
 )
 
-// Parallel journal replay. The reference semantics are serial: decode
-// each record and apply it in file order, paying the expensive part —
-// frame CRC and field parse, run-payload decode — inline on one core.
-// At a 64MB multi-segment journal that is the whole cost of a cold
-// restart and of failover promotion, so this file splits replay into
-// three phases that put the expensive part on every core while keeping
-// the result provably bit-identical to the serial order:
+// Journal replay. The reference semantics are serial: decode each
+// record and apply it in file order. Decode — frame CRC and field
+// parse, run-payload decode — is nearly the whole cost of a cold
+// restart and of failover promotion, so replay runs as one bounded,
+// ordered pipeline (pool.Ordered) that decodes on every core and
+// applies strictly in record order:
 //
-//  1. Boundary scan (sequential, cheap): recordScanner splits each
-//     state file into records without decoding anything —
-//     protocol.FrameLen reads just the magic byte and length prefix of
-//     a frame, a legacy JSON line ends at its newline. This phase fixes
-//     the record order: the global record index is (file order, offset
-//     order), exactly the serial order.
-//  2. Decode (parallel): workers grab record indexes from an atomic
-//     cursor and fully decode each record in isolation (decodeRec:
-//     frame CRC + field parse, or a legacy line's JSON unmarshal, then
-//     the run/testcase payload). No record's decode depends on any
-//     other record, so this phase is embarrassingly parallel and holds
-//     the dominant cost.
-//  3. Apply (per-shard queues): the main goroutine dispatches records
-//     in global order. Client and results ops go to one of 16 apply
-//     queues keyed by shardFor(client id) — the same hash that shards
-//     the live server — so all ops of one client apply in record
-//     order, which is the only order the replay dedup logic (lastSeq
-//     monotonicity, registration-before-upload) ever reads. Ops with
-//     cross-shard effects (headers, testcases) apply inline on the
-//     dispatch goroutine, still in record order. Accepted run batches
-//     are not appended to the result store by the workers — they are
-//     collected per record index and concatenated in record order
-//     after the queues drain, so s.results is byte-for-byte the serial
-//     order's.
+//   - Cut, on the dispatcher goroutine: the state files are read one at
+//     a time, and recordScanner cuts each into blocks of up to
+//     replayBlockRecs records without decoding anything —
+//     protocol.FrameLen reads just a frame's magic byte and length
+//     prefix, a legacy JSON line ends at its newline. A block never
+//     spans two files.
+//   - Decode, on ReplayWorkers goroutines: a worker fully decodes every
+//     record of a block (decodeRec). A record's decoded form is a pure
+//     function of its bytes, so blocks may decode in any order.
+//   - Apply, on the dispatcher goroutine: blocks are applied in the
+//     order they were cut, record by record, and each freed slot is
+//     refilled with the next block.
 //
-// Why per-client order is sufficient: the replay decisions read only
-// per-client state (shard.clients[id], shard.lastSeq[id]) and
-// idempotent global maps (nonce → id, testcase id dedup). Two records
-// touching different clients commute; two records touching the same
-// client share a queue. Errors are collected with their record index
-// and the minimum-index error is returned, which is exactly the first
-// error a serial replay would have hit.
+// The bound: there are 2×GOMAXPROCS slots, so at most that many blocks
+// are in flight. A file's bytes are held while the scanner cuts it and
+// while a block cut from it is in flight; recycling a slot clears its
+// records and decoded ops, so a file buffer becomes garbage once its
+// last block is applied. Beyond the restored stores, replay holds at
+// most 2×GOMAXPROCS+1 state files and as many blocks, however long the
+// journal is.
+//
+// Why this is the serial order: the dispatcher cuts records in (file
+// order, offset order) and applies them one at a time, on one
+// goroutine, in that order. The workers only compute decoded forms. So
+// every store mutation happens in the serial replay's order at any
+// worker count, and the first record whose decode or apply fails is the
+// one a serial replay stops at: replay stops there too and reports its
+// file, record number and offset.
 //
 // Torn tails keep their serial semantics: only the final record of the
-// active journal may be torn. A torn frame is dropped at the boundary
-// scan; a torn legacy JSON line is decoded and applied, with any error
-// silently dropping it — if it applies cleanly it is state.
+// active journal may be torn. A torn frame is dropped by the scanner; a
+// torn legacy JSON line is decoded and applied, with any error silently
+// dropping it — if it applies cleanly it is state. The cut that reaches
+// a torn line also ends its file, so the active journal's kept size is
+// recorded before the line applies and only the apply changes it.
 
-// replayStats describes one LoadState replay.
+// replayStats describes one LoadState replay. The dispatcher's three
+// stages — scan (directory listing, file reads and record cutting),
+// wait (for the next block's decode) and apply — partition the replay's
+// wall time; decode is the workers' summed busy time.
 type replayStats struct {
-	lastNanos atomic.Int64  // wall time of the most recent replay
-	records   atomic.Uint64 // records applied by the most recent replay
-	files     atomic.Uint64 // state files scanned by the most recent replay
-	bytes     atomic.Uint64 // bytes scanned by the most recent replay
+	lastNanos   atomic.Int64  // wall time of the most recent replay
+	scanNanos   atomic.Int64  // dispatcher: listing, reading and cutting files
+	waitNanos   atomic.Int64  // dispatcher: waiting for the next decoded block
+	applyNanos  atomic.Int64  // dispatcher: applying decoded records
+	decodeNanos atomic.Int64  // workers: total time spent decoding blocks
+	records     atomic.Uint64 // records applied by the most recent replay
+	files       atomic.Uint64 // state files scanned by the most recent replay
+	bytes       atomic.Uint64 // bytes scanned by the most recent replay
+	// peakPinned is the most state-file bytes the most recent replay
+	// held at once: the file being cut plus those with blocks in flight.
+	// It is not shown in Stats; tests read it to check the bound.
+	peakPinned atomic.Int64
 }
 
 // replayRec is one boundary-scanned record awaiting decode.
@@ -80,10 +88,10 @@ type replayRec struct {
 	data  []byte // raw bytes: a whole frame, or a JSON line without its newline
 	frame bool   // binary frame vs JSON line
 	torn  bool   // tolerated torn tail: errors drop the record instead of poisoning
-	err   error  // boundary-scan error, reported when dispatch reaches it
+	err   error  // boundary-scan error, reported when apply reaches it
 }
 
-// replayDec is a record's decoded form, produced by a phase-2 worker.
+// replayDec is a record's decoded form, produced by a decode worker.
 type replayDec struct {
 	op   journalOp
 	runs []*core.Run          // pre-decoded opResults payload
@@ -256,8 +264,30 @@ func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 	}
 }
 
-// applyClientShard replays one opClient into the shard stores.
-func (s *Server) applyClientShard(op *journalOp) error {
+// applyRec applies one decoded record to the stores.
+func (s *Server) applyRec(d *replayDec) error {
+	if d.err != nil {
+		return d.err
+	}
+	switch d.op.Op {
+	case opMeta, opJournalMeta:
+		// File headers. A replica journal can carry several jmeta frames
+		// (one per bootstrap segment shipped after a primary restart);
+		// each just re-declares the format.
+		return checkHeader(&d.op)
+	case opTestcases:
+		return s.addTestcases(d.tcs, false)
+	case opClient:
+		return s.applyClient(&d.op)
+	case opResults:
+		return s.applyResults(&d.op, d.runs)
+	default:
+		return fmt.Errorf("unknown op %q", d.op.Op)
+	}
+}
+
+// applyClient replays one opClient into the shard stores.
+func (s *Server) applyClient(op *journalOp) error {
 	if op.ID == "" {
 		return fmt.Errorf("client op without id")
 	}
@@ -279,258 +309,238 @@ func (s *Server) applyClientShard(op *journalOp) error {
 	return nil
 }
 
-// applyResultsShard replays the shard-local half of one opResults:
-// registration check, (id, seq) dedup, lastSeq advance. It reports
-// whether the batch's runs belong in the result store; the caller owns
-// the append so record order is preserved no matter which goroutine
-// runs the shard half.
-func (s *Server) applyResultsShard(op *journalOp) (keep bool, err error) {
+// applyResults replays one opResults: registration check, (id, seq)
+// dedup and lastSeq advance, then the append of its runs unless the
+// snapshot already covers the batch.
+func (s *Server) applyResults(op *journalOp, runs []*core.Run) error {
 	sh := shardFor(s, op.ID)
 	sh.lock()
-	defer sh.mu.Unlock()
 	if op.Seq > 0 {
 		if _, ok := sh.clients[op.ID]; !ok {
-			return false, fmt.Errorf("results op for unknown client %q", op.ID)
+			sh.mu.Unlock()
+			return fmt.Errorf("results op for unknown client %q", op.ID)
 		}
 		if op.Seq <= sh.lastSeq[op.ID] {
-			return false, nil // already covered by the snapshot
+			sh.mu.Unlock()
+			return nil // already covered by the snapshot
 		}
 		sh.lastSeq[op.ID] = op.Seq
 	}
-	return true, nil
+	sh.mu.Unlock()
+	s.resMu.Lock()
+	s.results = append(s.results, runs...)
+	s.resMu.Unlock()
+	return nil
 }
 
-// replayError collects record-indexed errors from the dispatch
-// goroutine and the shard workers, keeping the minimum-index one — the
-// error a serial replay, which stops at the first failure, would have
-// returned.
-type replayError struct {
-	mu  sync.Mutex
-	idx int
+// replayBlockRecs is how many consecutive records of one state file a
+// replay block holds.
+const replayBlockRecs = 256
+
+// replayBlock is one pipeline slot: up to replayBlockRecs records cut
+// from one state file, their decoded forms, and the decode scratch.
+type replayBlock struct {
+	file  *replayFile
+	recs  []replayRec
+	decs  []replayDec
+	frame protocol.Frame
+	// err is a file read error, reported once the block's records
+	// (there are none) have applied — where a serial replay meets it.
 	err error
 }
 
-func (re *replayError) record(idx int, err error) {
-	re.mu.Lock()
-	if re.err == nil || idx < re.idx {
-		re.idx, re.err = idx, err
-	}
-	re.mu.Unlock()
+// replayFile is one state file's bytes, held while the scanner cuts it
+// or a block cut from it is in flight. refs counts those holds so the
+// replayer can account pinned bytes (replayStats.peakPinned), which
+// tests read to check the pipeline's memory bound; the bytes themselves
+// become garbage once every slot holding a block of the file is
+// recycled.
+type replayFile struct {
+	data []byte
+	refs int
 }
 
-func (re *replayError) first() error {
-	re.mu.Lock()
-	defer re.mu.Unlock()
-	return re.err
+// replayer is the dispatcher's state: the files still to read, the one
+// being cut, and the stage clocks and counters of one replay.
+type replayer struct {
+	s      *Server
+	files  []string
+	next   int  // index in files of the next file to read
+	stop   bool // a read or framing error ended the input
+	cur    *replayFile
+	sc     recordScanner
+	active bool // cur is the active journal
+
+	tail              tailState
+	nfiles            int
+	bytes             int64
+	records           uint64
+	pinned, peak      int64
+	mark              time.Time // end of the dispatcher's last stage
+	scan, wait, apply time.Duration
+	decode            atomic.Int64
+}
+
+// fill cuts the next block into b, recycling what b held; it reports
+// false once every file is cut.
+func (rp *replayer) fill(b *replayBlock) bool {
+	defer rp.clock(&rp.scan)
+	if b.file != nil {
+		rp.release(b.file)
+	}
+	clear(b.recs)
+	clear(b.decs)
+	*b = replayBlock{recs: b.recs[:0], decs: b.decs[:0]}
+	for len(b.recs) == 0 {
+		if rp.cur == nil {
+			if rp.stop || rp.next == len(rp.files) {
+				return false
+			}
+			if b.err = rp.open(); b.err != nil {
+				rp.stop = true
+				return true
+			}
+			continue
+		}
+		if b.recs == nil {
+			b.recs = make([]replayRec, 0, replayBlockRecs)
+			b.decs = make([]replayDec, 0, replayBlockRecs)
+		}
+		f, done := rp.cur, false
+		for len(b.recs) < replayBlockRecs {
+			r, ok := rp.sc.next()
+			if !ok {
+				done = true
+				break
+			}
+			b.recs = append(b.recs, r)
+			if r.err != nil || r.torn {
+				// A framing error tearing cannot explain ends the input,
+				// exactly where a record-by-record decode stops. A torn
+				// line ends its file: the file is done in this fill, so
+				// the tail size below is settled before the line applies.
+				done, rp.stop = true, r.err != nil
+				break
+			}
+		}
+		if len(b.recs) > 0 {
+			b.file = f
+			f.refs++
+		}
+		if done {
+			if rp.active {
+				// A kept torn JSON line may extend the valid prefix to
+				// the whole file — decided when it applies.
+				rp.tail.size = int64(rp.sc.valid)
+			}
+			rp.release(f)
+			rp.cur, rp.sc = nil, recordScanner{}
+		}
+	}
+	return true
+}
+
+// open reads the next state file and starts cutting it. A missing file
+// is an empty one.
+func (rp *replayer) open() error {
+	path := rp.files[rp.next]
+	rp.next++
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	rp.nfiles++
+	rp.bytes += int64(len(data))
+	rp.pinned += int64(len(data))
+	rp.peak = max(rp.peak, rp.pinned)
+	rp.cur = &replayFile{data: data, refs: 1}
+	// Only the last file, the active journal, may be torn.
+	rp.active = rp.next == len(rp.files)
+	rp.sc = recordScanner{data: data, file: filepath.Base(path), tolerateTail: rp.active}
+	return nil
+}
+
+// release drops one hold on f, unpinning its bytes with the last.
+func (rp *replayer) release(f *replayFile) {
+	if f.refs--; f.refs == 0 {
+		rp.pinned -= int64(len(f.data))
+	}
+}
+
+// decodeBlock is the workers' stage: decode every record of b.
+func (rp *replayer) decodeBlock(b *replayBlock) {
+	start := time.Now()
+	b.decs = b.decs[:len(b.recs)]
+	for i := range b.recs {
+		decodeRec(&b.recs[i], &b.decs[i], &b.frame)
+	}
+	rp.decode.Add(int64(time.Since(start)))
+}
+
+// applyBlock applies b's records in order and stops at the first one
+// that fails, unless it is the torn tail, which is dropped instead.
+func (rp *replayer) applyBlock(b *replayBlock) error {
+	rp.clock(&rp.wait)
+	defer rp.clock(&rp.apply)
+	for i := range b.recs {
+		r := &b.recs[i]
+		err := rp.s.applyRec(&b.decs[i])
+		switch {
+		case err == nil:
+			rp.records++
+		case !r.torn:
+			return errAt(r, err)
+		}
+		if r.torn {
+			// A torn final JSON line that applied cleanly is state; seal
+			// it with the newline the crash ate. Otherwise it was dropped
+			// and its bytes must go too.
+			rp.tail = tailState{size: int64(r.pos)}
+			if err == nil {
+				rp.tail = tailState{size: int64(r.pos + len(r.data)), terminate: true}
+			}
+		}
+	}
+	return b.err
+}
+
+// clock charges the time since the dispatcher's last stage ended to
+// stage.
+func (rp *replayer) clock(stage *time.Duration) {
+	now := time.Now()
+	*stage += now.Sub(rp.mark)
+	rp.mark = now
 }
 
 // loadStateDir restores the server's stores from dir's state files and
 // reports what OpenState must do to the active journal's physical tail.
-// This is LoadState's engine; see the file comment for the phase
-// structure and the bit-identity argument.
+// This is LoadState's engine; see the file comment for the pipeline and
+// why it restores exactly what a serial replay does.
 func (s *Server) loadStateDir(dir string) (tailState, error) {
-	start := time.Now()
-	files, err := StateFiles(dir)
-	if err != nil {
+	rp := replayer{s: s, mark: time.Now()}
+	start := rp.mark
+	var err error
+	if rp.files, err = StateFiles(dir); err != nil {
 		return tailState{}, err
 	}
-
-	// Phase 1: read + boundary-scan every file. Only the last file (the
-	// active journal) may be torn.
-	var (
-		recs       []replayRec
-		tail       tailState
-		totalBytes int64
-		nfiles     int
-	)
-	for i, path := range files {
-		data, err := os.ReadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return tailState{}, err
-		}
-		nfiles++
-		totalBytes += int64(len(data))
-		active := i == len(files)-1
-		sc := recordScanner{data: data, file: filepath.Base(path), tolerateTail: active}
-		for {
-			r, ok := sc.next()
-			if !ok {
-				break
-			}
-			recs = append(recs, r)
-		}
-		if active {
-			tail.size = int64(sc.valid)
-			// A kept torn JSON line may extend the valid prefix to the
-			// whole file — decided after apply, below.
-		}
-		if n := len(recs); n > 0 && recs[n-1].err != nil {
-			// A scan error tearing cannot explain: stop at it, exactly
-			// where a record-by-record decode would. Later files never
-			// load.
-			break
-		}
-	}
-
-	// Phase 2: decode every record in parallel.
-	workers := s.ReplayWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(recs) {
-		workers = len(recs)
-	}
-	decs := make([]replayDec, len(recs))
-	if workers > 1 {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var f protocol.Frame
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(recs) {
-						return
-					}
-					decodeRec(&recs[i], &decs[i], &f)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		var f protocol.Frame
-		for i := range recs {
-			decodeRec(&recs[i], &decs[i], &f)
-		}
-	}
-
-	// Phase 3: dispatch in record order to per-shard apply queues.
-	var (
-		re      replayError
-		runsOut = make([][]*core.Run, len(recs))
-		applied = make([]bool, len(recs))
-		chans   [numShards]chan int
-		wg      sync.WaitGroup
-	)
-	for i := range chans {
-		chans[i] = make(chan int, 128)
-		wg.Add(1)
-		go func(ch <-chan int) {
-			defer wg.Done()
-			for idx := range ch {
-				r, d := &recs[idx], &decs[idx]
-				switch d.op.Op {
-				case opClient:
-					if err := s.applyClientShard(&d.op); err != nil {
-						if !r.torn {
-							re.record(idx, errAt(r, err))
-						}
-						continue
-					}
-				case opResults:
-					keep, err := s.applyResultsShard(&d.op)
-					if err != nil {
-						if !r.torn {
-							re.record(idx, errAt(r, err))
-						}
-						continue
-					}
-					if keep {
-						runsOut[idx] = d.runs
-					}
-				}
-				applied[idx] = true
-			}
-		}(chans[i])
-	}
-
-dispatch:
-	for idx := range recs {
-		r, d := &recs[idx], &decs[idx]
-		if d.err != nil {
-			if r.torn {
-				continue // torn tail that failed to decode: dropped
-			}
-			re.record(idx, errAt(r, d.err))
-			break
-		}
-		switch d.op.Op {
-		case opMeta, opJournalMeta:
-			// File headers. A replica journal can carry several jmeta
-			// frames (one per bootstrap segment shipped after a primary
-			// restart); each just re-declares the format.
-			if err := checkHeader(&d.op); err != nil {
-				if r.torn {
-					continue
-				}
-				re.record(idx, errAt(r, err))
-				break dispatch
-			}
-			applied[idx] = true
-		case opTestcases:
-			// Inline, in record order: the testcase store is global and
-			// its append order is part of the bit-identity contract.
-			if err := s.addTestcases(d.tcs, false); err != nil {
-				if r.torn {
-					continue
-				}
-				re.record(idx, errAt(r, err))
-				break dispatch
-			}
-			applied[idx] = true
-		case opClient, opResults:
-			chans[shardIndex(d.op.ID)] <- idx
-		default:
-			if r.torn {
-				continue
-			}
-			re.record(idx, errAt(r, fmt.Errorf("unknown op %q", d.op.Op)))
-			break dispatch
-		}
-	}
-	for i := range chans {
-		close(chans[i])
-	}
-	wg.Wait()
-	if err := re.first(); err != nil {
+	slots := make([]replayBlock, 2*runtime.GOMAXPROCS(0))
+	if err := pool.Ordered(s.ReplayWorkers, slots, rp.fill, rp.decodeBlock, rp.applyBlock); err != nil {
 		return tailState{}, err
 	}
+	rp.clock(&rp.wait) // the workers' shutdown
 
-	// Accepted run batches land in the result store in record order —
-	// the workers only decided, the dispatch order decides placement.
-	var appliedRecs uint64
-	s.resMu.Lock()
-	for idx, runs := range runsOut {
-		if runs != nil {
-			s.results = append(s.results, runs...)
-		}
-		if applied[idx] {
-			appliedRecs++
-		}
-	}
-	s.resMu.Unlock()
-
-	// A torn final JSON line that decoded and applied cleanly is state;
-	// seal it with the newline the crash ate. Otherwise it was dropped
-	// everywhere and its bytes must go too.
-	if n := len(recs); n > 0 && recs[n-1].torn {
-		last := &recs[n-1]
-		if decs[n-1].err == nil && applied[n-1] {
-			tail.size = int64(last.pos + len(last.data))
-			tail.terminate = true
-		} else {
-			tail.size = int64(last.pos)
-		}
-	}
-
-	s.replayStats.lastNanos.Store(time.Since(start).Nanoseconds())
-	s.replayStats.records.Store(appliedRecs)
-	s.replayStats.files.Store(uint64(nfiles))
-	s.replayStats.bytes.Store(uint64(totalBytes))
-	return tail, nil
+	st := &s.replayStats
+	st.lastNanos.Store(time.Since(start).Nanoseconds())
+	st.scanNanos.Store(int64(rp.scan))
+	st.waitNanos.Store(int64(rp.wait))
+	st.applyNanos.Store(int64(rp.apply))
+	st.decodeNanos.Store(rp.decode.Load())
+	st.records.Store(rp.records)
+	st.files.Store(uint64(rp.nfiles))
+	st.bytes.Store(uint64(rp.bytes))
+	st.peakPinned.Store(rp.peak)
+	return rp.tail, nil
 }

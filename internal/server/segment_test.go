@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -491,6 +492,230 @@ func TestDuplicatedShippedRecordsReplayIdentically(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		if got := loadFingerprint(t, doubled, workers); got != want {
 			t.Errorf("duplicated-shipment replay at %d workers diverged from the single-copy journal", workers)
+		}
+	}
+}
+
+// corruptRecord flips the CRC trailer of frame record rec (1-based) of
+// the state file at path and returns the prefix of the error a replay
+// must report for it: the file, the record number and its offset.
+func corruptRecord(t *testing.T, path string, rec int) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := recordScanner{data: data, file: filepath.Base(path)}
+	for {
+		r, ok := sc.next()
+		if !ok {
+			t.Fatalf("%s has fewer than %d records", path, rec)
+		}
+		if r.rec != rec {
+			continue
+		}
+		if !r.frame {
+			t.Fatalf("%s record %d is not a frame", path, rec)
+		}
+		data[r.pos+len(r.data)-1] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("server: %s record %d (offset %d): ", r.file, r.rec, r.pos)
+	}
+}
+
+// TestReplayReportsFirstBadRecord corrupts a journal in two places and
+// checks that replay names the first bad record in replay order — its
+// file, record number and offset — at every worker count, however far
+// the decoders run ahead of the in-order apply.
+func TestReplayReportsFirstBadRecord(t *testing.T) {
+	cases := []struct {
+		name string
+		// corrupt damages dir and returns the error prefix replay must
+		// report.
+		corrupt func(t *testing.T, dir string, segs []string) string
+	}{
+		{"sealed segment then later segment", func(t *testing.T, dir string, segs []string) string {
+			want := corruptRecord(t, segs[2], 3)
+			corruptRecord(t, segs[len(segs)-2], 2)
+			return want
+		}},
+		{"sealed segment then active journal", func(t *testing.T, dir string, segs []string) string {
+			want := corruptRecord(t, segs[len(segs)/2], 2)
+			corruptRecord(t, filepath.Join(dir, journalFile), 2)
+			return want
+		}},
+		{"active journal record then torn tail", func(t *testing.T, dir string, _ []string) string {
+			active := filepath.Join(dir, journalFile)
+			want := corruptRecord(t, active, 2)
+			fi, err := os.Stat(active)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(active, fi.Size()-5); err != nil {
+				t.Fatal(err)
+			}
+			return want
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seedSegmentedState(t, dir, 4<<10, 8, 60)
+			segs := segmentFiles(t, dir)
+			if len(segs) < 6 {
+				t.Fatalf("fixture sealed %d segments, want >= 6", len(segs))
+			}
+			want := tc.corrupt(t, dir, segs)
+			for _, workers := range []int{1, 2, 8} {
+				s := New(1)
+				s.ReplayWorkers = workers
+				err := s.LoadState(dir)
+				if err == nil {
+					t.Fatalf("workers=%d: corrupt journal accepted", workers)
+				}
+				if !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("workers=%d: err = %q, want prefix %q", workers, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayStagesPartitionWallTime checks the replay stage clocks: the
+// dispatcher's scan, wait and apply stages add up to the replay's wall
+// time, and the workers report their decode time.
+func TestReplayStagesPartitionWallTime(t *testing.T) {
+	dir := t.TempDir()
+	seedSegmentedState(t, dir, 16<<10, 8, 150)
+	for _, workers := range []int{1, 2, 8} {
+		s := New(1)
+		s.ReplayWorkers = workers
+		if err := s.LoadState(dir); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		sum := st.ReplayScanNanos + st.ReplayWaitNanos + st.ReplayApplyNanos
+		if diff := st.ReplayNanos - sum; diff < 0 || float64(diff) > 0.1*float64(st.ReplayNanos) {
+			t.Errorf("workers=%d: scan %d + wait %d + apply %d = %d ns, replay took %d ns",
+				workers, st.ReplayScanNanos, st.ReplayWaitNanos, st.ReplayApplyNanos, sum, st.ReplayNanos)
+		}
+		if st.ReplayDecodeNanos <= 0 {
+			t.Errorf("workers=%d: decode time %d ns", workers, st.ReplayDecodeNanos)
+		}
+	}
+}
+
+// TestReplayPinnedBytesBounded checks the pipeline's memory bound at
+// its source: the state-file bytes replay holds at once — the file
+// being cut plus the files with blocks in flight — are at most
+// 2×GOMAXPROCS+1 files, so they do not grow with the journal's length.
+func TestReplayPinnedBytesBounded(t *testing.T) {
+	for _, batches := range []int{40, 400} {
+		dir := t.TempDir()
+		seedSegmentedState(t, dir, 4<<10, 8, batches)
+		files, err := StateFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total, largest int64
+		for _, path := range files {
+			if fi, err := os.Stat(path); err == nil {
+				total += fi.Size()
+				largest = max(largest, fi.Size())
+			}
+		}
+		bound := min(int64(2*runtime.GOMAXPROCS(0)+1)*largest, total)
+		for _, workers := range []int{1, 2, 8} {
+			s := New(1)
+			s.ReplayWorkers = workers
+			if err := s.LoadState(dir); err != nil {
+				t.Fatal(err)
+			}
+			peak := s.replayStats.peakPinned.Load()
+			if peak <= 0 || peak > bound {
+				t.Errorf("batches=%d workers=%d: %d bytes pinned at peak, want (0, %d] of a %d-byte journal",
+					batches, workers, peak, bound, total)
+			}
+			t.Logf("batches=%d workers=%d: %d of %d bytes pinned at peak", batches, workers, peak, total)
+		}
+		if batches == 400 && total < 4*bound {
+			t.Fatalf("%d-byte journal too small to show the %d-byte bound", total, bound)
+		}
+	}
+}
+
+// TestTornTailAtBlockEnd covers a torn final JSON line that is the last
+// record of a full replay block, so the file's end is only found by the
+// next cut. The line applies cleanly, so OpenState must seal it and
+// count every byte of it: the writer's size must match the file, and a
+// later snapshot must compact the journal at a record boundary.
+func TestTornTailAtBlockEnd(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		// One header, one registration and 253 batches: 255 whole records.
+		ids := seedSegmentedState(t, dir, 0, 1, replayBlockRecs-3)
+		path := filepath.Join(dir, journalFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := recordScanner{data: data}
+		for _, ok := sc.next(); ok; _, ok = sc.next() {
+		}
+		if sc.rec != replayBlockRecs-1 {
+			t.Fatalf("fixture holds %d records, want %d", sc.rec, replayBlockRecs-1)
+		}
+		run := testRun()
+		run.Offset = 555
+		op := journalOp{Op: opResults, ID: ids[0], Seq: replayBlockRecs, Payload: encodeRuns(t, []*core.Run{run})}
+		line, err := appendJSONLine(nil, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, line[:len(line)-1]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s := New(1)
+		s.ReplayWorkers = workers
+		if err := s.OpenState(dir); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.jw.fsize != fi.Size() || fi.Size() != int64(len(data)+len(line)) {
+			t.Fatalf("workers=%d: writer size %d, file %d bytes, want %d", workers, s.jw.fsize, fi.Size(), len(data)+len(line))
+		}
+		// One batch before the snapshot and one after it, which the
+		// compacted active journal must hold whole.
+		for seq := uint64(replayBlockRecs + 1); seq <= replayBlockRecs+2; seq++ {
+			if seq == replayBlockRecs+2 {
+				if err := s.SaveState(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run := testRun()
+			run.Offset = float64(seq)
+			runs := []*core.Run{run}
+			if _, err := s.addResults(resultsFrame(t, ids[0], seq, encodeRuns(t, runs)), runs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		restored := New(1)
+		restored.ReplayWorkers = workers
+		if err := restored.LoadState(dir); err != nil {
+			t.Fatalf("workers=%d: reload after compaction: %v", workers, err)
+		}
+		// The seeded batches, the sealed torn one and the two new ones.
+		if got, want := len(restored.Results()), replayBlockRecs; got != want {
+			t.Errorf("workers=%d: results = %d, want %d", workers, got, want)
 		}
 	}
 }

@@ -140,10 +140,10 @@ type Server struct {
 	// means defaultJournalSegmentBytes. Set before OpenState.
 	JournalSegmentBytes int64
 	// ReplayWorkers bounds the concurrent record-decode workers
-	// LoadState uses when replaying state files (0 means GOMAXPROCS;
-	// 1 decodes serially). Any value yields a bit-identical store — the
-	// knob trades restart latency against restart CPU. Set before
-	// OpenState.
+	// LoadState uses when replaying state files (0 means GOMAXPROCS,
+	// and at most 2×GOMAXPROCS are used; 1 decodes serially). Any
+	// value yields a bit-identical store — the knob trades restart
+	// latency against restart CPU. Set before OpenState.
 	ReplayWorkers int
 
 	// CrashAfterJournalOps is a crash-test hook (uucs-server

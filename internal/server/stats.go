@@ -66,6 +66,15 @@ type IngestStats struct {
 	ReplayRecords uint64 `json:"replay_records,omitempty"`
 	ReplayFiles   uint64 `json:"replay_files,omitempty"`
 	ReplayBytes   uint64 `json:"replay_bytes,omitempty"`
+	// ReplayScanNanos, ReplayWaitNanos and ReplayApplyNanos split the
+	// replay's dispatcher time into listing, reading and cutting the
+	// state files, waiting for the next block's decode, and applying
+	// records; together they are ReplayNanos. ReplayDecodeNanos is the
+	// decode workers' summed busy time.
+	ReplayScanNanos   int64 `json:"replay_scan_nanos,omitempty"`
+	ReplayWaitNanos   int64 `json:"replay_wait_nanos,omitempty"`
+	ReplayApplyNanos  int64 `json:"replay_apply_nanos,omitempty"`
+	ReplayDecodeNanos int64 `json:"replay_decode_nanos,omitempty"`
 	// BatchHist counts group-commit batches by power-of-two size
 	// bucket: BatchHist[0] is batches of 1 op, BatchHist[b] covers
 	// (2^(b-1), 2^b] ops.
@@ -100,6 +109,10 @@ func (s *Server) Stats() IngestStats {
 	st.ReplayRecords = s.replayStats.records.Load()
 	st.ReplayFiles = s.replayStats.files.Load()
 	st.ReplayBytes = s.replayStats.bytes.Load()
+	st.ReplayScanNanos = s.replayStats.scanNanos.Load()
+	st.ReplayWaitNanos = s.replayStats.waitNanos.Load()
+	st.ReplayApplyNanos = s.replayStats.applyNanos.Load()
+	st.ReplayDecodeNanos = s.replayStats.decodeNanos.Load()
 	if jw := s.journal(); jw != nil {
 		st.SegmentsSealed = jw.sealed.Load()
 		st.JournalOps = jw.ops.Load()

@@ -111,17 +111,19 @@ func (s *Server) Telemetry() *telemetry.Snapshot {
 		})
 	}
 
-	// Cold-path health: how long the last restart replay took and how
-	// much it covered. A growing replayLat next to healthy ingest means
-	// the next crash's recovery window is growing — the signal to lower
-	// the snapshot interval or the segment size.
+	// Cold-path health: how long the last restart replay took, how much
+	// it covered, and where the dispatcher's time went. A growing replay
+	// latency next to healthy ingest means the next crash's recovery
+	// window is growing — the signal to lower the snapshot interval or
+	// the segment size.
 	if st.ReplayNanos > 0 {
+		us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
 		snap.Add(telemetry.Sample{
 			Resource: "replay", Axis: telemetry.Saturation,
 			Metric: "last replay latency", Value: float64(st.ReplayNanos), Unit: "ns",
-			Detail: fmt.Sprintf("%d records over %d files (%d bytes) in %v",
-				st.ReplayRecords, st.ReplayFiles, st.ReplayBytes,
-				time.Duration(st.ReplayNanos).Round(time.Microsecond)),
+			Detail: fmt.Sprintf("%d records over %d files (%d bytes) in %v: scan %v, decode wait %v, apply %v; workers decoded %v",
+				st.ReplayRecords, st.ReplayFiles, st.ReplayBytes, us(st.ReplayNanos),
+				us(st.ReplayScanNanos), us(st.ReplayWaitNanos), us(st.ReplayApplyNanos), us(st.ReplayDecodeNanos)),
 		})
 	}
 
