@@ -26,26 +26,22 @@ package uucs_test
 // Figure-shaped outputs are additionally reported as custom benchmark
 // metrics (e.g. fd_cpu) so `go test -bench` output doubles as a compact
 // reproduction record; EXPERIMENTS.md holds the full paper-vs-measured
-// comparison.
+// comparison. The benchmarks the regression gate checks are one-line
+// wrappers: their bodies live in internal/benchsuite, which
+// cmd/uucs-bench runs too.
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"uucs"
 	"uucs/internal/analysis"
-	"uucs/internal/cluster"
+	"uucs/internal/benchsuite"
 	"uucs/internal/harvest"
 	"uucs/internal/hostload"
-	"uucs/internal/hostpop"
-	"uucs/internal/hostsim"
 	"uucs/internal/internetstudy"
-	"uucs/internal/loadgen"
-	"uucs/internal/profiling"
-	"uucs/internal/server"
 	"uucs/internal/stats"
 	"uucs/internal/study"
 	"uucs/internal/testcase"
@@ -96,14 +92,7 @@ func BenchmarkFig04StepRamp(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkFig08Suite(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := testcase.ControlledSuiteAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig08Suite(b *testing.B) { benchsuite.Fig08Suite(b) }
 
 func BenchmarkFig09Breakdown(b *testing.B) {
 	res := studyFixture(b)
@@ -226,17 +215,7 @@ func BenchmarkFrogInPot(b *testing.B) {
 	b.ReportMetric(diff, "ramp_minus_step")
 }
 
-// BenchmarkControlledStudy measures the full §3 pipeline: 33 users x 4
-// tasks x 8 testcases through the machine, app and user models, at the
-// default worker count (GOMAXPROCS).
-func BenchmarkControlledStudy(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := study.Run(study.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkControlledStudy(b *testing.B) { benchsuite.ControlledStudy(b) }
 
 // BenchmarkStudyParallel tracks the worker-pool speedup of the full
 // study at fixed worker counts; w1 is the serial baseline. Results are
@@ -278,201 +257,21 @@ func BenchmarkInternetStudyParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkExerciserFidelityCPU reproduces the paper's §2.2 CPU
-// verification: an equal-priority thread must run at 1/(1+c).
-func BenchmarkExerciserFidelityCPU(b *testing.B) {
-	ms := hostsim.DefaultMicroSim()
-	var share float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		share, err = ms.MeasureCPUShare(1.5, 60, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(share, "share_at_c1.5") // paper's worked example: 40%
-}
+func BenchmarkExerciserFidelityCPU(b *testing.B) { benchsuite.ExerciserFidelityCPU(b) }
 
-// BenchmarkExerciserFidelityDisk reproduces the §2.2 disk verification
-// (verified to contention 7).
-func BenchmarkExerciserFidelityDisk(b *testing.B) {
-	ms := hostsim.DefaultMicroSim()
-	var share float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		share, err = ms.MeasureDiskShare(7, 60, hostsim.StudyMachine(), 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(share, "share_at_c7") // ~1/8
-}
+func BenchmarkExerciserFidelityDisk(b *testing.B) { benchsuite.ExerciserFidelityDisk(b) }
 
-// BenchmarkInternetStudy measures a compact §4 fleet simulation
-// (clients, server, loopback protocol, analysis).
-func BenchmarkInternetStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := internetstudy.DefaultConfig(b.TempDir())
-		cfg.Hosts = 12
-		cfg.RunsPerHost = 4
-		cfg.TestcaseCount = 60
-		res, err := internetstudy.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Runs) == 0 {
-			b.Fatal("no runs")
-		}
-	}
-}
+func BenchmarkInternetStudy(b *testing.B) { benchsuite.InternetStudy(b) }
 
-// BenchmarkServerIngest measures the server's concurrent ingest path
-// end to end — wire codec, shard dedup, group-commit journal fsyncs —
-// with 16 closed-loop clients over loopback TCP. ns/op is the cost per
-// acked batch; the batches/sec metric is the sustained rate.
-func BenchmarkServerIngest(b *testing.B) {
-	rep, err := loadgen.Run(loadgen.Config{
-		Clients: 16, Batches: b.N, RunsPerBatch: 3,
-		StateDir: b.TempDir(), Net: "tcp", Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.Lost > 0 || rep.Duplicated > 0 {
-		b.Fatalf("ingest broke durability: lost=%d duplicated=%d", rep.Lost, rep.Duplicated)
-	}
-	b.ReportMetric(rep.BatchesPerSec, "batches/sec")
-}
+func BenchmarkServerIngest(b *testing.B) { benchsuite.ServerIngest(b) }
 
-// BenchmarkClusterIngest measures the routed 3-node ingest tier with
-// the same closed-loop fleet as BenchmarkServerIngest. ns/op is the
-// cost per acked batch through the router (proxy hop + journal fsync +
-// replica ship); batches/sec is the sustained cluster rate, which must
-// hold at least the single-node baseline per node.
-func BenchmarkClusterIngest(b *testing.B) {
-	rep, err := loadgen.Run(loadgen.Config{
-		Clients: 16, Batches: b.N, RunsPerBatch: 3,
-		StateDir: b.TempDir(), Net: "tcp", Seed: 1,
-		Nodes: []string{"n1", "n2", "n3"},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.Lost > 0 || rep.Duplicated > 0 {
-		b.Fatalf("cluster ingest broke durability: lost=%d duplicated=%d", rep.Lost, rep.Duplicated)
-	}
-	b.ReportMetric(rep.BatchesPerSec, "batches/sec")
-}
+func BenchmarkClusterIngest(b *testing.B) { benchsuite.ClusterIngest(b) }
 
-// clusterStateFixture lays down a real routed 3-node cluster's state
-// tree (node journals, replica journals, multi-segment rotation) by
-// driving it with ingest load — the shared fixture for the cold-path
-// benchmarks. Replica shipping makes every batch appear at least
-// twice under the root, so a merge over it exercises the dedup path.
-func clusterStateFixture(b *testing.B) (string, *loadgen.Report) {
-	b.Helper()
-	root := b.TempDir()
-	rep, err := loadgen.Run(loadgen.Config{
-		Clients: 8, Batches: 600, RunsPerBatch: 8,
-		StateDir: root, Net: "mem", Seed: 1,
-		Nodes:               []string{"n1", "n2", "n3"},
-		JournalSegmentBytes: 64 << 10,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.Lost > 0 || rep.Duplicated > 0 {
-		b.Fatalf("fixture broke durability: lost=%d duplicated=%d", rep.Lost, rep.Duplicated)
-	}
-	return root, rep
-}
+func BenchmarkColdRestart(b *testing.B) { benchsuite.ColdRestart(b) }
 
-// BenchmarkColdRestart measures the crash-recovery path: a full state
-// replay over the multi-segment journal a real ingest run laid down.
-// Replay is one bounded, ordered pipeline: parallel workers (0 =
-// GOMAXPROCS) decode blocks of records while the loader applies them
-// in record order, so the restored state is bit-identical to a serial
-// replay at any worker count (TestParallelReplayMatchesSerial). peak-MB
-// is the largest heap in use during one more, untimed restart, sampled
-// every millisecond.
-func BenchmarkColdRestart(b *testing.B) {
-	dir := b.TempDir()
-	rep, err := loadgen.Run(loadgen.Config{
-		Clients: 8, Batches: 1200, RunsPerBatch: 8,
-		StateDir: dir, Net: "mem", Seed: 1,
-		JournalSegmentBytes: 64 << 10,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.Lost > 0 || rep.Duplicated > 0 {
-		b.Fatalf("fixture broke durability: lost=%d duplicated=%d", rep.Lost, rep.Duplicated)
-	}
-	restart := func() int {
-		srv := server.New(1)
-		if err := srv.LoadState(dir); err != nil {
-			b.Fatal(err)
-		}
-		return len(srv.Results())
-	}
-	b.ResetTimer()
-	restored := 0
-	for i := 0; i < b.N; i++ {
-		restored = restart()
-	}
-	b.StopTimer()
-	if uint64(restored) != rep.Runs {
-		b.Fatalf("restored %d runs, want %d", restored, rep.Runs)
-	}
-	b.ReportMetric(float64(restored), "runs_restored")
-	b.ReportMetric(float64(profiling.PeakHeap(func() { restart() }))/1e6, "peak-MB")
-}
+func BenchmarkFailoverPromote(b *testing.B) { benchsuite.FailoverPromote(b) }
 
-// BenchmarkFailoverPromote measures the availability-critical half of
-// promote-on-crash: replaying a dead primary's shipped replica journal
-// into a fresh server. Promote is server.OpenState over the replica
-// dir; LoadState is its replay phase, which dominates the takeover
-// window.
-func BenchmarkFailoverPromote(b *testing.B) {
-	root, _ := clusterStateFixture(b)
-	replicas, err := filepath.Glob(filepath.Join(root, "node-*", "replica-*"))
-	if err != nil || len(replicas) == 0 {
-		b.Fatalf("no replica dirs under %s (err=%v)", root, err)
-	}
-	dir := replicas[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv := server.New(1)
-		if err := srv.LoadState(dir); err != nil {
-			b.Fatal(err)
-		}
-		if len(srv.Results()) == 0 {
-			b.Fatal("replica journal replayed to empty state")
-		}
-	}
-}
-
-// BenchmarkClusterMerge measures the deterministic merge over every
-// node and replica journal of a 3-node cluster: parallel per-source
-// scans, shared dedup, and the streaming k-way heap merge. The merged
-// sequence is byte-identical at any worker count and any spill
-// threshold (TestMergeStreamingMatchesSerial).
-func BenchmarkClusterMerge(b *testing.B) {
-	root, rep := clusterStateFixture(b)
-	b.ResetTimer()
-	merged := 0
-	for i := 0; i < b.N; i++ {
-		runs, _, err := cluster.MergedRuns(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		merged = len(runs)
-	}
-	if uint64(merged) != rep.Runs {
-		b.Fatalf("merged %d runs, want %d", merged, rep.Runs)
-	}
-	b.ReportMetric(float64(merged), "runs_merged")
-}
+func BenchmarkClusterMerge(b *testing.B) { benchsuite.ClusterMerge(b) }
 
 // BenchmarkThrottle measures the §5 feedback throttle control loop.
 func BenchmarkThrottle(b *testing.B) {
@@ -493,35 +292,7 @@ func BenchmarkThrottle(b *testing.B) {
 	b.ReportMetric(th.Ceiling(), "ceiling_c05")
 }
 
-// BenchmarkRunExecution measures a single 2-minute run per task — the
-// unit of work everything else multiplies.
-func BenchmarkRunExecution(b *testing.B) {
-	users, err := uucs.SamplePopulation(1, uucs.DefaultPopulation(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, task := range testcase.Tasks() {
-		task := task
-		b.Run(string(task), func(b *testing.B) {
-			app, err := uucs.NewApp(task)
-			if err != nil {
-				b.Fatal(err)
-			}
-			suite, err := testcase.ControlledSuite(task)
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine := uucs.NewEngine()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Execute(suite[0], app, users[0], uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkRunExecution(b *testing.B) { benchsuite.Sub(b, "BenchmarkRunExecution") }
 
 // BenchmarkAblations runs the model-ablation suite: five controlled
 // studies, each with one mechanism removed (see internal/study).
@@ -599,28 +370,4 @@ func BenchmarkHarvestPolicies(b *testing.B) {
 	b.ReportMetric(gain, "harvest_gain_vs_screensaver")
 }
 
-// BenchmarkInternetStudyMillionHosts is the streaming engine's gate
-// benchmark: a scaled-down slice of the million-host configuration —
-// correlated host population, diurnal availability, crash churn, and
-// streamed bounded-memory aggregation — so CI tracks the per-run cost
-// of the exact path the 10^6-host study exercises.
-func BenchmarkInternetStudyMillionHosts(b *testing.B) {
-	b.ReportAllocs()
-	var folded uint64
-	for i := 0; i < b.N; i++ {
-		cfg := internetstudy.DefaultStreamConfig()
-		cfg.Hosts = 4000
-		cfg.RunsPerHost = 2
-		cfg.TestcaseCount = 100
-		cfg.Churn = hostpop.DefaultChurn()
-		res, err := internetstudy.RunStreaming(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Agg.Folded == 0 {
-			b.Fatal("no folded runs")
-		}
-		folded = res.Agg.Folded
-	}
-	b.ReportMetric(float64(folded), "runs_folded")
-}
+func BenchmarkInternetStudyMillionHosts(b *testing.B) { benchsuite.InternetStudyMillionHosts(b) }

@@ -7,9 +7,9 @@
 // the real fleet behaves, since every client blocks on its ack before
 // continuing.
 //
-// The driver is shared by cmd/uucs-loadgen (the CLI rig), uucs-bench
-// (the BenchmarkServerIngest regression gate), and the repository's
-// bench_test.go mirror, so all three measure the same code path.
+// The driver is shared by cmd/uucs-loadgen (the CLI rig) and the ingest
+// and cold-path benchmarks in internal/benchsuite (`go test -bench` and
+// the uucs-bench gate), so all of them measure the same code path.
 package loadgen
 
 import (

@@ -8,8 +8,8 @@ import (
 // The wire codec is the per-message cost every ingest interaction pays
 // twice (request + response), so its allocation profile is pinned the
 // same way internal/core pins the run engine's: a benchmark to watch
-// the numbers and an AllocsPerRun ceiling that fails when a hot-loop
-// allocation creeps back in.
+// the numbers (bench_test.go) and an AllocsPerRun ceiling that fails
+// when a hot-loop allocation creeps back in.
 
 // benchMessage is a representative results-upload frame: the message
 // shape the server decodes most and the client encodes most.
@@ -74,52 +74,6 @@ func encodedFrameV(tb testing.TB, m Message, ver int) []byte {
 		tb.Fatal(err)
 	}
 	return append([]byte(nil), cw.frame...)
-}
-
-func BenchmarkEncodeMessage(b *testing.B) {
-	for _, ver := range []int{V2, V3} {
-		b.Run(versionName(ver), func(b *testing.B) {
-			c := NewConn(discardWriter{})
-			c.SetVersion(ver)
-			m := benchMessage()
-			b.ReportAllocs()
-			b.SetBytes(int64(len(encodedFrameV(b, m, ver))))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Send(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDecodeMessage measures the receive path the server runs for
-// each wire version: RecvFrame, which for v2 decodes and verifies the
-// JSON line and converts it to a frame, and for v3 decodes the borrowed
-// view in place (the zero-copy ingest path).
-func BenchmarkDecodeMessage(b *testing.B) {
-	for _, ver := range []int{V2, V3} {
-		b.Run(versionName(ver), func(b *testing.B) {
-			frame := encodedFrameV(b, benchMessage(), ver)
-			c := NewConn(&repeatReader{frame: frame})
-			b.ReportAllocs()
-			b.SetBytes(int64(len(frame)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.RecvFrame(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func versionName(ver int) string {
-	if ver == V3 {
-		return "v3"
-	}
-	return "v2"
 }
 
 // TestSendAllocCeiling pins the steady-state allocation count of Send.
