@@ -11,9 +11,10 @@
 //	uucs-bench -out BENCH_results.json -compare BENCH_baseline.json -threshold 0.15
 //
 // With -compare, the exit status is 1 if any benchmark's ns/op
-// regressed by more than the threshold fraction against the baseline.
-// Any other failure, such as an unknown -only name, exits 2. The CPU
-// profile is flushed on every exit.
+// regressed by more than the threshold fraction against the baseline,
+// or compares to it as NaN or infinite. Any other failure, such as an
+// unknown -only name or a benchmark whose body fails (b.Fatal), exits
+// 2. The CPU profile is flushed on every exit.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -73,7 +75,12 @@ func run(args []string) int {
 	}
 	defer stop()
 
-	results, err := runSuite(*only, *count)
+	suite, err := selectSuite(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "uucs-bench:", err)
+		return 2
+	}
+	results, err := runSuite(suite, *count)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "uucs-bench:", err)
 		return 2
@@ -110,18 +117,29 @@ func run(args []string) int {
 	return 0
 }
 
-// runSuite runs the gated benchmarks (only the one named only, when it
-// is set) and returns their results sorted by name.
-func runSuite(only string, count int) ([]Result, error) {
-	count = max(count, 1)
+// selectSuite returns the gated benchmarks, or only the one named only
+// when it is set.
+func selectSuite(only string) ([]benchsuite.Benchmark, error) {
 	suite := benchsuite.Gated()
-	if only != "" {
-		i := slices.IndexFunc(suite, func(bm benchsuite.Benchmark) bool { return bm.Name == only })
-		if i < 0 {
-			return nil, fmt.Errorf("-only: no gated benchmark is named %q", only)
-		}
-		suite = suite[i : i+1]
+	if only == "" {
+		return suite, nil
 	}
+	i := slices.IndexFunc(suite, func(bm benchsuite.Benchmark) bool { return bm.Name == only })
+	if i < 0 {
+		return nil, fmt.Errorf("-only: no gated benchmark is named %q", only)
+	}
+	return suite[i : i+1], nil
+}
+
+// runSuite runs the benchmarks and returns their results sorted by
+// name. A benchmark whose body fails (b.Fatal, b.FailNow) comes back
+// from testing.Benchmark with no iterations; that, or any other
+// non-finite ns/op, is an error naming the benchmark.
+func runSuite(suite []benchsuite.Benchmark, count int) ([]Result, error) {
+	// testing.Benchmark outside `go test` needs the testing flags
+	// registered, or a failing body panics instead of failing.
+	testing.Init()
+	count = max(count, 1)
 	var results []Result
 	for _, bm := range suite {
 		// Record the fastest of count repetitions: scheduling and cache
@@ -137,6 +155,9 @@ func runSuite(only string, count int) ([]Result, error) {
 				BytesPerOp:  r.AllocedBytesPerOp(),
 				AllocsPerOp: r.AllocsPerOp(),
 				Metrics:     maps.Clone(r.Extra),
+			}
+			if r.N == 0 || !finite(res.NsPerOp) {
+				return nil, fmt.Errorf("benchmark %s failed: %d iterations, %v ns/op", bm.Name, r.N, res.NsPerOp)
 			}
 			if rep == 0 || res.NsPerOp < best.NsPerOp {
 				best = res
@@ -175,6 +196,11 @@ func compareBaseline(path string, results []Result, threshold float64) error {
 		ratio := r.NsPerOp / b.NsPerOp
 		fmt.Printf("%-28s %12.0f -> %12.0f ns/op (%+.1f%%)\n",
 			r.Name, b.NsPerOp, r.NsPerOp, (ratio-1)*100)
+		if !finite(ratio) {
+			regressions = append(regressions,
+				fmt.Sprintf("%s compares as %v (%v -> %v ns/op)", r.Name, ratio, b.NsPerOp, r.NsPerOp))
+			continue
+		}
 		if ratio > 1+threshold {
 			regressions = append(regressions,
 				fmt.Sprintf("%s regressed %.1f%% (%.0f -> %.0f ns/op, threshold %.0f%%)",
@@ -190,3 +216,5 @@ func compareBaseline(path string, results []Result, threshold float64) error {
 	fmt.Println("benchmark gate: ok")
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

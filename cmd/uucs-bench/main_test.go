@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"uucs/internal/benchsuite"
@@ -71,5 +73,40 @@ func TestRegressionKeepsCPUProfile(t *testing.T) {
 	}
 	if fi.Size() == 0 {
 		t.Fatal("CPU profile is empty: the stop did not run before the failing exit")
+	}
+}
+
+// TestFailingBenchmarkIsAnError runs a table whose body fails: the
+// suite must stop with an error naming it, not record NaN ns/op.
+func TestFailingBenchmarkIsAnError(t *testing.T) {
+	suite := []benchsuite.Benchmark{
+		{Name: "BenchmarkPasses", F: func(b *testing.B) {}},
+		{Name: "BenchmarkForcedFailure", F: func(b *testing.B) { b.Fatal("forced failure") }},
+	}
+	results, err := runSuite(suite, 1)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkForcedFailure") {
+		t.Fatalf("runSuite = %+v, %v; want an error naming BenchmarkForcedFailure", results, err)
+	}
+}
+
+// TestCompareRefusesNonFiniteRatio gates results that compare to the
+// baseline as NaN or infinity: a zero baseline, a NaN result.
+func TestCompareRefusesNonFiniteRatio(t *testing.T) {
+	dir := t.TempDir()
+	buf, err := json.Marshal(File{Benchmarks: []Result{{Name: "BenchmarkZero", NsPerOp: 0}, {Name: "BenchmarkOne", NsPerOp: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "baseline.json")
+	if err := os.WriteFile(base, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Result{{Name: "BenchmarkZero", NsPerOp: 0}, {Name: "BenchmarkOne", NsPerOp: math.NaN()}} {
+		if err := compareBaseline(base, []Result{r}, 0.15); err == nil {
+			t.Errorf("%s at %v ns/op passed the gate", r.Name, r.NsPerOp)
+		}
+	}
+	if err := compareBaseline(base, []Result{{Name: "BenchmarkOne", NsPerOp: 1}}, 0.15); err != nil {
+		t.Errorf("an unchanged result failed the gate: %v", err)
 	}
 }

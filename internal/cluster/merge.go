@@ -323,7 +323,7 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		// Kept: decode once, encode each run individually into this
 		// worker's chunk. No lock held — this is the expensive part and
 		// it parallelizes across sources.
-		runs, err := core.ParseRuns(op.PayloadBytes())
+		runs, err := op.Runs()
 		if err != nil {
 			return err
 		}

@@ -145,8 +145,8 @@ func (sh *Shipper) roundTrip(msg protocol.Message, payload []byte) (protocol.Mes
 			}
 			sh.conn = protocol.NewConn(raw)
 			sh.conn.SetTimeout(shipTimeout)
-			// Shipping always speaks v3: journal segments hold verbatim
-			// binary frames, and only the v3 framing is binary-safe (the
+			// Shipping always speaks v3: journal segments hold binary
+			// frames, and only the v3 framing is binary-safe (the
 			// v2 JSON framing would mangle them into U+FFFD).
 			sh.conn.SetVersion(protocol.V3)
 		}

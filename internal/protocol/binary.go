@@ -32,10 +32,11 @@ import (
 // forward-extensible. The CRC32 trailer covers the payload bytes
 // exactly as they sit in the frame, which makes verification a single
 // table walk instead of a re-encode, and makes the frame safe to store
-// and forward verbatim: the server journals accepted result frames
-// byte-for-byte (a v2 upload as the frame RecvFrame converted it to),
-// replicas receive those same bytes, and replay, compaction, and merge
-// all re-read them without ever re-encoding.
+// and forward verbatim: the router relays a v3 frame byte-for-byte, the
+// server's journal records are frames (an accepted upload as a jruns
+// frame carrying its runs in binary form), replicas receive those same
+// bytes, and replay, compaction, and merge all re-read them without
+// ever re-encoding.
 //
 // The first byte distinguishes the framings on sight: a v2 frame
 // begins with '{' (0x7B), a v3 frame with 0xB3 — not valid UTF-8, so
@@ -100,6 +101,7 @@ var typeCodes = map[MsgType]uint64{
 	TypeShip:        8,
 	TypeShipAck:     9,
 	TypeJournalMeta: 10,
+	TypeJournalRuns: 11,
 }
 
 var typeByCode = [...]MsgType{
@@ -114,6 +116,7 @@ var typeByCode = [...]MsgType{
 	8:  TypeShip,
 	9:  TypeShipAck,
 	10: TypeJournalMeta,
+	11: TypeJournalRuns,
 }
 
 // Field ids. The wire tag is id<<1 | kind, kind 0 = uvarint value,
@@ -329,8 +332,7 @@ func (f *Frame) reset() {
 // Raw returns the frame's v3 bytes, magic through CRC trailer: the
 // verbatim wire bytes for a v3 arrival, the receive-time re-encoding for
 // a v2 one. The slice is borrowed: valid until the next RecvFrame on the
-// same Conn. These are the bytes the server journals and a v3 hop
-// forwards — stored and shipped as they are, CRC and all.
+// same Conn. These are the bytes a v3 hop forwards, CRC and all.
 func (f *Frame) Raw() []byte { return f.raw }
 
 // DecodeSnapshot returns the registration snapshot carried by the

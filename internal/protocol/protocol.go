@@ -84,6 +84,12 @@ const (
 	// frame (Ver carries the journal format version) like every other
 	// record in those files.
 	TypeJournalMeta MsgType = "jmeta"
+	// TypeJournalRuns never crosses the wire either: it is the journal
+	// record of an accepted upload — the uploading ClientID, the batch
+	// Seq, and the batch's runs in binary form (core.AppendRunsBinary)
+	// as Payload. A server refuses it from a peer like any type it does
+	// not serve.
+	TypeJournalRuns MsgType = "jruns"
 )
 
 // Snapshot is the detailed machine description presented at

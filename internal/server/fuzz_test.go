@@ -34,9 +34,10 @@ func FuzzPersistReload(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	// Records as this build writes them: the format 4 header, a
-	// registration with a LastSeq floor, a testcase batch, a snapshot
-	// aggregate cut into two chunks, and a whole framed history.
+	// Records as this build writes them: the format 5 header, a
+	// registration with a LastSeq floor, a testcase batch, a binary
+	// upload record, a snapshot aggregate cut into two chunks, and a
+	// whole framed history; and a format-4 text aggregate.
 	snap := testSnapshot()
 	reg, _ := appendClientRecord(nil, "uucs-1", "n-1", &snap, 3)
 	gen, _ := testcase.Generate("t", testcase.GeneratorConfig{Count: 2, Rate: 1, Duration: 20, MaxCPU: 10, MaxDisk: 7}, stats.NewStream(1))
@@ -48,19 +49,18 @@ func FuzzPersistReload(f *testing.F) {
 	}
 	run2 := testRun()
 	run2.Offset = 56
-	runs := core.AppendRuns(nil, []*core.Run{testRun()}, true)
-	runEnds := []int{len(runs)}
-	runs = core.AppendRuns(runs, []*core.Run{run2}, true)
-	runEnds = append(runEnds, len(runs))
+	runs := []*core.Run{testRun(), run2}
+	upload := uploadRecord(resultsFrame(f, "uucs-1", 4, string(core.AppendRuns(nil, runs, false))), runs)
 	saved := recordChunkBytes
 	recordChunkBytes = 1 // one record per frame
 	tcs, _ := appendTestcaseRecords(nil, tc, tcEnds)
-	agg, _ := appendAggregateRecords(nil, runs, runEnds)
+	agg, _ := appendAggregateRecords(nil, runs)
+	agg4 := format4AggregateRecords(f, runs)
 	recordChunkBytes = saved
-	for _, seed := range [][]byte{journalHeader, reg, tcs, agg} {
+	for _, seed := range [][]byte{journalHeader, reg, tcs, upload, agg, agg4} {
 		f.Add(seed)
 	}
-	f.Add(bytes.Join([][]byte{journalHeader, tcs, reg, agg}, nil))
+	f.Add(bytes.Join([][]byte{journalHeader, tcs, reg, upload, agg}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {

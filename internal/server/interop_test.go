@@ -13,8 +13,8 @@ import (
 
 // TestMixedFramingUploadsShareOneJournal drives a v2-pinned client and
 // a v3 client into one journaled server. Both uploads land in the
-// journal as frames (the v2 one as its receive-time conversion, never
-// as a JSON results line), a restart restores the same results, and a
+// journal as binary run records (never as a JSON results line), a
+// restart restores the same results, and a
 // retried batch from either client acks as a duplicate afterwards.
 func TestMixedFramingUploadsShareOneJournal(t *testing.T) {
 	dir := t.TempDir()
@@ -61,14 +61,13 @@ func TestMixedFramingUploadsShareOneJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Record, err := protocol.AppendFrame(nil, protocol.Message{
-		Type: protocol.TypeResults, ClientID: clients[0].id, Seq: 1, Payload: clients[0].payload,
-	})
+	v2Runs, err := core.ParseRuns([]byte(clients[0].payload))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2Record := uploadRecord(resultsFrame(t, clients[0].id, 1, clients[0].payload), v2Runs)
 	if v2Record[0] != protocol.FrameMagic || !bytes.Contains(journal, v2Record) {
-		t.Error("the v2 upload is not journaled as a frame")
+		t.Error("the v2 upload is not journaled as its binary run record")
 	}
 	if bytes.Contains(journal, []byte(`"op":"results"`)) {
 		t.Error("the journal holds a JSON results line")

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"sync"
 	"unsafe"
 
 	"uucs/internal/atomicfile"
@@ -20,9 +21,12 @@ import (
 	"uucs/internal/protocol"
 )
 
-// Server-side permanent storage. Like the client, the paper's server
-// stores testcases and results in text files; this file round-trips the
-// server's full state through a directory so restarts lose nothing.
+// Server-side permanent storage. This file round-trips the server's
+// full state through a directory so restarts lose nothing. The paper's
+// server keeps text files; here the exchange formats stay text (uploads
+// on the wire, the export, the cluster merge's output) while the state
+// files hold framed records, run batches in core's binary run format,
+// so a restart never lexes or float-parses a run.
 //
 // The layout is crash-safe: a compacted snapshot file written
 // atomically (temp file + rename) plus an append-only journal. Every
@@ -44,33 +48,40 @@ import (
 //
 // Record formats: every record this build writes — to the journal and
 // to the snapshot alike — is a v3 wire frame (protocol.FrameMagic, a
-// length prefix, tagged fields, a CRC32 trailer) of a type the protocol
-// already has:
+// length prefix, tagged fields, a CRC32 trailer):
 //
 //	jmeta       file header; Ver = journalFormatVersion
 //	registered  a registration: ClientID, Nonce, Snapshot, and Seq =
 //	            the client's LastSeq floor (snapshot records only)
 //	testcases   a testcase batch: Payload
-//	results     an upload, as the exact frame the client sent (a v2
-//	            upload as the frame RecvFrame converted it to); or, with
-//	            no ClientID and Seq 0, one chunk of a snapshot's run
-//	            aggregate, carrying the whole aggregate's content hash
-//	            (Nonce, 8 bytes) and the chunk's index (Count)
+//	jruns       an accepted upload: ClientID, Seq, and the runs the
+//	            server decoded from it, in binary form
+//	            (core.AppendRunsBinary), as Payload
+//	results     with no ClientID and Seq 0, one chunk of a snapshot's
+//	            run aggregate: Ver = binaryRunsFormat (the payload is
+//	            binary runs), the whole aggregate's content hash (Nonce,
+//	            8 bytes) and the chunk's index (Count)
 //
 // A frame holds at most protocol.MaxMessageBytes, so testcase batches
 // and aggregates are cut at record boundaries into consecutive frames
 // (recordChunkBytes); replay applies the pieces in order, which is the
-// state the whole would give. Appends are a memcpy, every record
-// carries its own CRC, and replay re-validates it with the wire decoder.
+// state the whole would give. Every record carries its own CRC, and
+// replay re-validates it with the wire decoder.
 //
-// JSON op lines ('{' first) are legacy input only, read but never
-// written: v2-era journals are pure JSON lines with no header, and
-// journals with a jmeta version 3 header (the builds that framed only
-// uploads) hold JSON registration and testcase lines; legacy snapshots
-// are JSON lines opened by a "meta" version 2 line. Both load unchanged
-// through the same scanner, which is the whole migration story — no
-// rewrite, no conversion. The version-4 header makes an older build,
-// which accepts only version 3, refuse a directory this one wrote.
+// Legacy input, read but never written in normal operation: a results
+// frame with a ClientID is an upload journaled verbatim, text payload
+// and all, by a format-3 or format-4 build, and an aggregate chunk
+// without Ver holds text. The one exception is an upload whose binary
+// form outgrows recordChunkBytes (binary floats take 8 bytes, a "0" in
+// text 2), which is journaled as its text frame. JSON op lines ('{'
+// first) are legacy input only: v2-era journals are pure JSON lines
+// with no header, and journals with a jmeta version 3 header (the
+// builds that framed only uploads) hold JSON registration and testcase
+// lines; legacy snapshots are JSON lines opened by a "meta" version 2
+// line. All of it loads unchanged through the same scanner, which is
+// the whole migration story — no rewrite, no conversion. Each header
+// version makes the builds before it refuse a directory this one wrote
+// instead of misreading it.
 //
 // Torn-tail semantics per format: a JSON record is torn if its final
 // newline is missing; a binary record is torn if the file ends before
@@ -101,12 +112,15 @@ const stateVersion = 2
 
 // Journal format versions a jmeta header declares. Version 3 marked the
 // builds that framed uploads but wrote JSON registration and testcase
-// lines; version 4 writes every record as a frame. Both are read; a
-// newer version means a future build wrote records this one cannot be
-// sure it parses, which must poison the load rather than mis-parse.
+// lines; version 4 wrote every record as a frame, run payloads as text;
+// version 5 writes run payloads in binary (binaryRunsFormat). All are
+// read; a newer version means a future build wrote records this one
+// cannot be sure it parses, which must poison the load rather than
+// mis-parse.
 const (
 	legacyJournalFormat  = 3
-	journalFormatVersion = 4
+	binaryRunsFormat     = 5
+	journalFormatVersion = 5
 )
 
 // newestJournalFormat is the newest jmeta version this build reads. It
@@ -147,8 +161,10 @@ type journalOp struct {
 	// Seq is the batch sequence number (opResults).
 	Seq uint64 `json:"seq,omitempty"`
 	// Payload holds text-encoded testcases (opTestcases) or run
-	// records (opResults).
+	// records (opResults), binary when Binary is set.
 	Payload string `json:"payload,omitempty"`
+	// Binary marks an opResults payload in core's binary run format.
+	Binary bool `json:"-"`
 	// AggHash and Part identify one chunk of a snapshot aggregate
 	// (opResults from a frame with no client id): the 8-byte content
 	// hash of the whole aggregate and the chunk's index. Empty and 0 on
@@ -381,19 +397,8 @@ func (s *Server) SaveState(dir string) error {
 		}
 		w.Write(rec)
 		if len(c.runs) > 0 {
-			var payload []byte
-			ends := make([]int, 0, len(c.runs))
-			err := core.EncodeRunBlocks(c.runs, true, func(block []byte, blockEnds []int) error {
-				for _, e := range blockEnds {
-					ends = append(ends, len(payload)+e)
-				}
-				payload = append(payload, block...)
-				return nil
-			})
-			if err == nil {
-				rec, err = appendAggregateRecords(rec[:0], payload, ends)
-			}
-			if err != nil {
+			var err error
+			if rec, err = appendAggregateRecords(rec[:0], c.runs); err != nil {
 				return err
 			}
 			w.Write(rec)
@@ -502,6 +507,7 @@ func scanOpsFile(path string, tolerateTail bool, fn func(journalOp) error) error
 // decodeOp decodes one record into its op: a frame through the wire
 // decoder (CRC check included) and frameOp, a legacy JSON line through
 // encoding/json. f is scratch; the op borrows the record's bytes, not f.
+// A run payload is not decoded here; see decodeRuns.
 func decodeOp(r *replayRec, f *protocol.Frame) (journalOp, error) {
 	if r.err != nil {
 		return journalOp{}, r.err
@@ -532,16 +538,19 @@ func frameOp(f *protocol.Frame) (journalOp, error) {
 		return journalOp{Op: opClient, ID: string(f.ClientID), Nonce: string(f.Nonce), Snapshot: snap, LastSeq: f.Seq}, nil
 	case protocol.TypeTestcases:
 		return journalOp{Op: opTestcases, Payload: borrowString(f.Payload)}, nil
+	case protocol.TypeJournalRuns:
+		return journalOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload), Binary: true}, nil
 	case protocol.TypeResults:
 		op := journalOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}
 		// Only a snapshot aggregate has no client id (every upload is
 		// checked against the registry), so a client cannot make its
-		// upload's Nonce or Count mean anything here.
+		// upload's Ver, Nonce or Count mean anything here.
 		if len(f.ClientID) == 0 && len(f.Nonce) > 0 {
 			if len(f.Nonce) != 8 {
 				return journalOp{}, fmt.Errorf("aggregate hash of %d bytes", len(f.Nonce))
 			}
 			op.AggHash, op.Part = borrowString(f.Nonce), f.Count
+			op.Binary = f.Ver >= binaryRunsFormat
 		}
 		return op, nil
 	default:
@@ -585,16 +594,68 @@ func appendTestcaseRecords(dst, payload []byte, ends []int) ([]byte, error) {
 }
 
 // appendAggregateRecords appends a snapshot's run aggregate as
-// TypeResults frames with no client id and Seq 0; ends holds each run's
-// end offset in payload. Every chunk carries the whole aggregate's
-// content hash and its own index, so the cluster merge deduplicates the
-// aggregate as one unit however it was cut.
-func appendAggregateRecords(dst, payload []byte, ends []int) ([]byte, error) {
+// TypeResults frames with no client id and Seq 0, each holding a binary
+// batch of at most recordChunkBytes (core.BinaryRunChunks). Every chunk
+// carries the whole aggregate's content hash (runsHash) and its own
+// index, so the cluster merge deduplicates the aggregate as one unit
+// however it was cut.
+func appendAggregateRecords(dst []byte, runs []*core.Run) ([]byte, error) {
+	hash, err := runsHash(runs)
+	if err != nil {
+		return dst, err
+	}
 	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], aggregateHash("", borrowString(payload)))
-	return appendChunked(dst, payload, ends, func(part int, chunk string) protocol.Message {
-		return protocol.Message{Type: protocol.TypeResults, Nonce: string(sum[:]), Count: part, Payload: chunk}
+	binary.LittleEndian.PutUint64(sum[:], hash)
+	part := 0
+	err = core.BinaryRunChunks(runs, recordChunkBytes, func(chunk []byte) error {
+		var err error
+		dst, err = protocol.AppendFrame(dst, protocol.Message{
+			Type: protocol.TypeResults, Ver: binaryRunsFormat, Nonce: string(sum[:]), Count: part, Payload: borrowString(chunk),
+		})
+		part++
+		return err
 	})
+	return dst, err
+}
+
+// recordScratch is the pooled space uploadRecord builds a record in.
+type recordScratch struct{ payload, frame []byte }
+
+var recordPool = sync.Pool{New: func() any { return new(recordScratch) }}
+
+// uploadRecord returns the journal record of an accepted upload f whose
+// decoded runs are runs: a jruns frame with the client id, the batch
+// seq and the runs in binary form. The record is built in pooled
+// scratch and copied out once, so that copy is its only allocation. A
+// batch whose binary form outgrows recordChunkBytes — tens of megabytes
+// of zero-valued load samples — is journaled as the client's text frame
+// instead, which replay reads as well.
+func uploadRecord(f *protocol.Frame, runs []*core.Run) []byte {
+	sc := recordPool.Get().(*recordScratch)
+	defer func() {
+		if cap(sc.payload) <= protocol.ConnBufSize && cap(sc.frame) <= protocol.ConnBufSize {
+			recordPool.Put(sc)
+		}
+	}()
+	sc.payload = core.AppendRunsBinary(sc.payload[:0], runs)
+	if len(sc.payload) <= recordChunkBytes {
+		var err error
+		sc.frame, err = protocol.AppendFrame(sc.frame[:0], protocol.Message{
+			Type: protocol.TypeJournalRuns, ClientID: borrowString(f.ClientID), Seq: f.Seq, Payload: borrowString(sc.payload),
+		})
+		if err == nil {
+			return append([]byte(nil), sc.frame...)
+		}
+	}
+	return append([]byte(nil), f.Raw()...)
+}
+
+// decodeRuns decodes a run payload in the form it was stored in.
+func decodeRuns(payload string, bin bool) ([]*core.Run, error) {
+	if bin {
+		return core.ParseRunsBinary(borrowBytes(payload))
+	}
+	return core.ParseRuns(borrowBytes(payload))
 }
 
 // appendChunked appends payload as consecutive frames built by frame,
@@ -619,13 +680,28 @@ func appendChunked(dst, payload []byte, ends []int, frame func(part int, chunk s
 
 // aggregateHash is an unsequenced run payload's identity in the cluster
 // merge: FNV-64a over the uploading client's id (empty for a snapshot
-// aggregate), a zero byte, and the payload.
+// aggregate), a zero byte, and the payload as stored.
 func aggregateHash(id, payload string) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, id)
 	h.Write([]byte{0})
 	io.WriteString(h, payload)
 	return h.Sum64()
+}
+
+// runsHash is a snapshot aggregate's identity: aggregateHash of the
+// empty id and the runs' canonical text, the payload every earlier
+// format stored, so a text aggregate and a binary one of the same runs
+// deduplicate in the merge. The text streams through the hasher a
+// block at a time and is never held whole.
+func runsHash(runs []*core.Run) (uint64, error) {
+	h := fnv.New64a()
+	h.Write([]byte{0})
+	err := core.EncodeRunBlocks(runs, true, func(block []byte, _ []int) error {
+		h.Write(block)
+		return nil
+	})
+	return h.Sum64(), err
 }
 
 // borrowString returns a string view of b without copying. Safe here
@@ -674,23 +750,28 @@ type StateOp struct {
 	// Seq is the upload batch sequence number (OpKindResults; 0 for
 	// unsequenced or compacted payloads).
 	Seq uint64
-	// Payload holds text-encoded testcases or run records.
+	// Payload holds the op's payload as stored: text-encoded testcases
+	// (OpKindTestcases), or run records (OpKindResults) in core's binary
+	// form for records written from journal format 5 on and in text for
+	// older ones. Runs decodes either.
 	Payload string
 
+	binary  bool
 	aggHash string
 	part    int
 }
 
-// PayloadBytes returns a read-only byte view of op.Payload, for the
-// payload parsers, without copying it.
-func (op StateOp) PayloadBytes() []byte { return borrowBytes(op.Payload) }
+// Runs decodes an OpKindResults op's run records, whichever form they
+// were stored in. The runs copy what they keep, so they outlive the
+// scan's file buffer.
+func (op StateOp) Runs() ([]*core.Run, error) { return decodeRuns(op.Payload, op.binary) }
 
 // AggregateKey identifies an unsequenced OpKindResults op for the
 // cluster merge's dedup: the content hash of the whole payload it
 // belongs to, and its chunk index. A snapshot aggregate written as
 // several chunks carries its hash in every chunk; any other unsequenced
 // record — a legacy JSON aggregate, an unsequenced upload — is chunk 0
-// of itself and is hashed here, as (ID, payload).
+// of itself and is hashed here, as (ID, payload as stored).
 func (op StateOp) AggregateKey() (hash uint64, part int) {
 	if op.aggHash != "" {
 		return binary.LittleEndian.Uint64([]byte(op.aggHash)), op.part
@@ -711,7 +792,7 @@ func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error 
 		return fn(StateOp{
 			Kind: op.Op, Ver: op.Ver, ID: op.ID, Nonce: op.Nonce,
 			LastSeq: op.LastSeq, Seq: op.Seq, Payload: op.Payload,
-			aggHash: op.AggHash, part: op.Part,
+			binary: op.Binary, aggHash: op.AggHash, part: op.Part,
 		})
 	})
 }

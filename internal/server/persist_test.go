@@ -2,13 +2,18 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"uucs/internal/core"
+	"uucs/internal/hostsim"
 	"uucs/internal/protocol"
 	"uucs/internal/stats"
 	"uucs/internal/testcase"
@@ -396,6 +401,41 @@ func resultsFrame(t testing.TB, id string, seq uint64, payload string) *protocol
 	return f
 }
 
+// format4Header is the jmeta frame the format-4 builds opened their
+// journals and snapshots with.
+func format4Header(t testing.TB) []byte {
+	t.Helper()
+	hdr, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalMeta, Ver: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hdr
+}
+
+// format4AggregateRecords writes a snapshot aggregate as the format-4
+// builds did, a test-only oracle for reading one: results frames with
+// no Ver holding the runs' text, cut at run ends into chunks of at most
+// recordChunkBytes, each carrying the hash of the whole text and its
+// index.
+func format4AggregateRecords(t testing.TB, runs []*core.Run) []byte {
+	t.Helper()
+	var payload []byte
+	var ends []int
+	for i := range runs {
+		payload = core.AppendRuns(payload, runs[i:i+1], true)
+		ends = append(ends, len(payload))
+	}
+	var sum [8]byte
+	binary.LittleEndian.PutUint64(sum[:], aggregateHash("", string(payload)))
+	rec, err := appendChunked(nil, payload, ends, func(part int, chunk string) protocol.Message {
+		return protocol.Message{Type: protocol.TypeResults, Nonce: string(sum[:]), Count: part, Payload: chunk}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 // TestV2JournalReplaysUnderV3Server is the upgrade path: a journal left
 // by a v2 build must replay under the v3 server with identical state,
 // and opening it must not rewrite a single byte of it — v3 records are
@@ -434,7 +474,7 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	run2 := testRun()
 	run2.Offset = 99
 	f := resultsFrame(t, id, 2, encodeRuns(t, []*core.Run{run2}))
-	wire := f.Raw()
+	rec := uploadRecord(f, []*core.Run{run2})
 	if _, err := s.addResults(f, []*core.Run{run2}); err != nil {
 		t.Fatal(err)
 	}
@@ -448,8 +488,8 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	if !bytes.HasPrefix(after, orig) {
 		t.Fatal("append disturbed the v2 prefix")
 	}
-	if !bytes.Equal(after[len(orig):], wire) {
-		t.Fatalf("journaled frame is not the verbatim wire bytes:\n got %q\nwant %q", after[len(orig):], wire)
+	if !bytes.Equal(after[len(orig):], rec) {
+		t.Fatalf("journaled frame is not the upload's binary record:\n got %q\nwant %q", after[len(orig):], rec)
 	}
 
 	// The mixed journal replays: both batches, both seqs deduplicated.
@@ -536,21 +576,36 @@ func TestJournalMigrationCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A snapshot as this build writes it: header, a registration with
-	// its LastSeq floor, and the run aggregate.
+	// A snapshot: header, a registration with its LastSeq floor, and
+	// the run aggregate, as this build and as a format-4 build wrote it.
 	flooredReg, err := appendClientRecord(nil, id, "n1", &snap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggPayload := []byte(encodeRuns(t, []*core.Run{testRun()}))
-	aggFrame, err := appendAggregateRecords(nil, aggPayload, []int{len(aggPayload)})
+	aggFrame, err := appendAggregateRecords(nil, []*core.Run{testRun()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	header4 := format4Header(t)
+	aggFrame4 := format4AggregateRecords(t, []*core.Run{testRun()})
+	aggPayload := []byte(encodeRuns(t, []*core.Run{testRun()}))
 	badHashAgg, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeResults, Nonce: "abc", Payload: string(aggPayload)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An upload as this build journals it, and binary records whose
+	// frame is intact but whose run batch is not.
+	runsRec := uploadRecord(resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()})), []*core.Run{testRun()})
+	jruns := func(payload []byte) []byte {
+		b, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalRuns, ClientID: id, Seq: 1, Payload: string(payload)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	goodBatch := core.AppendRunsBinary(nil, []*core.Run{testRun()})
+	badCount := jruns(append([]byte{2}, goodBatch[1:]...))        // claims 2 runs, holds 1
+	badLength := jruns(append([]byte{1, 0x7f}, goodBatch[2:]...)) // id length past the batch
 
 	join := func(parts ...[]byte) []byte {
 		var b []byte
@@ -571,8 +626,10 @@ func TestJournalMigrationCorruption(t *testing.T) {
 		journal  []byte
 		// newest, when set, stands in for an older build's version
 		// check (newestJournalFormat).
-		newest    int
-		wantErr   bool
+		newest  int
+		wantErr bool
+		// errHas, when set, lists text the load error must contain.
+		errHas    []string
 		clients   int
 		results   int
 		testcases int
@@ -589,19 +646,59 @@ func TestJournalMigrationCorruption(t *testing.T) {
 		},
 		{
 			name:    "format 4 journal, every record a frame",
-			journal: join(header, regFrame, tcFrame, resWire),
+			journal: join(header4, regFrame, tcFrame, resWire),
 			clients: 1, results: 1, testcases: 1,
 		},
 		{
 			name:     "format 4 snapshot",
-			snapshot: join(header, flooredReg, aggFrame),
+			snapshot: join(header4, flooredReg, aggFrame4),
 			clients:  1, results: 1,
 		},
 		{
 			name:     "format 4 snapshot under an older build's version check",
-			snapshot: join(header, flooredReg, aggFrame),
+			snapshot: join(header4, flooredReg, aggFrame4),
 			newest:   legacyJournalFormat,
 			wantErr:  true,
+		},
+		{
+			name:    "format 5 journal with a binary upload record",
+			journal: join(header, regFrame, tcFrame, runsRec),
+			clients: 1, results: 1, testcases: 1,
+		},
+		{
+			name:     "format 5 snapshot with a binary aggregate",
+			snapshot: join(header, flooredReg, aggFrame),
+			clients:  1, results: 1,
+		},
+		{
+			name:     "format 5 snapshot and journal mixed with format 4 records",
+			snapshot: join(header, flooredReg, aggFrame),
+			journal:  join(header4, resWire, runsRec),
+			clients:  1, results: 1,
+		},
+		{
+			name:    "format 5 header under a format 4 build's version check",
+			journal: join(header, regFrame, runsRec),
+			newest:  4,
+			wantErr: true,
+			errHas:  []string{"unsupported journal format version 5"},
+		},
+		{
+			name:    "binary upload record torn at EOF",
+			journal: join(header, regFrame, runsRec[:len(runsRec)-7]),
+			clients: 1, results: 0,
+		},
+		{
+			name:    "bad run count inside a CRC-valid record",
+			journal: join(header, regFrame, badCount),
+			wantErr: true,
+			errHas:  []string{journalFile, "record 3", "offset " + strconv.Itoa(len(header)+len(regFrame)), "run 2 of 2"},
+		},
+		{
+			name:    "bad length prefix inside a CRC-valid record",
+			journal: join(header, regFrame, badLength),
+			wantErr: true,
+			errHas:  []string{journalFile, "record 3", "offset " + strconv.Itoa(len(header)+len(regFrame)), "id length"},
 		},
 		{
 			name:    "aggregate chunk with a malformed hash",
@@ -665,6 +762,11 @@ func TestJournalMigrationCorruption(t *testing.T) {
 				if err == nil {
 					t.Fatal("corrupt journal accepted")
 				}
+				for _, want := range tc.errHas {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not mention %q", err, want)
+					}
+				}
 				return
 			}
 			if err != nil {
@@ -680,7 +782,7 @@ func TestJournalMigrationCorruption(t *testing.T) {
 
 // TestV3FrameJournalReplaysAcrossRestart covers the new-format
 // lifecycle end to end: a fresh v3 journal starts with the jmeta header
-// frame, stores uploads as verbatim wire frames, and restores state —
+// frame, stores uploads as binary jruns records, and restores state —
 // including the dedup high-water mark — from a straight re-read.
 func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -694,7 +796,7 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 	}
 	runs := []*core.Run{testRun()}
 	f := resultsFrame(t, id, 1, encodeRuns(t, runs))
-	wire := f.Raw()
+	rec := uploadRecord(f, runs)
 	if _, err := s.addResults(f, runs); err != nil {
 		t.Fatal(err)
 	}
@@ -709,8 +811,8 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 	if len(data) == 0 || data[0] != protocol.FrameMagic {
 		t.Fatal("fresh v3 journal does not start with the jmeta header frame")
 	}
-	if !bytes.Contains(data, wire) {
-		t.Fatal("journal does not hold the upload's verbatim wire frame")
+	if !bytes.Contains(data, rec) {
+		t.Fatal("journal does not hold the upload's binary record")
 	}
 
 	restored := New(1)
@@ -729,5 +831,248 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 	}
 	if !dup {
 		t.Error("acked v3-journaled batch re-applied after restart")
+	}
+}
+
+// toFormat4 rewrites every state file of src into dst as a format-4
+// build would have written the same history: format-4 headers, each
+// upload as a text results frame, each aggregate chunk as text with no
+// Ver. Every other record is copied as it is.
+func toFormat4(t *testing.T, src, dst string) {
+	t.Helper()
+	files, err := StateFiles(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header4 := format4Header(t)
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		var f protocol.Frame
+		for pos := 0; pos < len(data); {
+			n, err := protocol.DecodeFrame(data[pos:], &f)
+			if err != nil {
+				t.Fatalf("%s offset %d: %v", path, pos, err)
+			}
+			rec := data[pos : pos+n]
+			pos += n
+			text := func() string {
+				runs, err := core.ParseRunsBinary(f.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(core.AppendRuns(nil, runs, true))
+			}
+			switch {
+			case f.Type == protocol.TypeJournalMeta:
+				out = append(out, header4...)
+				continue
+			case f.Type == protocol.TypeJournalRuns:
+				m := protocol.Message{Type: protocol.TypeResults, ClientID: string(f.ClientID), Seq: f.Seq, Payload: text()}
+				if rec, err = protocol.AppendFrame(nil, m); err != nil {
+					t.Fatal(err)
+				}
+			case f.Type == protocol.TypeResults && len(f.ClientID) == 0:
+				m := protocol.Message{Type: protocol.TypeResults, Nonce: string(f.Nonce), Count: f.Count, Payload: text()}
+				if rec, err = protocol.AppendFrame(nil, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out = append(out, rec...)
+		}
+		if err := os.WriteFile(filepath.Join(dst, filepath.Base(path)), out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFormat4DirectoryRestoresSameState writes one history — sealed
+// segments, a snapshot with a chunked aggregate, more segments after it
+// — and the same history as a format-4 build wrote it: text results
+// frames and a text aggregate. Both load to the same state at one and
+// several workers; the restored runs equal the ones the live server
+// held; and a server opened on the format-4 directory appends binary
+// records after its text ones and restores all of them.
+func TestFormat4DirectoryRestoresSameState(t *testing.T) {
+	saved := recordChunkBytes
+	recordChunkBytes = 300
+	defer func() { recordChunkBytes = saved }()
+
+	dir, dir4 := t.TempDir(), t.TempDir()
+	s := New(1)
+	s.JournalSegmentBytes = 600
+	if err := s.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		id, err := s.register(testSnapshot(), fmt.Sprintf("f4-nonce-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	upload := func(seq int) {
+		for i, id := range ids {
+			run := testRun()
+			run.Offset = float64(seq*100 + i)
+			run.Load = []hostsim.Load{{Time: float64(seq), CPU: 0.5, MemFrac: -0.0, DiskQ: 1e21}}
+			runs := []*core.Run{run}
+			if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for seq := 1; seq <= 4; seq++ {
+		upload(seq)
+	}
+	if err := s.SaveState(dir); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 5; seq <= 8; seq++ {
+		upload(seq)
+	}
+	live := s.Results()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(segmentFiles(t, dir)) == 0 {
+		t.Fatal("the history sealed no segments")
+	}
+	aggFrames := 0
+	for _, ty := range frameRecords(t, filepath.Join(dir, snapshotFile)) {
+		if ty == protocol.TypeResults {
+			aggFrames++
+		}
+	}
+	if aggFrames < 2 {
+		t.Fatalf("snapshot aggregate in %d frame(s), want several", aggFrames)
+	}
+	toFormat4(t, dir, dir4)
+
+	load := func(dir string, workers int) *Server {
+		s := New(1)
+		s.ReplayWorkers = workers
+		if err := s.LoadState(dir); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, workers := range []int{1, 4} {
+		got, want := load(dir, workers), load(dir4, workers)
+		if richFingerprint(t, got) != richFingerprint(t, want) {
+			t.Fatalf("workers=%d: format 5 and format 4 directories restore different state", workers)
+		}
+		if !reflect.DeepEqual(got.Results(), live) {
+			t.Fatalf("workers=%d: restored runs differ from the live server's", workers)
+		}
+	}
+
+	s4 := New(1)
+	if err := s4.OpenState(dir4); err != nil {
+		t.Fatal(err)
+	}
+	s = s4
+	upload(9)
+	if err := s4.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(load(dir4, 2).Results()), len(live)+len(ids); got != want {
+		t.Fatalf("format 4 directory after an append restores %d runs, want %d", got, want)
+	}
+}
+
+// TestJournalRunsFrameRejectedOnWire sends the journal-only record type
+// as a client request, in both framings: the server refuses it in-band
+// and stores nothing. The v2 request carries text, since a JSON line
+// cannot carry binary bytes intact.
+func TestJournalRunsFrameRejectedOnWire(t *testing.T) {
+	dir := t.TempDir()
+	s := New(1)
+	if err := s.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	addr, err := s.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[int]string{
+		protocol.V2: encodeRuns(t, []*core.Run{testRun()}),
+		protocol.V3: string(core.AppendRunsBinary(nil, []*core.Run{testRun()})),
+	}
+	for _, ver := range []int{protocol.V2, protocol.V3} {
+		conn := dialT(t, addr)
+		snap := testSnapshot()
+		reg := exchange(t, conn, protocol.Message{Type: protocol.TypeRegister, Ver: ver, Nonce: fmt.Sprint("wire-", ver), Snapshot: &snap})
+		conn.SetVersion(reg.Ver)
+		if err := conn.Send(protocol.Message{Type: protocol.TypeJournalRuns, ClientID: reg.ClientID, Seq: 1, Payload: payloads[ver]}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.RecvFrame()
+		if err != nil {
+			t.Fatalf("v%d: %v", ver, err)
+		}
+		if f.Type != protocol.TypeError {
+			t.Errorf("v%d: a jruns request got a %q reply, want an error", ver, f.Type)
+		}
+	}
+	if n := len(s.Results()); n != 0 {
+		t.Errorf("%d runs stored from jruns requests", n)
+	}
+}
+
+// TestUploadRecordAllocs pins the journal record of an accepted upload
+// to one allocation, the record itself, as the verbatim frame copy it
+// replaced was; and checks the fallback for a batch whose binary form
+// outgrows a record, which journals the client's text frame.
+func TestUploadRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under the race detector")
+	}
+	runs := []*core.Run{testRun(), testRun(), testRun()}
+	f := resultsFrame(t, "uucs-0123456789abcdef", 7, encodeRuns(t, runs))
+	uploadRecord(f, runs)
+	if avg := testing.AllocsPerRun(200, func() { uploadRecord(f, runs) }); avg != 1 {
+		t.Errorf("uploadRecord allocates %.2f/op, want 1", avg)
+	}
+	var g protocol.Frame
+	if _, err := protocol.DecodeFrame(uploadRecord(f, runs), &g); err != nil || g.Type != protocol.TypeJournalRuns {
+		t.Fatalf("record is a %q frame (%v), want jruns", g.Type, err)
+	}
+
+	saved := recordChunkBytes
+	recordChunkBytes = 64
+	defer func() { recordChunkBytes = saved }()
+	if rec := uploadRecord(f, runs); !bytes.Equal(rec, f.Raw()) {
+		t.Fatal("an upload too large for a binary record is not journaled as its text frame")
+	}
+	dir := t.TempDir()
+	s := New(1)
+	if err := s.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.register(testSnapshot(), "fallback")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(1)
+	if err := restored.LoadState(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored.Results(), runs) {
+		t.Fatal("a text-journaled upload restored different runs")
 	}
 }

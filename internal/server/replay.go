@@ -20,7 +20,8 @@ import (
 
 // Journal replay. The reference semantics are serial: decode each
 // record and apply it in file order. Decode — frame CRC and field
-// parse, run-payload decode — is nearly the whole cost of a cold
+// parse, run-payload decode (binary since journal format 5, text in
+// older records) — is nearly the whole cost of a cold
 // restart and of failover promotion, so replay runs as one bounded,
 // ordered pipeline (pool.Ordered) that decodes on every core and
 // applies strictly in record order:
@@ -258,7 +259,7 @@ func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 	d.op = op
 	switch op.Op {
 	case opResults:
-		d.runs, d.err = core.ParseRuns(borrowBytes(op.Payload))
+		d.runs, d.err = decodeRuns(op.Payload, op.Binary)
 	case opTestcases:
 		d.tcs, d.err = testcase.Parse(borrowBytes(op.Payload))
 	}

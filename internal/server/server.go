@@ -1,5 +1,7 @@
 // Package server implements the UUCS server (paper Figure 1): it stores
-// testcases and results in text form, registers clients by handing out
+// testcases and results — testcases in text form, run records in the
+// binary form core.AppendRunsBinary writes, so restarts and merges
+// decode them without parsing text — registers clients by handing out
 // globally unique identifiers for their machine snapshots, serves
 // growing random samples of testcases at hot sync, and collects uploaded
 // results for the analysis phase (Figure 2).
@@ -572,21 +574,21 @@ func (s *Server) sample(clientID []byte, have [][]byte, want int) (string, int, 
 	return b.String(), len(sc.cand), nil
 }
 
-// addResults ingests an uploaded run batch. Seq 0 marks an unsequenced
-// (legacy) upload, applied unconditionally. For Seq > 0 the batch is
-// applied exactly once per client: a retried batch (Seq at or below the
-// last applied) reports dup without storing anything. The journal
-// record is the frame itself, CRC trailer included, so replay
-// re-validates it for free and replication ships it verbatim; the only
-// copy on the path hands those bytes to the journal queue, which
-// outlives the connection's read buffer. The op is enqueued before the
-// shard lock is released and the ack waits for the fsync covering it,
-// so an acked batch survives a crash.
+// addResults ingests an uploaded run batch f, whose payload decoded to
+// runs. Seq 0 marks an unsequenced (legacy) upload, applied
+// unconditionally. For Seq > 0 the batch is applied exactly once per
+// client: a retried batch (Seq at or below the last applied) reports
+// dup without storing anything. The journal record is a jruns frame
+// holding the runs in binary form (uploadRecord), so replay decodes
+// them without parsing text; the record is the path's one allocation,
+// and it outlives the connection's read buffer. The op is enqueued
+// before the shard lock is released and the ack waits for the fsync
+// covering it, so an acked batch survives a crash.
 func (s *Server) addResults(f *protocol.Frame, runs []*core.Run) (dup bool, err error) {
 	jw := s.journal()
 	var op []byte
 	if jw != nil {
-		op = append([]byte(nil), f.Raw()...)
+		op = uploadRecord(f, runs)
 	}
 	sh := shardFor(s, f.ClientID)
 	sh.lock()
@@ -761,9 +763,9 @@ func (s *Server) handle(conn *protocol.Conn) {
 }
 
 // dispatch routes one received frame. The hot path — a results upload
-// — runs entirely on borrowed views: the client id is checked and
-// sharded as bytes, the runs decode straight from the payload view, and
-// the journal stores the frame verbatim.
+// — runs on borrowed views: the client id is checked and sharded as
+// bytes, the runs decode straight from the payload view, and the
+// journal stores them re-encoded in binary.
 func (s *Server) dispatch(conn *protocol.Conn, f *protocol.Frame) error {
 	if f.WireVersion == protocol.V3 && s.maxProto() < protocol.V3 {
 		return fmt.Errorf("protocol v3 disabled on this server (max v%d)", s.maxProto())

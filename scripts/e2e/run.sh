@@ -20,7 +20,7 @@
 # v2 or v3 to pin every client's wire framing (default: auto, the
 # negotiated path); with v3 the smoke also asserts each client actually
 # registered over the binary framing, so the crash window is exercised
-# with verbatim-journaled binary frames.
+# with uploads that arrived as binary frames.
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/../.." && pwd)"
