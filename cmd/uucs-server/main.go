@@ -11,7 +11,9 @@
 // With -state, every accepted registration and result batch is
 // journaled to disk before it is acknowledged, so a crash between
 // flushes loses nothing; the journal is compacted into a snapshot on
-// each flush and at shutdown. Journal appends are group-committed: ops
+// each flush and at shutdown. State files an older build wrote as JSON
+// lines are upgraded in place, once, to frames when the directory is
+// opened. Journal appends are group-committed: ops
 // arriving while a flush is in flight share the next fsync
 // (-journal-batch caps the batch, -journal-delay optionally waits for
 // more ops). -idle-timeout disconnects clients that go silent
@@ -54,7 +56,7 @@ func main() {
 		outPath  = flag.String("out", "uucs-results.txt", "file to write collected results to")
 		seed     = flag.Uint64("seed", 1, "sampling seed")
 		interval = flag.Duration("flush", 30*time.Second, "result flush interval")
-		stateDir = flag.String("state", "", "state directory: restore on start, journal live, compact on flush/shutdown")
+		stateDir = flag.String("state", "", "state directory: restore on start (upgrading legacy JSON state files in place), journal live, compact on flush/shutdown")
 		nodeID   = flag.String("node-id", "", "cluster node id: names this node in /telemetry snapshots when it serves one partition of a routed cluster (see uucs-router)")
 		idle     = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		debug    = flag.String("debug-addr", "", "serve net/http/pprof, expvar and /telemetry on this address (off when empty)")

@@ -140,3 +140,99 @@ func TestLiveStateHoldsNoJSON(t *testing.T) {
 		t.Errorf("aggregates=%d dup=%d, want each snapshot aggregate kept once and its bootstrap copy dropped", st.Aggregates, st.DupAggregates)
 	}
 }
+
+// uploadFleet drives clients' batches through c's router concurrently
+// and fails the test on any client error.
+func uploadFleet(t *testing.T, nw *chaos.Network, c *Cluster, clients []*fleetClient) {
+	t.Helper()
+	var acked atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, len(clients))
+	for i, fc := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = drive(t, nw, c.Addr(), fc, &acked, nil)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestartShipsRepairedTail: a node restarted over a journal whose
+// final frame a crash tore ships its state to its replica only after
+// OpenState has cut the tear away. Otherwise the replica journal holds
+// the torn frame mid-file, followed by the next shipped segment, and
+// neither its replay nor the merge can read past it.
+func TestRestartShipsRepairedTail(t *testing.T) {
+	nw := chaos.NewNetwork()
+	root := t.TempDir()
+	cfg := Config{
+		Nodes: []string{"n1", "n2", "n3"}, Seed: fleetSeed, StateRoot: root,
+		Transport: ChaosTransport{Net: nw}, IdleTimeout: 5 * time.Second,
+	}
+	fleet := makeFleet(fleetClients)
+	c, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadFleet(t, nw, c, fleet[:fleetClients/2])
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A crash mid-append: the first 40 bytes of a frame end every
+	// node's active journal.
+	frame, err := protocol.AppendFrame(nil, protocol.Message{
+		Type: protocol.TypeResults, ClientID: "torn", Seq: 1, Payload: encodePayload(t, fleet[0].batches[0]),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cfg.Nodes {
+		f, err := os.OpenFile(filepath.Join(root, "node-"+id, "journal.txt"), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(frame[:40]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c, err = Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadFleet(t, nw, c, fleet[fleetClients/2:])
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replicas, err := filepath.Glob(filepath.Join(root, "node-*", ReplicaDirName("*")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replicas) != len(cfg.Nodes) {
+		t.Fatalf("found %d replica dirs, want %d", len(replicas), len(cfg.Nodes))
+	}
+	for _, dir := range replicas {
+		if err := server.New(1).LoadState(dir); err != nil {
+			t.Errorf("replica %s does not replay: %v", dir, err)
+		}
+	}
+	var got strings.Builder
+	st, err := MergeTree(&got, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != canonical(t, fleetRuns(fleet)) {
+		t.Fatalf("merged dataset differs from the fleet's batches exactly once (stats %+v)", st)
+	}
+}

@@ -217,7 +217,7 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		mu     sync.Mutex
 	)
 	if err := scanDirsParallel(dirs, workers, func(_ int, op server.StateOp) error {
-		if op.Kind == server.OpKindClient && op.LastSeq > 0 {
+		if op.Op == server.OpKindClient && op.LastSeq > 0 {
 			mu.Lock()
 			if op.LastSeq > floors[op.ID] {
 				floors[op.ID] = op.LastSeq
@@ -280,7 +280,7 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		return nil
 	}
 	err := scanDirsParallel(dirs, workers, func(worker int, op server.StateOp) error {
-		if op.Kind != server.OpKindResults {
+		if op.Op != server.OpKindResults {
 			return nil
 		}
 		mu.Lock()

@@ -157,25 +157,16 @@ func (c *Cluster) newAddr(id, kind string) string {
 	return fmt.Sprintf("%s-%s-%d", id, kind, seq)
 }
 
-// openNode builds and starts n's ingest server over n.dir. If the
-// directory already holds state (a restart), its full contents are
-// shipped to the follower as a fresh bootstrap segment first, so the
-// replica is complete even if it missed the earlier life — replayed
-// ops are idempotent on both the replica and the merge.
+// openNode builds and starts n's ingest server over n.dir. On a restart
+// (replay applied records) the directory's full contents are shipped
+// to the follower as a fresh bootstrap segment, so the replica is
+// complete even if it missed the earlier life — replayed ops are
+// idempotent on both the replica and the merge. The bootstrap is read
+// after OpenState has cut any torn journal tail and upgraded legacy
+// files, and before the journal writer ships anything.
 func (c *Cluster) openNode(n *node) error {
 	if err := os.MkdirAll(n.dir, 0o755); err != nil {
 		return err
-	}
-	if n.shipper != nil {
-		boot, err := readState(n.dir)
-		if err != nil {
-			return err
-		}
-		if len(boot) > 0 {
-			if err := n.shipper.Ship(boot); err != nil {
-				return err
-			}
-		}
 	}
 	srv := server.New(c.cfg.Seed)
 	srv.NodeID = n.id
@@ -190,6 +181,16 @@ func (c *Cluster) openNode(n *node) error {
 	}
 	if err := srv.OpenState(n.dir); err != nil {
 		return err
+	}
+	if n.shipper != nil && srv.Stats().ReplayRecords > 0 {
+		boot, err := readState(n.dir)
+		if err == nil {
+			err = n.shipper.Ship(boot)
+		}
+		if err != nil {
+			srv.Close()
+			return err
+		}
 	}
 	if len(c.cfg.Testcases) > 0 && srv.TestcaseCount() == 0 {
 		if err := srv.AddTestcases(c.cfg.Testcases...); err != nil {

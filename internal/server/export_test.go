@@ -1,4 +1,10 @@
 package server
 
-// WriteBothWays exposes writeBothWays to the external merge test.
-var WriteBothWays = writeBothWays
+// Internal test helpers for the external merge tests.
+var (
+	WriteBothWays   = writeBothWays
+	LegacyDirs      = legacyDirs
+	RichFingerprint = richFingerprint
+	FrameRecords    = frameRecords
+	UpgradeFile     = upgradeFile
+)

@@ -89,3 +89,60 @@ func FuzzPersistReload(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLegacyUpgrade checks the in-place upgrade against the in-memory
+// one: for arbitrary journal bytes, LoadState of the original and
+// OpenState, Close and LoadState of a copy must accept or reject alike
+// and restore the same state, and once OpenState accepts, the journal
+// holds only frames.
+func FuzzLegacyUpgrade(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"\n",
+		`{"op":"meta","ver":2}` + "\n",
+		`{"op":"meta","ver":99}` + "\n",
+		`{"op":"client","id":"uucs-1","snapshot":{"hostname":"h"}}` + "\n" + `{"op":"results","id":"uucs-1","seq":1,"payload":"run tc-1\ntask word\nuser 3\nterm discomfort\noffset 55\nprimary disk\nlevel disk 2.5\nendrun\n"}`,
+		`{"op":"results","payload":"run tc-1\ntask word\nuser 3\nterm discomfort\noffset 55\nprimary disk\nlevel disk 2.5\nendrun\n"}` + "\n",
+		`{"op":"tc","payload":"testcase t-1\nduration 20\nblank\nendtestcase\n"}` + "\n",
+		`{"op":"results","id":"uucs-9","seq":1,"payload":""}`,
+		"not json at all\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	for _, dir := range legacyDirs(f) {
+		if data, err := os.ReadFile(filepath.Join(dir, journalFile)); err == nil {
+			f.Add(data)
+		}
+	}
+	snap := testSnapshot()
+	reg, _ := appendClientRecord(nil, "uucs-1", "n-1", &snap, 0)
+	runs := []*core.Run{testRun()}
+	upload := uploadRecord(resultsFrame(f, "uucs-1", 1, string(core.AppendRuns(nil, runs, false))), runs)
+	f.Add(bytes.Join([][]byte{journalHeader, reg, []byte(`{"op":"tc","payload":""}` + "\n"), upload, upload[:9]}, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig, up := t.TempDir(), t.TempDir()
+		for _, dir := range []string{orig, up} {
+			if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := New(1)
+		loadErr := want.LoadState(orig)
+		s := New(1)
+		openErr := s.OpenState(up)
+		if openErr == nil {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			frameRecords(t, filepath.Join(up, journalFile))
+		}
+		got := New(1)
+		upErr := got.LoadState(up)
+		if (loadErr == nil) != (openErr == nil) || (loadErr == nil) != (upErr == nil) {
+			t.Fatalf("in memory: %v; open: %v; reload after open: %v", loadErr, openErr, upErr)
+		}
+		if loadErr == nil && richFingerprint(t, got) != richFingerprint(t, want) {
+			t.Fatal("the upgraded journal restores different state from the original")
+		}
+	})
+}

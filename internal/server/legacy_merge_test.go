@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -76,6 +78,120 @@ func TestLegacyDifferentialMerge(t *testing.T) {
 				want, wantSt := merge(oldDir, copyDir(t, oldDir))
 				if mixed != want || mixedSt != wantSt {
 					t.Errorf("framed + legacy merge: stats %+v, want %+v (bytes equal: %v)", mixedSt, wantSt, mixed == want)
+				}
+			}
+		})
+	}
+}
+
+// stateBytes returns the contents of dir's state files by name.
+func stateBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files, err := server.StateFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, path := range files {
+		b, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(path)] = b
+	}
+	return out
+}
+
+// TestOpenStateUpgradesLegacyDir opens each legacy directory fixture
+// and checks the upgrade: afterwards every state file holds only
+// frames; the directory reloads to the state, and merges to the bytes
+// and stats, of an untouched copy; a second open changes no byte; and
+// a copy upgraded only up to each file in replay order — a crash
+// between files — restores the same state.
+func TestOpenStateUpgradesLegacyDir(t *testing.T) {
+	dirs := server.LegacyDirs(t)
+	names := make([]string, 0, len(dirs))
+	for name := range dirs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		dir := dirs[name]
+		t.Run(name, func(t *testing.T) {
+			untouched := copyDir(t, dir)
+			load := func(dir string) string {
+				s := server.New(1)
+				if err := s.LoadState(dir); err != nil {
+					t.Fatal(err)
+				}
+				return server.RichFingerprint(t, s)
+			}
+			merge := func(dir string) (string, cluster.MergeStats) {
+				var b strings.Builder
+				st, err := cluster.MergeDirs(&b, []string{dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b.String(), st
+			}
+			open := func() {
+				s := server.New(1)
+				if err := s.OpenState(dir); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := load(untouched)
+			wantMerge, wantSt := merge(untouched)
+			if wantSt.Runs == 0 {
+				t.Fatal("the fixture merges to no runs")
+			}
+			before := stateBytes(t, dir)
+
+			open()
+			upgraded := stateBytes(t, dir)
+			changed := 0
+			for base, b := range upgraded {
+				server.FrameRecords(t, filepath.Join(dir, base))
+				if !bytes.Equal(b, before[base]) {
+					changed++
+				}
+			}
+			if changed == 0 {
+				t.Fatal("opening the legacy directory rewrote no file")
+			}
+			if load(dir) != want {
+				t.Error("the upgraded directory restores different state")
+			}
+			if got, st := merge(dir); got != wantMerge || st != wantSt {
+				t.Errorf("the upgraded directory merges differently: stats %+v, want %+v (bytes equal: %v)", st, wantSt, got == wantMerge)
+			}
+			open()
+			for base, b := range stateBytes(t, dir) {
+				if !bytes.Equal(b, upgraded[base]) {
+					t.Errorf("a second open rewrote %s", base)
+				}
+			}
+
+			files, err := server.StateFiles(untouched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k <= len(files); k++ {
+				partial := copyDir(t, untouched)
+				for i, path := range files[:k] {
+					path = filepath.Join(partial, filepath.Base(path))
+					if _, err := os.Stat(path); err == nil {
+						server.UpgradeFile(t, path, i == len(files)-1)
+					}
+				}
+				if load(partial) != want {
+					t.Errorf("upgraded through file %d of %d: different state", k, len(files))
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -24,6 +25,17 @@ import (
 // under a "meta" version 2 header. The server no longer writes any of
 // it; these tests write the same logical history both ways and demand
 // identical state from each.
+
+// journalOp is the name these tests build ops under.
+type journalOp = StateOp
+
+// MarshalJSON writes op as the legacy builds wrote its JSON line.
+func (op journalOp) MarshalJSON() ([]byte, error) {
+	return json.Marshal(legacyOp{
+		Op: op.Op, Ver: op.Ver, ID: op.ID, Nonce: op.Nonce, Snapshot: op.Snapshot,
+		LastSeq: op.LastSeq, Seq: op.Seq, Payload: op.Payload,
+	})
+}
 
 // jsonLineEncoder is a pooled buffer + encoder pair for one-line JSON
 // encodings.
@@ -389,5 +401,199 @@ func TestLegacyDifferentialLoad(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// legacyClients is how many clients the legacy directory fixtures
+// register.
+const legacyClients = 3
+
+func legacyID(c int) string { return fmt.Sprintf("uucs-legacy-%d", c) }
+
+// legacyTestcases is one testcase batch as a legacy JSON line.
+func legacyTestcases(t testing.TB, n int, seed uint64) []byte {
+	t.Helper()
+	tcs, err := testcase.Generate("lg", testcase.GeneratorConfig{Count: n, Rate: 1, Duration: 20, MaxCPU: 10, MaxDisk: 7}, stats.NewStream(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := testcase.EncodeAll(&b, tcs); err != nil {
+		t.Fatal(err)
+	}
+	line, err := marshalOp(journalOp{Op: opTestcases, Payload: b.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// legacyRegistrations is a testcase batch and legacyClients
+// registrations, as the JSON lines every legacy build wrote them as.
+func legacyRegistrations(t testing.TB) []byte {
+	t.Helper()
+	out := legacyTestcases(t, 4, 21)
+	for c := 0; c < legacyClients; c++ {
+		snap := testSnapshot()
+		snap.Hostname = fmt.Sprintf("legacy-host-%d", c)
+		var err error
+		if out, err = appendJSONLine(out, journalOp{Op: opClient, ID: legacyID(c), Nonce: fmt.Sprintf("legacy-nonce-%d", c), Snapshot: &snap}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// legacyUploads is one upload per client for each of seqs: JSON results
+// lines as a v2 build journaled them when v2 is set, wire frames as a
+// format-3 build did otherwise.
+func legacyUploads(t testing.TB, v2 bool, seqs ...uint64) []byte {
+	t.Helper()
+	var out []byte
+	for _, seq := range seqs {
+		for c := 0; c < legacyClients; c++ {
+			run := testRun()
+			run.UserID = c
+			run.Offset = float64(int(seq)*100 + c)
+			payload := string(core.AppendRuns(nil, []*core.Run{run}, true))
+			if !v2 {
+				out = append(out, resultsFrame(t, legacyID(c), seq, payload).Raw()...)
+				continue
+			}
+			var err error
+			if out, err = appendJSONLine(out, journalOp{Op: opResults, ID: legacyID(c), Seq: seq, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
+// legacyDirs writes four legacy state directories and returns them by
+// name: a v2-era journal (JSON lines, no header, a blank line between
+// two of them); a format-3 journal
+// (a jmeta 3 header, JSON registration and testcase lines, framed
+// uploads); a "meta" v2 snapshot of that journal's state followed by
+// sealed format-3 segments; and a replica journal of mixed headers —
+// this build's frames, a legacy bootstrap (the snapshot and the
+// format-3 journal concatenated), more frames, and a complete JSON
+// line whose newline a crash ate.
+func legacyDirs(t testing.TB) map[string]string {
+	t.Helper()
+	write := func(files map[string][]byte) string {
+		dir := t.TempDir()
+		for base, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, base), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	hdr3 := legacyHeader(t)
+	format3 := join(hdr3, legacyRegistrations(t), legacyUploads(t, false, 1, 2))
+	dir3 := write(map[string][]byte{journalFile: format3})
+	src := New(1)
+	if err := src.LoadState(dir3); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := legacySnapshot(src.copyState(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	late := testSnapshot()
+	late.Hostname = "late-host"
+	reg, err := appendClientRecord(nil, legacyID(9), "late-nonce", &late, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lateRuns := []*core.Run{testRun()}
+	upload := uploadRecord(resultsFrame(t, legacyID(9), 1, string(core.AppendRuns(nil, lateRuns, true))), lateRuns)
+	torn, err := marshalOp(journalOp{Op: opResults, ID: legacyID(0), Seq: 4, Payload: string(core.AppendRuns(nil, lateRuns, true))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{
+		"v2 journal":       write(map[string][]byte{journalFile: join(legacyRegistrations(t), []byte("\n \r\n"), legacyUploads(t, true, 1, 2))}),
+		"format 3 journal": dir3,
+		"meta snapshot and sealed segments": write(map[string][]byte{
+			snapshotFile:                        snap,
+			filepath.Base(segmentPathIn("", 1)): join(hdr3, legacyUploads(t, false, 3)),
+			filepath.Base(segmentPathIn("", 2)): join(hdr3, legacyTestcases(t, 2, 99), legacyUploads(t, false, 4)),
+			journalFile:                         join(hdr3, legacyUploads(t, false, 5)),
+		}),
+		"replica journal": write(map[string][]byte{
+			journalFile: join(journalHeader, reg, upload, snap, format3, legacyUploads(t, false, 3), torn[:len(torn)-1]),
+		}),
+	}
+}
+
+// upgradeFile converts one state file in place, as OpenState does.
+func upgradeFile(t testing.TB, path string, tolerateTail bool) {
+	t.Helper()
+	if _, err := readStateFile(path, tolerateTail, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLegacyUpgradeCutsLargeRecords lowers recordChunkBytes so that a
+// legacy snapshot's testcase line and run aggregate outgrow a frame:
+// the upgrade cuts each into several frames at record ends, every
+// aggregate chunk carries the whole aggregate's hash and its index, and
+// the state restored is the state the uncut conversion restores.
+func TestLegacyUpgradeCutsLargeRecords(t *testing.T) {
+	dir := legacyDirs(t)["meta snapshot and sealed segments"]
+	load := func() string {
+		s := New(1)
+		if err := s.LoadState(dir); err != nil {
+			t.Fatal(err)
+		}
+		return richFingerprint(t, s)
+	}
+	want := load()
+	defer func(saved int) { recordChunkBytes = saved }(recordChunkBytes)
+	recordChunkBytes = 700
+	if load() != want {
+		t.Fatal("the cut conversion restores different state")
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := upgradeLegacy(data, snapshotFile, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tcFrames int
+	var parts []int
+	var hashes []string
+	var whole []byte
+	var f protocol.Frame
+	for pos := 0; pos < len(conv); {
+		n, err := protocol.DecodeFrame(conv[pos:], &f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos += n
+		switch f.Type {
+		case protocol.TypeTestcases:
+			tcFrames++
+		case protocol.TypeResults:
+			parts = append(parts, f.Count)
+			hashes = append(hashes, string(f.Nonce))
+			whole = append(whole, f.Payload...)
+		}
+	}
+	if tcFrames < 2 || len(parts) < 2 {
+		t.Fatalf("testcases in %d frames, aggregate in %d; want both cut", tcFrames, len(parts))
+	}
+	// The chunks are the legacy payload cut verbatim, so together they
+	// are the payload the hash covers.
+	for i := range parts {
+		if parts[i] != i || binary.LittleEndian.Uint64([]byte(hashes[i])) != aggregateHash("", string(whole)) {
+			t.Fatalf("aggregate chunk %d carries part %d and hash %x", i, parts[i], hashes[i])
+		}
 	}
 }

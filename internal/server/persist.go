@@ -3,12 +3,9 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -73,23 +70,19 @@ import (
 // and all, by a format-3 or format-4 build, and an aggregate chunk
 // without Ver holds text. The one exception is an upload whose binary
 // form outgrows recordChunkBytes (binary floats take 8 bytes, a "0" in
-// text 2), which is journaled as its text frame. JSON op lines ('{'
-// first) are legacy input only: v2-era journals are pure JSON lines
-// with no header, and journals with a jmeta version 3 header (the
-// builds that framed only uploads) hold JSON registration and testcase
-// lines; legacy snapshots are JSON lines opened by a "meta" version 2
-// line. All of it loads unchanged through the same scanner, which is
-// the whole migration story — no rewrite, no conversion. Each header
-// version makes the builds before it refuse a directory this one wrote
-// instead of misreading it.
+// text 2), which is journaled as its text frame. Older state holds JSON
+// op lines; legacy.go converts them to frames, and only there: OpenState
+// rewrites each state file that holds one, once, before replaying it,
+// while LoadState and ScanStateOps convert in memory and write nothing.
+// Each header version makes the builds before it refuse a directory
+// this one wrote instead of misreading it.
 //
-// Torn-tail semantics per format: a JSON record is torn if its final
-// newline is missing; a binary record is torn if the file ends before
-// the frame's declared length (ErrShortFrame). A complete binary record
-// that fails its CRC — e.g. a corrupted header mid-file — is never
-// treated as tearing: it poisons the load, because a CRC-valid prefix
-// cannot be reconstructed from a corrupt length field without risking
-// silently mis-parsing everything after it.
+// Torn tails: a record is torn if the file ends before the frame's
+// declared length (ErrShortFrame). A complete record that fails its CRC
+// — e.g. a corrupted header mid-file — is never treated as tearing: it
+// poisons the load, because a CRC-valid prefix cannot be reconstructed
+// from a corrupt length field without risking silently mis-parsing
+// everything after it.
 
 // State file names.
 const (
@@ -99,16 +92,11 @@ const (
 
 // Journal op kinds.
 const (
-	opMeta        = "meta"
 	opTestcases   = "tc"
 	opClient      = "client"
 	opResults     = "results"
 	opJournalMeta = "jmeta"
 )
-
-// stateVersion is the legacy JSON snapshot format ("meta" header),
-// still read.
-const stateVersion = 2
 
 // Journal format versions a jmeta header declares. Version 3 marked the
 // builds that framed uploads but wrote JSON registration and testcase
@@ -142,42 +130,13 @@ var recordChunkBytes = protocol.MaxMessageBytes - 1<<10
 // snapshot's state copy predates. Tests use it to pin that race open.
 var testHookAfterSnapshot func(*Server)
 
-// journalOp is one decoded record of the snapshot or journal, from a
-// frame (frameOp) or a legacy JSON line (its json tags).
-type journalOp struct {
-	Op string `json:"op"`
-	// Ver is the format version (opMeta, opJournalMeta).
-	Ver int `json:"ver,omitempty"`
-	// ID is the client id (opClient: the registered id; opResults: the
-	// uploading client).
-	ID string `json:"id,omitempty"`
-	// Nonce is the registration nonce (opClient).
-	Nonce string `json:"nonce,omitempty"`
-	// Snapshot is the machine description (opClient).
-	Snapshot *protocol.Snapshot `json:"snapshot,omitempty"`
-	// LastSeq is the client's highest applied batch (opClient, snapshot
-	// compaction only).
-	LastSeq uint64 `json:"last_seq,omitempty"`
-	// Seq is the batch sequence number (opResults).
-	Seq uint64 `json:"seq,omitempty"`
-	// Payload holds text-encoded testcases (opTestcases) or run
-	// records (opResults), binary when Binary is set.
-	Payload string `json:"payload,omitempty"`
-	// Binary marks an opResults payload in core's binary run format.
-	Binary bool `json:"-"`
-	// AggHash and Part identify one chunk of a snapshot aggregate
-	// (opResults from a frame with no client id): the 8-byte content
-	// hash of the whole aggregate and the chunk's index. Empty and 0 on
-	// every other record.
-	AggHash string `json:"-"`
-	Part    int    `json:"-"`
-}
-
 // OpenState attaches the server to a state directory: it restores any
-// existing snapshot + journal, then starts the group-commit journal
-// writer so every subsequent registration and accepted result batch is
-// durable before it is acknowledged. Call SaveState periodically to
-// compact. JournalBatch and JournalDelay must be set before OpenState.
+// existing snapshot + journal, first rewriting each file that holds
+// legacy JSON lines as frames (once; legacy.go), then starts the
+// group-commit journal writer so every subsequent registration and
+// accepted result batch is durable before it is acknowledged. Call
+// SaveState periodically to compact. JournalBatch and JournalDelay must
+// be set before OpenState.
 func (s *Server) OpenState(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("server: empty state directory")
@@ -185,7 +144,7 @@ func (s *Server) OpenState(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tail, err := s.loadStateDir(dir)
+	size, segs, err := s.loadStateDir(dir, true)
 	if err != nil {
 		return err
 	}
@@ -193,28 +152,12 @@ func (s *Server) OpenState(dir string) error {
 	if err != nil {
 		return err
 	}
-	fi, err := f.Stat()
-	if err != nil {
+	// Crash repair: replay dropped any torn final frame, but appending
+	// after it would bury it mid-file, where the next replay must treat
+	// it as corruption. Cut the file back to the frames replay kept.
+	if err := f.Truncate(size); err != nil {
 		f.Close()
 		return err
-	}
-	size := fi.Size()
-	// Crash repair: replay tolerated a torn final record, but appending
-	// after one would bury it mid-file where the next replay must treat
-	// it as corruption. Seal a cleanly-applied JSON line with the
-	// newline the crash ate; truncate away anything replay dropped.
-	if tail.terminate {
-		if _, err := f.Write([]byte{'\n'}); err != nil {
-			f.Close()
-			return err
-		}
-		size = tail.size + 1
-	} else if size > tail.size {
-		if err := f.Truncate(tail.size); err != nil {
-			f.Close()
-			return err
-		}
-		size = tail.size
 	}
 	if size == 0 {
 		// Fresh journal: write the self-identifying format header. It
@@ -227,30 +170,18 @@ func (s *Server) OpenState(dir string) error {
 		}
 		size = int64(len(journalHeader))
 	}
-	// Register any sealed segments already on disk so compaction can
-	// drop them once a snapshot covers them. At open, every surviving
+	// Register the sealed segments replay read so compaction can drop
+	// them once a snapshot covers them. At open, every surviving
 	// physical byte counts as logical (skip stays zero): logical offsets
 	// are session-local, and assigning segment bases cumulatively from
 	// zero keeps enq = "total logical bytes on disk" exactly as for a
 	// journal with no sealed segments.
-	jpaths, err := journalFilesIn(dir)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	var segs []segInfo
 	var segBase int64
 	nextSeq := 0
-	for _, p := range jpaths[:len(jpaths)-1] {
-		sfi, err := os.Stat(p)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		seq, _ := segmentSeq(filepath.Base(p))
-		segs = append(segs, segInfo{path: p, seq: seq, base: segBase, size: sfi.Size()})
-		segBase += sfi.Size()
-		nextSeq = seq + 1
+	for i := range segs {
+		segs[i].base = segBase
+		segBase += segs[i].size
+		nextSeq = segs[i].seq + 1
 	}
 	jw := newJournalWriter(f, segBase+size, s.JournalBatch, s.JournalDelay)
 	jw.dir = dir
@@ -450,130 +381,65 @@ func (s *Server) SaveState(dir string) error {
 // restored stores are bit-identical to a serial replay at any worker
 // count.
 // Missing files are treated as empty stores, so a fresh directory
-// loads cleanly. A truncated final record in the active journal — the
-// signature of a crash mid-append — is dropped; corruption anywhere
+// loads cleanly. Legacy JSON state is converted in memory (legacy.go);
+// nothing is written. A truncated final record in the active journal —
+// the signature of a crash mid-append — is dropped; corruption anywhere
 // else (including a torn tail inside a sealed segment, or a gap in the
 // segment sequence) is an error.
 func (s *Server) LoadState(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("server: empty state directory")
 	}
-	_, err := s.loadStateDir(dir)
+	_, _, err := s.loadStateDir(dir, false)
 	return err
 }
 
-// scanOpsFile parses one state file record by record, calling fn per
-// op. A missing file is an empty file. Records are cut by the same
-// scanner replay uses and decoded by the same decodeOp, so the two
-// readers agree on every record. Binary record payloads are handed to
-// fn as borrowed views of the file buffer — the buffer is immutable and
-// garbage-collected normally, so the views stay valid even if retained;
-// nothing copies or re-encodes a journaled frame.
-//
-// tolerateTail drops a torn final record: a JSON line with no
-// terminating newline (plus any parse/fn error on it), or a binary
-// frame the file ends inside (ErrShortFrame). A complete binary frame
-// that fails its CRC or its fn is corruption at any position and
-// poisons the scan — it cannot be tearing, because tearing cannot
-// manufacture a valid CRC trailer.
-func scanOpsFile(path string, tolerateTail bool, fn func(journalOp) error) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	sc := recordScanner{data: data, file: filepath.Base(path), tolerateTail: tolerateTail}
-	var f protocol.Frame
-	for {
-		r, ok := sc.next()
-		if !ok {
-			return nil
-		}
-		op, err := decodeOp(&r, &f)
-		if err == nil {
-			err = fn(op)
-		}
-		if err != nil {
-			if r.torn {
-				return nil
-			}
-			return errAt(&r, err)
-		}
-	}
-}
-
-// decodeOp decodes one record into its op: a frame through the wire
-// decoder (CRC check included) and frameOp, a legacy JSON line through
-// encoding/json. f is scratch; the op borrows the record's bytes, not f.
-// A run payload is not decoded here; see decodeRuns.
-func decodeOp(r *replayRec, f *protocol.Frame) (journalOp, error) {
+// decodeOp decodes one record into its op: the frame through the wire
+// decoder (CRC check included), then its fields. Payloads borrow the
+// record's bytes without copying; ids, nonces and snapshots, which the
+// stores keep, are copied so they do not pin the file buffer. f is
+// scratch. A run payload is not decoded here; see Runs. A jmeta
+// header of a format this build does not read, outside
+// [legacyJournalFormat, newestJournalFormat], is an error.
+func decodeOp(r *replayRec, f *protocol.Frame) (StateOp, error) {
 	if r.err != nil {
-		return journalOp{}, r.err
-	}
-	if !r.frame {
-		var op journalOp
-		err := json.Unmarshal(r.data, &op)
-		return op, err
+		return StateOp{}, r.err
 	}
 	if _, err := protocol.DecodeFrame(r.data, f); err != nil {
-		return journalOp{}, err
+		return StateOp{}, err
 	}
-	return frameOp(f)
-}
-
-// frameOp converts a journaled frame into its journalOp view. Payloads
-// borrow the frame's bytes without copying; ids, nonces and snapshots,
-// which the stores keep, are copied so they do not pin the file buffer.
-func frameOp(f *protocol.Frame) (journalOp, error) {
 	switch f.Type {
 	case protocol.TypeJournalMeta:
-		return journalOp{Op: opJournalMeta, Ver: f.Ver}, nil
+		if f.Ver < legacyJournalFormat || f.Ver > newestJournalFormat {
+			return StateOp{}, fmt.Errorf("unsupported journal format version %d", f.Ver)
+		}
+		return StateOp{Op: opJournalMeta, Ver: f.Ver}, nil
 	case protocol.TypeRegistered:
 		snap, err := f.DecodeSnapshot()
 		if err != nil {
-			return journalOp{}, err
+			return StateOp{}, err
 		}
-		return journalOp{Op: opClient, ID: string(f.ClientID), Nonce: string(f.Nonce), Snapshot: snap, LastSeq: f.Seq}, nil
+		return StateOp{Op: opClient, ID: string(f.ClientID), Nonce: string(f.Nonce), Snapshot: snap, LastSeq: f.Seq}, nil
 	case protocol.TypeTestcases:
-		return journalOp{Op: opTestcases, Payload: borrowString(f.Payload)}, nil
+		return StateOp{Op: opTestcases, Payload: borrowString(f.Payload)}, nil
 	case protocol.TypeJournalRuns:
-		return journalOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload), Binary: true}, nil
+		return StateOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload), binary: true}, nil
 	case protocol.TypeResults:
-		op := journalOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}
+		op := StateOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}
 		// Only a snapshot aggregate has no client id (every upload is
 		// checked against the registry), so a client cannot make its
 		// upload's Ver, Nonce or Count mean anything here.
 		if len(f.ClientID) == 0 && len(f.Nonce) > 0 {
 			if len(f.Nonce) != 8 {
-				return journalOp{}, fmt.Errorf("aggregate hash of %d bytes", len(f.Nonce))
+				return StateOp{}, fmt.Errorf("aggregate hash of %d bytes", len(f.Nonce))
 			}
-			op.AggHash, op.Part = borrowString(f.Nonce), f.Count
-			op.Binary = f.Ver >= binaryRunsFormat
+			op.aggHash, op.part = borrowString(f.Nonce), f.Count
+			op.binary = f.Ver >= binaryRunsFormat
 		}
 		return op, nil
 	default:
-		return journalOp{}, fmt.Errorf("unexpected %q frame in journal", f.Type)
+		return StateOp{}, fmt.Errorf("unexpected %q frame in journal", f.Type)
 	}
-}
-
-// checkHeader rejects a file header of a format this build does not
-// read: a legacy "meta" line of any version but stateVersion, or a
-// jmeta frame outside [legacyJournalFormat, newestJournalFormat]. Other
-// ops pass.
-func checkHeader(op *journalOp) error {
-	switch op.Op {
-	case opMeta:
-		if op.Ver != stateVersion {
-			return fmt.Errorf("unsupported state version %d", op.Ver)
-		}
-	case opJournalMeta:
-		if op.Ver < legacyJournalFormat || op.Ver > newestJournalFormat {
-			return fmt.Errorf("unsupported journal format version %d", op.Ver)
-		}
-	}
-	return nil
 }
 
 // appendClientRecord appends a registration record: a TypeRegistered
@@ -650,14 +516,6 @@ func uploadRecord(f *protocol.Frame, runs []*core.Run) []byte {
 	return append([]byte(nil), f.Raw()...)
 }
 
-// decodeRuns decodes a run payload in the form it was stored in.
-func decodeRuns(payload string, bin bool) ([]*core.Run, error) {
-	if bin {
-		return core.ParseRunsBinary(borrowBytes(payload))
-	}
-	return core.ParseRuns(borrowBytes(payload))
-}
-
 // appendChunked appends payload as consecutive frames built by frame,
 // cut only at the record ends in ends (ascending, the last one
 // len(payload)) so that no chunk exceeds recordChunkBytes unless a
@@ -721,22 +579,21 @@ func borrowBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
-// Exported op-kind names for StateOp.Kind (the op tags).
+// Exported op-kind names for StateOp.Op (the op tags).
 const (
-	OpKindMeta        = opMeta
 	OpKindTestcases   = opTestcases
 	OpKindClient      = opClient
 	OpKindResults     = opResults
 	OpKindJournalMeta = opJournalMeta
 )
 
-// StateOp is the exported view of one journal/snapshot op, for
-// consumers that read state files without being a server — the cluster
-// merge walks per-node journals through it.
+// StateOp is one decoded record of a snapshot or journal: what replay
+// applies, and what ScanStateOps hands to readers that are not a server
+// — the cluster merge walks per-node journals through it.
 type StateOp struct {
-	// Kind is the op tag (OpKind*).
-	Kind string
-	// Ver is the header's format version (OpKindMeta, OpKindJournalMeta).
+	// Op is the op tag (OpKind*).
+	Op string
+	// Ver is the header's format version (OpKindJournalMeta).
 	Ver int
 	// ID is the client id (OpKindClient: the registered id;
 	// OpKindResults: the uploading client, empty for a compacted
@@ -744,6 +601,8 @@ type StateOp struct {
 	ID string
 	// Nonce is the registration nonce (OpKindClient).
 	Nonce string
+	// Snapshot is the machine description (OpKindClient).
+	Snapshot *protocol.Snapshot
 	// LastSeq is the client's highest batch folded into a compacted
 	// snapshot (OpKindClient).
 	LastSeq uint64
@@ -752,11 +611,14 @@ type StateOp struct {
 	Seq uint64
 	// Payload holds the op's payload as stored: text-encoded testcases
 	// (OpKindTestcases), or run records (OpKindResults) in core's binary
-	// form for records written from journal format 5 on and in text for
-	// older ones. Runs decodes either.
+	// form when binary is set (records written from journal format 5 on)
+	// and in text otherwise. Runs decodes either.
 	Payload string
 
-	binary  bool
+	binary bool
+	// aggHash and part identify one chunk of a snapshot aggregate (a
+	// results frame with no client id): the 8-byte content hash of the
+	// whole aggregate and the chunk's index.
 	aggHash string
 	part    int
 }
@@ -764,14 +626,20 @@ type StateOp struct {
 // Runs decodes an OpKindResults op's run records, whichever form they
 // were stored in. The runs copy what they keep, so they outlive the
 // scan's file buffer.
-func (op StateOp) Runs() ([]*core.Run, error) { return decodeRuns(op.Payload, op.binary) }
+func (op StateOp) Runs() ([]*core.Run, error) {
+	if op.binary {
+		return core.ParseRunsBinary(borrowBytes(op.Payload))
+	}
+	return core.ParseRuns(borrowBytes(op.Payload))
+}
 
 // AggregateKey identifies an unsequenced OpKindResults op for the
 // cluster merge's dedup: the content hash of the whole payload it
 // belongs to, and its chunk index. A snapshot aggregate written as
-// several chunks carries its hash in every chunk; any other unsequenced
-// record — a legacy JSON aggregate, an unsequenced upload — is chunk 0
-// of itself and is hashed here, as (ID, payload as stored).
+// several chunks carries its hash in every chunk (so does a legacy JSON
+// aggregate, once converted); any other unsequenced record — an
+// unsequenced upload — is chunk 0 of itself and is hashed here, as (ID,
+// payload as stored).
 func (op StateOp) AggregateKey() (hash uint64, part int) {
 	if op.aggHash != "" {
 		return binary.LittleEndian.Uint64([]byte(op.aggHash)), op.part
@@ -783,18 +651,29 @@ func (op StateOp) AggregateKey() (hash uint64, part int) {
 // fn for every op in file order. tolerateTail drops a torn final
 // record — pass true for journals (a crash mid-append tears them),
 // false for snapshots (written atomically). A missing file scans as
-// empty. It validates header versions like a state load would.
+// empty; legacy JSON state is converted in memory, and the file is not
+// written. Records are cut by the scanner replay uses and decoded by
+// the same decodeOp, so the two readers agree on every record, header
+// versions included. Payloads are borrowed views of the file buffer,
+// which is immutable and garbage-collected normally, so they stay
+// valid even if retained.
 func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error {
-	return scanOpsFile(path, tolerateTail, func(op journalOp) error {
-		if err := checkHeader(&op); err != nil {
-			return err
+	data, err := readStateFile(path, tolerateTail, false)
+	if err != nil {
+		return err
+	}
+	sc := recordScanner{data: data, file: filepath.Base(path), tolerateTail: tolerateTail}
+	var f protocol.Frame
+	for r, ok := sc.next(); ok; r, ok = sc.next() {
+		op, err := decodeOp(&r, &f)
+		if err == nil {
+			err = fn(op)
 		}
-		return fn(StateOp{
-			Kind: op.Op, Ver: op.Ver, ID: op.ID, Nonce: op.Nonce,
-			LastSeq: op.LastSeq, Seq: op.Seq, Payload: op.Payload,
-			binary: op.Binary, aggHash: op.AggHash, part: op.Part,
-		})
-	})
+		if err != nil {
+			return errAt(&r, err)
+		}
+	}
+	return nil
 }
 
 // StateFilePaths returns the snapshot and active journal paths of a

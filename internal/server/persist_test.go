@@ -437,9 +437,9 @@ func format4AggregateRecords(t testing.TB, runs []*core.Run) []byte {
 }
 
 // TestV2JournalReplaysUnderV3Server is the upgrade path: a journal left
-// by a v2 build must replay under the v3 server with identical state,
-// and opening it must not rewrite a single byte of it — v3 records are
-// appended after the v2 prefix, never spliced into it.
+// by a v2 build must replay under this server with identical state.
+// Opening it rewrites it once, as the frames of the same ops; new
+// records are appended after those, and a later open rewrites nothing.
 func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	dir := t.TempDir()
 	const id = "uucs-00000000000000aa"
@@ -458,19 +458,20 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	if got := s.Results(); len(got) != 1 || got[0].Offset != 55 {
 		t.Errorf("results = %+v", got)
 	}
-	// A non-empty journal never gets a jmeta header injected: the header
-	// is only written file-first, and rewriting history would break the
-	// bit-identity guarantee replicas rely on.
+	// The JSON lines are now their frames: a registration and a text
+	// results frame, with no header injected.
 	mid, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mid, orig) {
-		t.Fatalf("opening a v2 journal rewrote it:\n got %q\nwant %q", mid, orig)
+	if types := frameRecords(t, filepath.Join(dir, journalFile)); !reflect.DeepEqual(types, []protocol.MsgType{protocol.TypeRegistered, protocol.TypeResults}) {
+		t.Fatalf("upgraded v2 journal holds %v", types)
+	}
+	if conv, err := upgradeLegacy(orig, journalFile, true); err != nil || !bytes.Equal(mid, conv) {
+		t.Fatalf("upgraded journal is not the conversion of the v2 one (err %v)", err)
 	}
 
-	// The v3 server keeps appending to the v2 file — binary frames after
-	// JSON lines, one mixed-format journal.
+	// The server appends binary records after the converted ones.
 	run2 := testRun()
 	run2.Offset = 99
 	f := resultsFrame(t, id, 2, encodeRuns(t, []*core.Run{run2}))
@@ -485,20 +486,20 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(after, orig) {
-		t.Fatal("append disturbed the v2 prefix")
+	if !bytes.HasPrefix(after, mid) {
+		t.Fatal("append disturbed the upgraded prefix")
 	}
-	if !bytes.Equal(after[len(orig):], rec) {
-		t.Fatalf("journaled frame is not the upload's binary record:\n got %q\nwant %q", after[len(orig):], rec)
+	if !bytes.Equal(after[len(mid):], rec) {
+		t.Fatalf("journaled frame is not the upload's binary record:\n got %q\nwant %q", after[len(mid):], rec)
 	}
 
-	// The mixed journal replays: both batches, both seqs deduplicated.
+	// The journal replays: both batches, both seqs deduplicated.
 	restored := New(1)
 	if err := restored.LoadState(dir); err != nil {
 		t.Fatal(err)
 	}
 	if restored.ClientCount() != 1 || len(restored.Results()) != 2 {
-		t.Fatalf("mixed-journal restore: clients=%d results=%d", restored.ClientCount(), len(restored.Results()))
+		t.Fatalf("upgraded-journal restore: clients=%d results=%d", restored.ClientCount(), len(restored.Results()))
 	}
 	for _, seq := range []uint64{1, 2} {
 		dup, err := restored.addResults(resultsFrame(t, id, seq, encodeRuns(t, []*core.Run{run2})), []*core.Run{run2})
@@ -506,11 +507,11 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !dup {
-			t.Errorf("seq %d replayed from mixed journal was not deduplicated", seq)
+			t.Errorf("seq %d replayed from the upgraded journal was not deduplicated", seq)
 		}
 	}
 
-	// Replay is a pure read: a second open/close cycle leaves the mixed
+	// The upgrade happens once: a second open/close cycle leaves the
 	// file bit-identical.
 	s2 := New(1)
 	if err := s2.OpenState(dir); err != nil {
@@ -568,6 +569,12 @@ func TestJournalMigrationCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacyHdr := legacyHeader(t)
+	// A complete JSON upload line for a client never registered, which
+	// a crash left without its newline.
+	unknownLine, err := marshalOp(journalOp{Op: opResults, ID: "uucs-unregistered", Seq: 1, Payload: encodeRuns(t, []*core.Run{testRun()})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	regFrame, err := appendClientRecord(nil, id, "n1", &snap, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -739,6 +746,14 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			name:    "binary record corrupted mid-file",
 			journal: join(header, flipLast(resWire), clientLine),
 			wantErr: true,
+		},
+		{
+			// It converts to a frame like any JSON line, so it fails as it
+			// would with its newline rather than being dropped as torn.
+			name:    "complete torn JSON line that fails to apply",
+			journal: join(header, regFrame, unknownLine[:len(unknownLine)-1]),
+			wantErr: true,
+			errHas:  []string{journalFile, "record 3", "unknown client"},
 		},
 	}
 	for _, tc := range tests {

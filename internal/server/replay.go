@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -30,8 +29,10 @@ import (
 //     a time, and recordScanner cuts each into blocks of up to
 //     replayBlockRecs records without decoding anything —
 //     protocol.FrameLen reads just a frame's magic byte and length
-//     prefix, a legacy JSON line ends at its newline. A block never
-//     spans two files.
+//     prefix. A block never spans two files. A file that holds legacy
+//     JSON lines is converted to frames as it is read (legacy.go) —
+//     written back over the file when OpenState replays, in memory for
+//     LoadState.
 //   - Decode, on ReplayWorkers goroutines: a worker fully decodes every
 //     record of a block (decodeRec). A record's decoded form is a pure
 //     function of its bytes, so blocks may decode in any order.
@@ -55,12 +56,9 @@ import (
 // one a serial replay stops at: replay stops there too and reports its
 // file, record number and offset.
 //
-// Torn tails keep their serial semantics: only the final record of the
-// active journal may be torn. A torn frame is dropped by the scanner; a
-// torn legacy JSON line is decoded and applied, with any error silently
-// dropping it — if it applies cleanly it is state. The cut that reaches
-// a torn line also ends its file, so the active journal's kept size is
-// recorded before the line applies and only the apply changes it.
+// Torn tails: only the active journal's final frame may be torn. The
+// scanner drops it and stops where it starts, which is where OpenState
+// truncates the file before appending.
 
 // replayStats describes one LoadState replay. The dispatcher's three
 // stages — scan (directory listing, file reads and record cutting),
@@ -83,31 +81,25 @@ type replayStats struct {
 
 // replayRec is one boundary-scanned record awaiting decode.
 type replayRec struct {
-	file  string // file base name, for error formatting
-	rec   int    // 1-based record ordinal within its file
-	pos   int    // byte offset of the record within its file
-	data  []byte // raw bytes: a whole frame, or a JSON line without its newline
-	frame bool   // binary frame vs JSON line
-	torn  bool   // tolerated torn tail: errors drop the record instead of poisoning
-	err   error  // boundary-scan error, reported when apply reaches it
+	file string // file base name, for error formatting
+	rec  int    // 1-based record ordinal within its file
+	pos  int    // byte offset of the record within its file
+	data []byte // the whole frame
+	err  error  // boundary-scan error, reported when apply reaches it
 }
 
 // replayDec is a record's decoded form, produced by a decode worker.
 type replayDec struct {
-	op   journalOp
+	op   StateOp
 	runs []*core.Run          // pre-decoded opResults payload
 	tcs  []*testcase.Testcase // pre-decoded opTestcases payload
 	err  error
 }
 
-// errAt formats a record-scoped error, the same for replay and
-// ScanStateOps: binary records carry their byte offset (their CRC makes
-// the position meaningful), JSON records do not.
+// errAt formats a record-scoped error, the same for replay,
+// ScanStateOps and the legacy conversion.
 func errAt(r *replayRec, err error) error {
-	if r.frame {
-		return fmt.Errorf("server: %s record %d (offset %d): %w", r.file, r.rec, r.pos, err)
-	}
-	return fmt.Errorf("server: %s record %d: %w", r.file, r.rec, err)
+	return fmt.Errorf("server: %s record %d (offset %d): %w", r.file, r.rec, r.pos, err)
 }
 
 // journalFilesIn returns dir's journal files in replay order: sealed
@@ -171,97 +163,55 @@ func IsStateFileName(base string) bool {
 	return ok
 }
 
-// tailState describes what OpenState must do to the active journal's
-// physical tail before appending to it, so that a journal that lost
-// its tail to a crash is never appended to mid-record (which would
-// poison the *next* replay: a torn record is only tolerated at EOF).
-type tailState struct {
-	// size is the length of the active journal's valid prefix — every
-	// byte of every record that replay kept.
-	size int64
-	// terminate is set when the final kept record is a JSON line whose
-	// newline the crash ate: the line applied cleanly and is state, so
-	// it must be sealed with a '\n' rather than truncated away.
-	terminate bool
-}
-
-// recordScanner cuts one state file into records without decoding
-// anything: a binary frame ends where protocol.FrameLen says, a JSON
-// line at its newline. Replay and ScanStateOps both read through it.
-// tolerateTail marks the file as the active journal: a torn final
-// binary frame ends the scan (it is never decoded), and a torn final
-// JSON line is returned flagged torn, so decode and apply errors drop
-// it silently. A framing error tearing cannot explain comes back as a
-// record carrying err, after which the scan ends — so a reader reports
-// it at the exact record index a record-by-record decode would.
+// recordScanner cuts one state file into frames without decoding
+// anything: a frame ends where protocol.FrameLen says. Replay and
+// ScanStateOps both read through it. tolerateTail marks the file as the
+// active journal: a torn final frame ends the scan (it is never
+// decoded), and pos stays at its start — the file's valid prefix. A
+// framing error tearing cannot explain comes back as a record carrying
+// err, after which the scan ends — so a reader reports it at the exact
+// record index a record-by-record decode would.
 type recordScanner struct {
 	data         []byte
 	file         string
 	tolerateTail bool
 	pos          int
 	rec          int
-	// valid is the length of the prefix through the last whole record,
-	// separators included.
-	valid int
 }
 
 // next returns the next record, or ok == false once the file is done.
 func (sc *recordScanner) next() (r replayRec, ok bool) {
-	for sc.pos < len(sc.data) {
-		switch sc.data[sc.pos] {
-		case '\n', '\r', ' ', '\t':
-			sc.pos++ // blank separators between JSON lines
-			sc.valid = sc.pos
-			continue
+	if sc.pos == len(sc.data) {
+		return r, false
+	}
+	sc.rec++
+	r = replayRec{file: sc.file, rec: sc.rec, pos: sc.pos}
+	n, err := protocol.FrameLen(sc.data[sc.pos:])
+	if err != nil {
+		sc.data = sc.data[:sc.pos] // the scan ends here
+		if sc.tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
+			return r, false // torn tail: crash mid-append
 		}
-		sc.rec++
-		r = replayRec{file: sc.file, rec: sc.rec, pos: sc.pos}
-		rest := sc.data[sc.pos:]
-		if rest[0] == protocol.FrameMagic {
-			r.frame = true
-			n, err := protocol.FrameLen(rest)
-			if err != nil {
-				sc.pos = len(sc.data)
-				if sc.tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
-					return r, false // torn tail: crash mid-append
-				}
-				r.err = err
-				return r, true
-			}
-			r.data = rest[:n]
-			sc.pos += n
-			sc.valid = sc.pos
-			return r, true
-		}
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			r.data, r.torn = rest, sc.tolerateTail
-			sc.pos = len(sc.data)
-			return r, true
-		}
-		r.data = rest[:nl]
-		sc.pos += nl + 1
-		sc.valid = sc.pos
+		r.err = err
 		return r, true
 	}
-	return r, false
+	r.data = sc.data[sc.pos : sc.pos+n]
+	sc.pos += n
+	return r, true
 }
 
 // decodeRec fully decodes one record: its op (decodeOp), then the
 // payload (runs or testcases). f is a per-worker scratch frame; the
 // decoded op borrows views of the file buffer, not of f.
 func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
-	op, err := decodeOp(r, f)
-	if err != nil {
-		d.err = err
+	if d.op, d.err = decodeOp(r, f); d.err != nil {
 		return
 	}
-	d.op = op
-	switch op.Op {
+	switch d.op.Op {
 	case opResults:
-		d.runs, d.err = decodeRuns(op.Payload, op.Binary)
+		d.runs, d.err = d.op.Runs()
 	case opTestcases:
-		d.tcs, d.err = testcase.Parse(borrowBytes(op.Payload))
+		d.tcs, d.err = testcase.Parse(borrowBytes(d.op.Payload))
 	}
 }
 
@@ -271,24 +221,21 @@ func (s *Server) applyRec(d *replayDec) error {
 		return d.err
 	}
 	switch d.op.Op {
-	case opMeta, opJournalMeta:
-		// File headers. A replica journal can carry several jmeta frames
-		// (one per bootstrap segment shipped after a primary restart);
-		// each just re-declares the format.
-		return checkHeader(&d.op)
 	case opTestcases:
 		return s.addTestcases(d.tcs, false)
 	case opClient:
 		return s.applyClient(&d.op)
 	case opResults:
 		return s.applyResults(&d.op, d.runs)
-	default:
-		return fmt.Errorf("unknown op %q", d.op.Op)
 	}
+	// A jmeta header, whose version decodeOp checked. A replica journal
+	// can carry several (one per bootstrap segment shipped after a
+	// primary restart); each just re-declares the format.
+	return nil
 }
 
 // applyClient replays one opClient into the shard stores.
-func (s *Server) applyClient(op *journalOp) error {
+func (s *Server) applyClient(op *StateOp) error {
 	if op.ID == "" {
 		return fmt.Errorf("client op without id")
 	}
@@ -313,7 +260,7 @@ func (s *Server) applyClient(op *journalOp) error {
 // applyResults replays one opResults: registration check, (id, seq)
 // dedup and lastSeq advance, then the append of its runs unless the
 // snapshot already covers the batch.
-func (s *Server) applyResults(op *journalOp, runs []*core.Run) error {
+func (s *Server) applyResults(op *StateOp, runs []*core.Run) error {
 	sh := shardFor(s, op.ID)
 	sh.lock()
 	if op.Seq > 0 {
@@ -364,15 +311,17 @@ type replayFile struct {
 // replayer is the dispatcher's state: the files still to read, the one
 // being cut, and the stage clocks and counters of one replay.
 type replayer struct {
-	s      *Server
-	files  []string
-	next   int  // index in files of the next file to read
-	stop   bool // a read or framing error ended the input
-	cur    *replayFile
-	sc     recordScanner
-	active bool // cur is the active journal
+	s     *Server
+	files []string
+	next  int  // index in files of the next file to read
+	stop  bool // a read or framing error ended the input
+	cur   *replayFile
+	sc    recordScanner
+	// upgrade writes a legacy file's conversion back over it (OpenState).
+	upgrade bool
 
-	tail              tailState
+	tail              int64     // the active journal's valid prefix
+	segs              []segInfo // the sealed segments read, bases unset
 	nfiles            int
 	bytes             int64
 	records           uint64
@@ -414,25 +363,19 @@ func (rp *replayer) fill(b *replayBlock) bool {
 				done = true
 				break
 			}
+			// A framing error tearing cannot explain ends the input,
+			// exactly where a record-by-record decode stops: the scanner
+			// has ended its file, and no file after it is read.
+			rp.stop = rp.stop || r.err != nil
 			b.recs = append(b.recs, r)
-			if r.err != nil || r.torn {
-				// A framing error tearing cannot explain ends the input,
-				// exactly where a record-by-record decode stops. A torn
-				// line ends its file: the file is done in this fill, so
-				// the tail size below is settled before the line applies.
-				done, rp.stop = true, r.err != nil
-				break
-			}
 		}
 		if len(b.recs) > 0 {
 			b.file = f
 			f.refs++
 		}
 		if done {
-			if rp.active {
-				// A kept torn JSON line may extend the valid prefix to
-				// the whole file — decided when it applies.
-				rp.tail.size = int64(rp.sc.valid)
+			if rp.sc.tolerateTail { // the active journal
+				rp.tail = int64(rp.sc.pos)
 			}
 			rp.release(f)
 			rp.cur, rp.sc = nil, recordScanner{}
@@ -441,26 +384,26 @@ func (rp *replayer) fill(b *replayBlock) bool {
 	return true
 }
 
-// open reads the next state file and starts cutting it. A missing file
-// is an empty one.
+// open reads the next state file (readStateFile) and starts cutting
+// it. A missing file is an empty one.
 func (rp *replayer) open() error {
 	path := rp.files[rp.next]
 	rp.next++
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
+	// Only the last file, the active journal, may be torn.
+	active := rp.next == len(rp.files)
+	data, err := readStateFile(path, active, rp.upgrade)
+	if err != nil || data == nil {
 		return err
+	}
+	if seq, ok := segmentSeq(filepath.Base(path)); ok {
+		rp.segs = append(rp.segs, segInfo{path: path, seq: seq, size: int64(len(data))})
 	}
 	rp.nfiles++
 	rp.bytes += int64(len(data))
 	rp.pinned += int64(len(data))
 	rp.peak = max(rp.peak, rp.pinned)
 	rp.cur = &replayFile{data: data, refs: 1}
-	// Only the last file, the active journal, may be torn.
-	rp.active = rp.next == len(rp.files)
-	rp.sc = recordScanner{data: data, file: filepath.Base(path), tolerateTail: rp.active}
+	rp.sc = recordScanner{data: data, file: filepath.Base(path), tolerateTail: active}
 	return nil
 }
 
@@ -482,28 +425,15 @@ func (rp *replayer) decodeBlock(b *replayBlock) {
 }
 
 // applyBlock applies b's records in order and stops at the first one
-// that fails, unless it is the torn tail, which is dropped instead.
+// that fails.
 func (rp *replayer) applyBlock(b *replayBlock) error {
 	rp.clock(&rp.wait)
 	defer rp.clock(&rp.apply)
 	for i := range b.recs {
-		r := &b.recs[i]
-		err := rp.s.applyRec(&b.decs[i])
-		switch {
-		case err == nil:
-			rp.records++
-		case !r.torn:
-			return errAt(r, err)
+		if err := rp.s.applyRec(&b.decs[i]); err != nil {
+			return errAt(&b.recs[i], err)
 		}
-		if r.torn {
-			// A torn final JSON line that applied cleanly is state; seal
-			// it with the newline the crash ate. Otherwise it was dropped
-			// and its bytes must go too.
-			rp.tail = tailState{size: int64(r.pos)}
-			if err == nil {
-				rp.tail = tailState{size: int64(r.pos + len(r.data)), terminate: true}
-			}
-		}
+		rp.records++
 	}
 	return b.err
 }
@@ -517,19 +447,22 @@ func (rp *replayer) clock(stage *time.Duration) {
 }
 
 // loadStateDir restores the server's stores from dir's state files and
-// reports what OpenState must do to the active journal's physical tail.
-// This is LoadState's engine; see the file comment for the pipeline and
+// returns the length of the active journal's valid prefix, where
+// OpenState must truncate a torn tail before appending, and the sealed
+// segments it read, for OpenState to register. upgrade writes
+// the conversion of each legacy file back over it. This is LoadState's
+// and OpenState's engine; see the file comment for the pipeline and
 // why it restores exactly what a serial replay does.
-func (s *Server) loadStateDir(dir string) (tailState, error) {
-	rp := replayer{s: s, mark: time.Now()}
+func (s *Server) loadStateDir(dir string, upgrade bool) (int64, []segInfo, error) {
+	rp := replayer{s: s, upgrade: upgrade, mark: time.Now()}
 	start := rp.mark
 	var err error
 	if rp.files, err = StateFiles(dir); err != nil {
-		return tailState{}, err
+		return 0, nil, err
 	}
 	slots := make([]replayBlock, 2*runtime.GOMAXPROCS(0))
 	if err := pool.Ordered(s.ReplayWorkers, slots, rp.fill, rp.decodeBlock, rp.applyBlock); err != nil {
-		return tailState{}, err
+		return 0, nil, err
 	}
 	rp.clock(&rp.wait) // the workers' shutdown
 
@@ -543,5 +476,5 @@ func (s *Server) loadStateDir(dir string) (tailState, error) {
 	st.files.Store(uint64(rp.nfiles))
 	st.bytes.Store(uint64(rp.bytes))
 	st.peakPinned.Store(rp.peak)
-	return rp.tail, nil
+	return rp.tail, rp.segs, nil
 }

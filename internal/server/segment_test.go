@@ -514,9 +514,6 @@ func corruptRecord(t *testing.T, path string, rec int) string {
 		if r.rec != rec {
 			continue
 		}
-		if !r.frame {
-			t.Fatalf("%s record %d is not a frame", path, rec)
-		}
 		data[r.pos+len(r.data)-1] ^= 0x01
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -648,9 +645,10 @@ func TestReplayPinnedBytesBounded(t *testing.T) {
 
 // TestTornTailAtBlockEnd covers a torn final JSON line that is the last
 // record of a full replay block, so the file's end is only found by the
-// next cut. The line applies cleanly, so OpenState must seal it and
-// count every byte of it: the writer's size must match the file, and a
-// later snapshot must compact the journal at a record boundary.
+// next cut. The line is complete JSON, so OpenState converts it to its
+// results frame and counts every byte of that: the writer's size must
+// match the file, and a later snapshot must compact the journal at a
+// record boundary.
 func TestTornTailAtBlockEnd(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		dir := t.TempDir()
@@ -687,8 +685,12 @@ func TestTornTailAtBlockEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.jw.fsize != fi.Size() || fi.Size() != int64(len(data)+len(line)) {
-			t.Fatalf("workers=%d: writer size %d, file %d bytes, want %d", workers, s.jw.fsize, fi.Size(), len(data)+len(line))
+		frame, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeResults, ClientID: op.ID, Seq: op.Seq, Payload: op.Payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.jw.fsize != fi.Size() || fi.Size() != int64(len(data)+len(frame)) {
+			t.Fatalf("workers=%d: writer size %d, file %d bytes, want %d", workers, s.jw.fsize, fi.Size(), len(data)+len(frame))
 		}
 		// One batch before the snapshot and one after it, which the
 		// compacted active journal must hold whole.
@@ -713,7 +715,7 @@ func TestTornTailAtBlockEnd(t *testing.T) {
 		if err := restored.LoadState(dir); err != nil {
 			t.Fatalf("workers=%d: reload after compaction: %v", workers, err)
 		}
-		// The seeded batches, the sealed torn one and the two new ones.
+		// The seeded batches, the converted torn one and the two new ones.
 		if got, want := len(restored.Results()), replayBlockRecs; got != want {
 			t.Errorf("workers=%d: results = %d, want %d", workers, got, want)
 		}
