@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"uucs/internal/atomicfile"
-	"uucs/internal/core"
 	"uucs/internal/protocol"
 	"uucs/internal/server"
 	"uucs/internal/stats"
@@ -64,7 +63,7 @@ func main() {
 		jDelay   = flag.Duration("journal-delay", 0, "wait this long for more ops before fsyncing a sub-capacity batch (0 = never wait)")
 		jSync    = flag.Duration("fsync-cost", 0, "modeled storage device: stretch each journal fsync to at least this long (0 = real device)")
 		jSegment = flag.Int64("journal-segment-bytes", 0, "seal the journal into a numbered segment file once it reaches this size; sealed segments replay in parallel at restart and compaction deletes covered ones instead of rewriting (0 = 64 MiB)")
-		rWorkers = flag.Int("replay-workers", 0, "parallel record-decode workers for restart replay (0 = GOMAXPROCS, 1 = serial; the restored state is bit-identical at any setting)")
+		rWorkers = flag.Int("replay-workers", 0, "parallel record-decode workers for restart replay and for decoding the run store on read (0 = GOMAXPROCS, 1 = serial; the restored state is bit-identical at any setting)")
 		crashAft = flag.Int("crash-after", 0, "TEST HOOK: SIGKILL this process between the Nth journaled op's write and its fsync (requires -state; 0 = off)")
 		maxProto = flag.String("max-protocol", "v3", "highest wire protocol to grant at negotiation: v3, or v2 to roll the fleet back to the JSON framing")
 	)
@@ -87,7 +86,7 @@ func main() {
 		// journal_ops/journal_fsyncs (the amortization ratio), the
 		// batch-size histogram, and the per-shard lock spread.
 		expvar.Publish("uucs_clients", expvar.Func(func() any { return srv.ClientCount() }))
-		expvar.Publish("uucs_results", expvar.Func(func() any { return len(srv.Results()) }))
+		expvar.Publish("uucs_results", expvar.Func(func() any { return srv.RunCount() }))
 		expvar.Publish("uucs_testcases", expvar.Func(func() any { return srv.TestcaseCount() }))
 		expvar.Publish("uucs_ingest", expvar.Func(func() any { return srv.Stats() }))
 		// /telemetry is the USE-organized view of the same collectors:
@@ -122,7 +121,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("uucs-server: restored %d testcases, %d results, %d clients from %s\n",
-			srv.TestcaseCount(), len(srv.Results()), srv.ClientCount(), *stateDir)
+			srv.TestcaseCount(), srv.RunCount(), srv.ClientCount(), *stateDir)
 	}
 	switch {
 	case *tcsPath != "":
@@ -188,24 +187,25 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("uucs-server: stopped; %d clients, %d results in %s\n",
-				srv.ClientCount(), len(srv.Results()), *outPath)
+				srv.ClientCount(), srv.RunCount(), *outPath)
 			return
 		}
 	}
 }
 
 // flush exports the collected results to path, replacing the previous
-// export only once the new one is complete and on disk.
+// export only once the new one is complete and on disk. It streams the
+// runs through WriteResults, so the server keeps holding runs it has
+// not decoded as binary records.
 func flush(srv *server.Server, path string) error {
-	runs := srv.Results()
-	if len(runs) == 0 {
+	if srv.RunCount() == 0 {
 		return nil
 	}
 	return atomicfile.Write(path, func(f *os.File) error {
 		if err := f.Chmod(0o644); err != nil {
 			return err
 		}
-		return core.EncodeRuns(f, runs, false)
+		return srv.WriteResults(f, false)
 	})
 }
 

@@ -68,14 +68,19 @@ func serverWithRuns(t *testing.T, n int) *server.Server {
 }
 
 // TestFlushWritesExport checks that a flush replaces an older export
-// with every collected run.
+// with every collected run, and leaves the server holding them as
+// binary records: a node flushes every -flush interval.
 func TestFlushWritesExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.txt")
 	if err := os.WriteFile(path, []byte("stale export\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := flush(serverWithRuns(t, 3), path); err != nil {
+	srv := serverWithRuns(t, 3)
+	if err := flush(srv, path); err != nil {
 		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.RunsUndecoded != 3 {
+		t.Errorf("after a flush: RunsUndecoded %d, want all 3 runs still binary", st.RunsUndecoded)
 	}
 	f, err := os.Open(path)
 	if err != nil {

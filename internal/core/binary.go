@@ -135,33 +135,55 @@ func resourceCode(res testcase.Resource) byte {
 	return 0
 }
 
-// BinaryRunChunks encodes runs in order as consecutive batches, each
-// an AppendRunsBinary encoding of at most maxBytes unless a single run
-// is larger, and hands each to emit. The chunk is reused once emit
+// BinaryRunChunker cuts runs, handed to Add in order over any number of
+// calls, into consecutive batches, each an AppendRunsBinary encoding of
+// at most maxBytes unless a single run is larger, and hands each to
+// emit; Close emits the last. The cut depends only on the runs, not on
+// how they were split between calls. A chunk is reused once emit
 // returns. No runs emit nothing.
-func BinaryRunChunks(runs []*Run, maxBytes int, emit func(chunk []byte) error) error {
-	var body, chunk []byte
-	n := 0
-	flush := func(end int) error {
-		chunk = binary.AppendUvarint(chunk[:0], uint64(n))
-		chunk = append(chunk, body[:end]...)
-		body, n = append(body[:0], body[end:]...), 0
-		return emit(chunk)
-	}
+type BinaryRunChunker struct {
+	maxBytes    int
+	emit        func(chunk []byte) error
+	body, chunk []byte
+	n           int // runs in body
+}
+
+// NewBinaryRunChunker returns a chunker that cuts at maxBytes and hands
+// the chunks to emit.
+func NewBinaryRunChunker(maxBytes int, emit func(chunk []byte) error) *BinaryRunChunker {
+	return &BinaryRunChunker{maxBytes: maxBytes, emit: emit}
+}
+
+// Add encodes runs after the ones already added, emitting every chunk
+// that fills up. The first emit error is returned.
+func (c *BinaryRunChunker) Add(runs []*Run) error {
 	for _, r := range runs {
-		end := len(body)
-		body = appendRunBinary(body, r)
-		if n > 0 && uvarintLen(n+1)+len(body) > maxBytes {
-			if err := flush(end); err != nil {
+		end := len(c.body)
+		c.body = appendRunBinary(c.body, r)
+		if c.n > 0 && uvarintLen(c.n+1)+len(c.body) > c.maxBytes {
+			if err := c.flush(end); err != nil {
 				return err
 			}
 		}
-		n++
+		c.n++
 	}
-	if n == 0 {
+	return nil
+}
+
+// Close emits the runs not yet emitted, if any.
+func (c *BinaryRunChunker) Close() error {
+	if c.n == 0 {
 		return nil
 	}
-	return flush(len(body))
+	return c.flush(len(c.body))
+}
+
+// flush emits the first n runs, which end at end in body.
+func (c *BinaryRunChunker) flush(end int) error {
+	c.chunk = binary.AppendUvarint(c.chunk[:0], uint64(c.n))
+	c.chunk = append(c.chunk, c.body[:end]...)
+	c.body, c.n = append(c.body[:0], c.body[end:]...), 0
+	return c.emit(c.chunk)
 }
 
 func uvarintLen(n int) int {
@@ -187,6 +209,11 @@ func (rd *runReader) fail(format string, args ...any) {
 func (rd *runReader) left() int { return len(rd.data) - rd.pos }
 
 func (rd *runReader) uvarint(what string) uint64 {
+	// Lengths and counts almost always fit one byte.
+	if rd.pos < len(rd.data) && rd.data[rd.pos] < 0x80 {
+		rd.pos++
+		return uint64(rd.data[rd.pos-1])
+	}
 	v, n := binary.Uvarint(rd.data[rd.pos:])
 	if n <= 0 {
 		rd.fail("bad %s", what)
@@ -200,7 +227,9 @@ func (rd *runReader) uvarint(what string) uint64 {
 // fails unless the rest of the input can hold that many.
 func (rd *runReader) count(what string, size int) int {
 	v := rd.uvarint(what)
-	if v > uint64(rd.left()/size) {
+	// v > left/size without the division: v <= left keeps v*size far
+	// from overflowing.
+	if left := uint64(rd.left()); v > left || v*uint64(size) > left {
 		rd.fail("%s %d exceeds the %d bytes left", what, v, rd.left())
 		return 0
 	}
@@ -253,21 +282,58 @@ func ParseRunsBinary(data []byte) ([]*Run, error) {
 	block := make([]Run, n)
 	out := make([]*Run, n)
 	for i := range block {
-		r := &block[i]
-		out[i] = r
-		rd.readRun(r)
-		if rd.err != nil {
-			return nil, fmt.Errorf("%w (run %d of %d)", rd.err, i+1, n)
-		}
+		out[i] = &block[i]
 	}
-	if rd.left() != 0 {
-		return nil, fmt.Errorf("core: binary runs: %d trailing bytes after %d runs", rd.left(), n)
+	if err := rd.runs(n, block); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// readRun decodes one run into r, leaving rd.err set on failure.
+// CountRunsBinary checks that data is one well-formed batch and returns
+// how many runs it holds, without allocating: it is the walk
+// ParseRunsBinary makes, building nothing. It accepts exactly the
+// inputs ParseRunsBinary accepts, with the same count and the same
+// error text.
+func CountRunsBinary(data []byte) (int, error) {
+	rd := runReader{data: data}
+	n := rd.count("run count", minBinaryRun)
+	if rd.err != nil {
+		return 0, rd.err
+	}
+	if err := rd.runs(n, nil); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// runs reads n runs and checks that nothing follows them. Run i is
+// decoded into block[i]; a nil block only checks the runs.
+func (rd *runReader) runs(n int, block []Run) error {
+	for i := 0; i < n; i++ {
+		var r *Run
+		if block != nil {
+			r = &block[i]
+		}
+		rd.readRun(r)
+		if rd.err != nil {
+			return fmt.Errorf("%w (run %d of %d)", rd.err, i+1, n)
+		}
+	}
+	if rd.left() != 0 {
+		return fmt.Errorf("core: binary runs: %d trailing bytes after %d runs", rd.left(), n)
+	}
+	return nil
+}
+
+// readRun decodes one run into r, leaving rd.err set on failure. A nil
+// r reads and checks the same fields and keeps none of them, so it
+// allocates nothing.
 func (rd *runReader) readRun(r *Run) {
+	build := r != nil
+	if !build {
+		r = new(Run) // stays on the stack: nothing below keeps it
+	}
 	idLen := rd.count("id length", 1)
 	paramsLen := rd.count("params length", 1)
 	shapeLen := rd.count("shape length", 1)
@@ -278,11 +344,13 @@ func (rd *runReader) readRun(r *Run) {
 		rd.fail("strings of %d bytes exceed the %d bytes left", idLen+paramsLen+shapeLen, rd.left())
 		return
 	}
-	// One copy holds the run's strings.
-	strs := string(rd.data[rd.pos : rd.pos+idLen+paramsLen+shapeLen])
-	rd.pos += len(strs)
-	r.TestcaseID, r.Params = strs[:idLen], strs[idLen:idLen+paramsLen]
-	r.Shape = testcase.Shape(strs[idLen+paramsLen:])
+	if build {
+		// One copy holds the run's strings.
+		strs := string(rd.data[rd.pos : rd.pos+idLen+paramsLen+shapeLen])
+		r.TestcaseID, r.Params = strs[:idLen], strs[idLen:idLen+paramsLen]
+		r.Shape = testcase.Shape(strs[idLen+paramsLen:])
+	}
+	rd.pos += idLen + paramsLen + shapeLen
 
 	if c := rd.byte(); c >= 1 && int(c) <= len(tasks) {
 		r.Task = tasks[c-1]
@@ -313,10 +381,14 @@ func (rd *runReader) readRun(r *Run) {
 	if rd.err != nil {
 		return
 	}
-	r.Levels = make(map[testcase.Resource]float64)
+	if build {
+		r.Levels = make(map[testcase.Resource]float64)
+	}
 	for i, res := range resources {
 		if mask&(1<<i) != 0 {
-			r.Levels[res] = rd.float()
+			if v := rd.float(); build {
+				r.Levels[res] = v
+			}
 		}
 	}
 	var counts [len(resources)]int
@@ -331,21 +403,30 @@ func (rd *runReader) readRun(r *Run) {
 	if rd.err != nil {
 		return
 	}
-	r.LastFive = make(map[testcase.Resource][]float64)
-	if total > 0 {
-		vals := make([]float64, total)
-		for i := range vals {
-			vals[i] = rd.float()
-		}
-		for i, res := range resources {
-			if c := counts[i]; c > 0 {
-				r.LastFive[res] = vals[:c:c]
-				vals = vals[c:]
+	if !build {
+		rd.pos += 8 * total // checked against the bytes left above
+	} else {
+		r.LastFive = make(map[testcase.Resource][]float64)
+		if total > 0 {
+			vals := make([]float64, total)
+			for i := range vals {
+				vals[i] = rd.float()
+			}
+			for i, res := range resources {
+				if c := counts[i]; c > 0 {
+					r.LastFive[res] = vals[:c:c]
+					vals = vals[c:]
+				}
 			}
 		}
 	}
 	r.Events = rd.varint("events")
-	if samples := rd.count("load sample count", 32); samples > 0 {
+	samples := rd.count("load sample count", 32)
+	if !build {
+		rd.pos += 32 * samples // checked against the bytes left by count
+		return
+	}
+	if samples > 0 {
 		r.Load = make([]hostsim.Load, samples)
 		for i := range r.Load {
 			r.Load[i] = hostsim.Load{Time: rd.float(), CPU: rd.float(), MemFrac: rd.float(), DiskQ: rd.float()}

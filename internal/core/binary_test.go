@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,15 +18,9 @@ import (
 // raw bytes: it must return an error or runs, never panic, and never
 // allocate more than the input can describe.
 func FuzzRunRecordsDifferential(f *testing.F) {
-	for _, s := range codecSeeds() {
+	for _, s := range runRecordSeeds() {
 		f.Add(s)
 	}
-	load := benchRuns(3)
-	load[1].Load = []hostsim.Load{{Time: 0, CPU: 0.5, MemFrac: 0.25, DiskQ: 2}, {Time: 1, CPU: 1, MemFrac: -0.0, DiskQ: 1e21}}
-	load[2].Shape, load[2].Params = "custom", "a b  c"
-	f.Add(string(AppendRuns(nil, load, true)))
-	f.Add(string(AppendRunsBinary(nil, load)))
-	f.Add(string(binary.AppendUvarint(nil, 1<<40)))
 	f.Fuzz(func(t *testing.T, input string) {
 		checkBinaryDecodeBounded(t, []byte(input))
 		runs, err := ParseRuns([]byte(input))
@@ -53,6 +47,73 @@ func FuzzRunRecordsDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// runRecordSeeds is the seed corpus of the binary run record fuzz
+// targets: the text codec's seeds, a batch with load samples and odd
+// metadata in both encodings and with a trailing byte, and a run count
+// no input can hold.
+func runRecordSeeds() []string {
+	seeds := codecSeeds()
+	load := benchRuns(3)
+	load[1].Load = []hostsim.Load{{Time: 0, CPU: 0.5, MemFrac: 0.25, DiskQ: 2}, {Time: 1, CPU: 1, MemFrac: -0.0, DiskQ: 1e21}}
+	load[2].Shape, load[2].Params = "custom", "a b  c"
+	return append(seeds,
+		string(AppendRuns(nil, load, true)),
+		string(AppendRunsBinary(nil, load)),
+		string(append(AppendRunsBinary(nil, load), 0)),
+		string(binary.AppendUvarint(nil, 1<<40)))
+}
+
+// FuzzCountRunsBinaryDifferential holds the validation walk replay
+// runs on every binary batch to the decoder: for any input, and for
+// the binary encoding of any text input ParseRuns accepts (and each
+// prefix of it), CountRunsBinary accepts exactly when ParseRunsBinary
+// does, with the same run count, and otherwise fails with the same
+// error text.
+func FuzzCountRunsBinaryDifferential(f *testing.F) {
+	for _, s := range runRecordSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		inputs := [][]byte{[]byte(input)}
+		if runs, err := ParseRuns([]byte(input)); err == nil {
+			enc := AppendRunsBinary(nil, runs)
+			inputs = append(inputs, enc)
+			for cut := 1; cut < len(enc); cut += 1 + cut/4 {
+				inputs = append(inputs, enc[:len(enc)-cut])
+			}
+		}
+		for _, data := range inputs {
+			runs, perr := ParseRunsBinary(data)
+			n, cerr := CountRunsBinary(data)
+			switch {
+			case (perr == nil) != (cerr == nil):
+				t.Fatalf("%q: ParseRunsBinary error %v, CountRunsBinary error %v", data, perr, cerr)
+			case perr != nil && perr.Error() != cerr.Error():
+				t.Fatalf("%q: error texts differ:\nParseRunsBinary %v\nCountRunsBinary %v", data, perr, cerr)
+			case perr == nil && n != len(runs):
+				t.Fatalf("%q: CountRunsBinary counts %d runs, ParseRunsBinary decodes %d", data, n, len(runs))
+			}
+		}
+	})
+}
+
+// TestCountRunsBinaryAllocs pins the validation walk at zero
+// allocations on a valid batch: replay runs it on every binary run
+// record it loads.
+func TestCountRunsBinaryAllocs(t *testing.T) {
+	runs := benchRuns(3)
+	runs[1].Load = []hostsim.Load{{Time: 1, CPU: 0.5, MemFrac: 0.25, DiskQ: 2}}
+	data := AppendRunsBinary(nil, runs)
+	avg := testing.AllocsPerRun(200, func() {
+		if n, err := CountRunsBinary(data); err != nil || n != 3 {
+			t.Fatalf("CountRunsBinary = %d, %v", n, err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("CountRunsBinary allocates %.2f/op on a valid 3-run batch, want 0", avg)
+	}
 }
 
 // checkBinaryDecodeBounded decodes data as a binary batch and fails if
@@ -132,42 +193,68 @@ func TestParseRunsBinaryCopiesInput(t *testing.T) {
 	}
 }
 
+// chunkRuns cuts runs with a BinaryRunChunker at maxBytes, handing them
+// to Add in pieces of at most piece runs, and returns the chunks.
+func chunkRuns(runs []*Run, maxBytes, piece int) ([][]byte, error) {
+	var chunks [][]byte
+	c := NewBinaryRunChunker(maxBytes, func(chunk []byte) error {
+		chunks = append(chunks, bytes.Clone(chunk))
+		return nil
+	})
+	for len(runs) > 0 {
+		k := min(piece, len(runs))
+		if err := c.Add(runs[:k]); err != nil {
+			return nil, err
+		}
+		runs = runs[k:]
+	}
+	return chunks, c.Close()
+}
+
 // TestBinaryRunChunks cuts one batch at several sizes: every chunk
 // decodes, stays within the bound unless it holds a single run, and the
-// chunks together are the runs in order.
+// chunks together are the runs in order. Handing the runs to the
+// chunker in smaller pieces cuts the same chunks.
 func TestBinaryRunChunks(t *testing.T) {
 	runs := benchRuns(40)
 	whole := len(AppendRunsBinary(nil, runs))
 	for _, max := range []int{1, 100, 500, whole - 1, whole, 1 << 20} {
-		var got []*Run
-		chunks := 0
-		err := BinaryRunChunks(runs, max, func(chunk []byte) error {
-			part, err := ParseRunsBinary(chunk)
-			if err != nil {
-				return err
-			}
-			if len(chunk) > max && len(part) > 1 {
-				return fmt.Errorf("chunk of %d runs is %d bytes, bound %d", len(part), len(chunk), max)
-			}
-			got = append(got, part...)
-			chunks++
-			return nil
-		})
+		chunks, err := chunkRuns(runs, max, len(runs))
 		if err != nil {
 			t.Fatalf("max %d: %v", max, err)
+		}
+		var got []*Run
+		for _, chunk := range chunks {
+			part, err := ParseRunsBinary(chunk)
+			if err != nil {
+				t.Fatalf("max %d: %v", max, err)
+			}
+			if len(chunk) > max && len(part) > 1 {
+				t.Fatalf("max %d: chunk of %d runs is %d bytes", max, len(part), len(chunk))
+			}
+			got = append(got, part...)
 		}
 		if d := diffRuns(got, runs); d != "" {
 			t.Fatalf("max %d: %s", max, d)
 		}
-		if max >= whole && chunks != 1 {
-			t.Errorf("max %d: %d chunks, want 1", max, chunks)
+		if max >= whole && len(chunks) != 1 {
+			t.Errorf("max %d: %d chunks, want 1", max, len(chunks))
 		}
-		if max == 1 && chunks != len(runs) {
-			t.Errorf("max 1: %d chunks, want one per run", chunks)
+		if max == 1 && len(chunks) != len(runs) {
+			t.Errorf("max 1: %d chunks, want one per run", len(chunks))
+		}
+		for _, piece := range []int{1, 3, 7} {
+			split, err := chunkRuns(runs, max, piece)
+			if err != nil {
+				t.Fatalf("max %d, pieces of %d: %v", max, piece, err)
+			}
+			if !slices.EqualFunc(split, chunks, bytes.Equal) {
+				t.Errorf("max %d: pieces of %d runs cut %d chunks differently from one Add (%d)", max, piece, len(split), len(chunks))
+			}
 		}
 	}
-	if err := BinaryRunChunks(nil, 1, func([]byte) error { t.Fatal("emit called for no runs"); return nil }); err != nil {
-		t.Fatal(err)
+	if chunks, err := chunkRuns(nil, 1, 1); err != nil || len(chunks) != 0 {
+		t.Fatalf("no runs: %d chunks, %v", len(chunks), err)
 	}
 }
 
@@ -214,6 +301,20 @@ func BenchmarkDecodeRunsBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 		decodeSink = runs
+	}
+}
+
+// BenchmarkCountRunsBinary checks one 3-run upload batch without
+// decoding it, the walk replay makes over every binary run record;
+// compare BenchmarkDecodeRunsBinary.
+func BenchmarkCountRunsBinary(b *testing.B) {
+	payload := AppendRunsBinary(nil, benchRuns(3))
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := CountRunsBinary(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -296,7 +296,7 @@ func Run(cfg Config) (*Report, error) {
 		// Verification: every acked batch in the dataset exactly once.
 		// The workers never retry (the transport is reliable), so the
 		// server must report zero dups and exactly rep.Runs records.
-		got := int64(len(srv.Results()))
+		got := int64(srv.RunCount())
 		want := int64(rep.Runs)
 		if got < want {
 			rep.Lost = (want - got + int64(cfg.RunsPerBatch) - 1) / int64(cfg.RunsPerBatch)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"uucs/internal/atomicfile"
 	"uucs/internal/protocol"
@@ -18,34 +17,11 @@ import (
 // but wrote registrations and testcase batches as JSON lines; legacy
 // snapshots are JSON lines opened by a "meta" version 2 line. Replica
 // journals, being concatenated bootstraps, can hold such lines
-// anywhere. This file is the only reader of them: upgradeLegacy
-// rewrites a state file's bytes as the frames this build writes for
+// anywhere. This file is the only reader of them: when recordScanner
+// meets a state file's first record that is not a frame, convertLegacy
+// rewrites the rest of the file as the frames this build writes for
 // the same ops, so replay, ScanStateOps and the cluster merge read
-// frames and nothing else.
-
-// readStateFile reads one state file as frames only, converting any
-// legacy JSON lines (upgradeLegacy) and, when upgrade is set, writing
-// the conversion over the file. A missing file reads as nil.
-func readStateFile(path string, tolerateTail, upgrade bool) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	conv, err := upgradeLegacy(data, filepath.Base(path), tolerateTail)
-	if err != nil || conv == nil {
-		return data, err
-	}
-	if upgrade {
-		err = atomicfile.Write(path, func(f *os.File) error {
-			_, err := f.Write(conv)
-			return err
-		})
-	}
-	return conv, err
-}
+// frames and nothing else, and a file of frames only is walked once.
 
 // A legacy snapshot opens with a "meta" line of stateVersion, the only
 // version there is.
@@ -66,48 +42,39 @@ type legacyOp struct {
 	Payload  string             `json:"payload,omitempty"`
 }
 
-// upgradeLegacy returns a state file's bytes converted to frames only,
-// or nil if every record is a frame already: finding that out reads
-// each frame's length prefix and none of its payload, and a framing
-// error or torn final frame there is left to the frame reader. From
-// the first record that is not a frame on, frames are copied verbatim,
-// blank separators dropped and each JSON line converted
-// (appendLegacyRecord), in record order. tolerateTail marks the active
-// journal, whose final record a crash mid-append may have torn: a frame
-// the file ends inside, or a final line with no newline that is not
-// valid JSON, is dropped. A torn line that is valid JSON converts like
-// any other, so if it then fails to apply it poisons the load, as it
-// would with its newline. Errors name the file and the record's number
-// and offset in data.
-func upgradeLegacy(data []byte, file string, tolerateTail bool) ([]byte, error) {
-	var out []byte // nil until the first record that is not a frame
-	for pos, rec := 0, 0; pos < len(data); {
+// convertLegacy returns a state file's bytes converted to frames only,
+// given that data[from] starts the first record that is not a frame
+// and rec records precede it. data[:from] is copied verbatim; from
+// there on frames are copied, blank separators dropped and each JSON
+// line converted (appendLegacyRecord), in record order. tolerateTail
+// marks the active journal, whose final record a crash mid-append may
+// have torn: a frame the file ends inside, or a final line with no
+// newline that is not valid JSON, is dropped. A torn line that is valid
+// JSON converts like any other, so if it then fails to apply it poisons
+// the load, as it would with its newline. On failure, bad names the
+// file and the failing record's number and offset in data.
+func convertLegacy(data []byte, from, rec int, file string, tolerateTail bool) (conv []byte, bad replayRec, err error) {
+	out := append(make([]byte, 0, len(data)), data[:from]...)
+	for pos := from; pos < len(data); {
 		rest := data[pos:]
-		if out == nil && rest[0] != protocol.FrameMagic {
-			out = append(make([]byte, 0, len(data)), data[:pos]...)
-		}
 		switch rest[0] {
 		case '\n', '\r', ' ', '\t':
 			pos++ // blank separators between JSON lines
 			continue
 		}
 		rec++
-		at := &replayRec{file: file, rec: rec, pos: pos}
+		bad = replayRec{file: file, rec: rec, pos: pos}
 		if rest[0] == protocol.FrameMagic {
 			n, err := protocol.FrameLen(rest)
 			switch {
 			case err == nil:
-				if out != nil {
-					out = append(out, rest[:n]...)
-				}
+				out = append(out, rest[:n]...)
 				pos += n
 				continue
-			case out == nil:
-				return nil, nil
 			case tolerateTail && errors.Is(err, protocol.ErrShortFrame):
-				return out, nil
+				return out, bad, nil
 			}
-			return nil, errAt(at, err)
+			return nil, bad, err
 		}
 		line, torn := rest, tolerateTail
 		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
@@ -117,16 +84,24 @@ func upgradeLegacy(data []byte, file string, tolerateTail bool) ([]byte, error) 
 		var op legacyOp
 		err := json.Unmarshal(line, &op)
 		if err != nil && torn {
-			return out, nil
+			return out, bad, nil
 		}
 		if err == nil {
 			out, err = appendLegacyRecord(out, &op)
 		}
 		if err != nil {
-			return nil, errAt(at, err)
+			return nil, bad, err
 		}
 	}
-	return out, nil
+	return out, bad, nil
+}
+
+// writeConverted writes a legacy state file's conversion over it.
+func writeConverted(path string, conv []byte) error {
+	return atomicfile.Write(path, func(f *os.File) error {
+		_, err := f.Write(conv)
+		return err
+	})
 }
 
 // appendLegacyRecord appends the frames this build writes for one JSON

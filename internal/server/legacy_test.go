@@ -69,10 +69,10 @@ func marshalOp(op journalOp) ([]byte, error) {
 	return appendJSONLine(nil, op)
 }
 
-// legacySnapshot renders a state copy as the JSON snapshot the legacy
-// SaveState wrote: a meta line, one testcase op, one client op per
-// client with its LastSeq floor, and one results aggregate.
-func legacySnapshot(c stateCopy) ([]byte, error) {
+// legacySnapshot renders a state copy of s as the JSON snapshot the
+// legacy SaveState wrote: a meta line, one testcase op, one client op
+// per client with its LastSeq floor, and one results aggregate.
+func legacySnapshot(s *Server, c stateCopy) ([]byte, error) {
 	var out bytes.Buffer
 	w := bufio.NewWriter(&out)
 	emit := func(op journalOp) error {
@@ -105,8 +105,8 @@ func legacySnapshot(c stateCopy) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if len(c.runs) > 0 {
-		b := core.AppendRuns(nil, c.runs, true)
+	if c.held > 0 {
+		b := core.AppendRuns(nil, s.Results()[:c.held], true)
 		if err := emit(journalOp{Op: opResults, Payload: borrowString(b)}); err != nil {
 			return nil, err
 		}
@@ -203,7 +203,7 @@ func (h *dualHistory) upload(id string, seq uint64, runs []*core.Run) {
 // save, so the legacy compaction leaves an empty journal behind.
 func (h *dualHistory) save() {
 	h.t.Helper()
-	snap, err := legacySnapshot(h.s.copyState(h.oldDir))
+	snap, err := legacySnapshot(h.s, h.s.copyState(h.oldDir))
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func legacyDirs(t testing.TB) map[string]string {
 	if err := src.LoadState(dir3); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := legacySnapshot(src.copyState(""))
+	snap, err := legacySnapshot(src, src.copyState(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,6 +527,44 @@ func legacyDirs(t testing.TB) map[string]string {
 			journalFile: join(journalHeader, reg, upload, snap, format3, legacyUploads(t, false, 3), torn[:len(torn)-1]),
 		}),
 	}
+}
+
+// upgradeLegacy returns a state file's bytes converted to frames only,
+// as the record scanner converts them, or nil if every record is a
+// frame already. A framing error before the first record that is not
+// a frame is left to the frame reader; an error converting from there
+// on is returned, naming the record.
+func upgradeLegacy(data []byte, file string, tolerateTail bool) ([]byte, error) {
+	var conv []byte
+	sc := recordScanner{data: data, file: file, tolerateTail: tolerateTail,
+		onConvert: func(c []byte) error { conv = c; return nil }}
+	for r, ok := sc.next(); ok; r, ok = sc.next() {
+		if r.err != nil {
+			if conv == nil && sc.converted {
+				return nil, errAt(&r, r.err)
+			}
+			break
+		}
+	}
+	return conv, nil
+}
+
+// readStateFile reads one state file as frames only, converting any
+// legacy JSON lines and, when upgrade is set, writing the conversion
+// over the file, as replay does. A missing file reads as nil.
+func readStateFile(path string, tolerateTail, upgrade bool) ([]byte, error) {
+	data, err := readState(path)
+	if err != nil || data == nil {
+		return data, err
+	}
+	conv, err := upgradeLegacy(data, filepath.Base(path), tolerateTail)
+	if err != nil || conv == nil {
+		return data, err
+	}
+	if upgrade {
+		err = writeConverted(path, conv)
+	}
+	return conv, err
 }
 
 // upgradeFile converts one state file in place, as OpenState does.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"os"
@@ -214,7 +215,7 @@ func (s *Server) OpenState(dir string) error {
 // stateCopy is the coordinated cut SaveState works from.
 type stateCopy struct {
 	tcs     []*tcSlot
-	runs    []*core.Run
+	held    int // the copy's runs: the first held of the run store
 	clients []clientEntry
 	// journalOff is the logical journal offset the copy covers; ops at
 	// or past it must survive compaction. Valid only when compact.
@@ -232,7 +233,9 @@ type clientEntry struct {
 }
 
 // copyState takes every state lock in hierarchy order (regMu, tcMu,
-// shards, resMu) and copies the stores. Because every mutation enqueues
+// shards, runs.mu) and copies the stores — the run store as its run
+// count: the log only grows, so its first held runs are the copy's, to
+// be read once the locks are released. Because every mutation enqueues
 // its journal op before becoming visible under these locks, the copy
 // covers every journal op below the recorded offset — the invariant
 // that makes compaction lossless on a live server.
@@ -247,7 +250,7 @@ func (s *Server) copyState(dir string) stateCopy {
 	for i := range s.shards {
 		s.shards[i].lock()
 	}
-	s.resMu.Lock()
+	s.runs.mu.Lock()
 
 	c := stateCopy{
 		jw:         jw,
@@ -255,8 +258,7 @@ func (s *Server) copyState(dir string) stateCopy {
 		compact:    jw != nil && stateDir == dir,
 	}
 	c.tcs = slices.Clone(s.testcases)
-	c.runs = make([]*core.Run, len(s.results))
-	copy(c.runs, s.results)
+	c.held = s.runs.held
 	nonceByID := make(map[string]string, len(s.nonces))
 	for nonce, id := range s.nonces {
 		nonceByID[id] = nonce
@@ -273,7 +275,7 @@ func (s *Server) copyState(dir string) stateCopy {
 		c.journalOff = jw.enqueued()
 	}
 
-	s.resMu.Unlock()
+	s.runs.mu.Unlock()
 	for i := numShards - 1; i >= 0; i-- {
 		s.shards[i].mu.Unlock()
 	}
@@ -327,12 +329,10 @@ func (s *Server) SaveState(dir string) error {
 			}
 		}
 		w.Write(rec)
-		if len(c.runs) > 0 {
-			var err error
-			if rec, err = appendAggregateRecords(rec[:0], c.runs); err != nil {
+		if c.held > 0 {
+			if err := s.writeAggregate(w, c.held); err != nil {
 				return err
 			}
-			w.Write(rec)
 		}
 		return w.Flush()
 	})
@@ -459,51 +459,112 @@ func appendTestcaseRecords(dst, payload []byte, ends []int) ([]byte, error) {
 	})
 }
 
-// appendAggregateRecords appends a snapshot's run aggregate as
-// TypeResults frames with no client id and Seq 0, each holding a binary
-// batch of at most recordChunkBytes (core.BinaryRunChunks). Every chunk
-// carries the whole aggregate's content hash (runsHash) and its own
-// index, so the cluster merge deduplicates the aggregate as one unit
-// however it was cut.
-func appendAggregateRecords(dst []byte, runs []*core.Run) ([]byte, error) {
-	hash, err := runsHash(runs)
-	if err != nil {
-		return dst, err
-	}
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], hash)
-	part := 0
-	err = core.BinaryRunChunks(runs, recordChunkBytes, func(chunk []byte) error {
-		var err error
-		dst, err = protocol.AppendFrame(dst, protocol.Message{
-			Type: protocol.TypeResults, Ver: binaryRunsFormat, Nonce: string(sum[:]), Count: part, Payload: borrowString(chunk),
-		})
-		part++
-		return err
-	})
-	return dst, err
+// aggregate builds a snapshot's run aggregate from runs handed to add
+// in order: TypeResults frames with no client id and Seq 0, each
+// holding a binary batch of at most recordChunkBytes. Every chunk
+// carries the whole aggregate's content hash and its own index, so the
+// cluster merge deduplicates the aggregate as one unit however it was
+// cut. The hash is aggregateHash of the empty id and the runs'
+// canonical text, the payload every earlier format stored, so a text
+// aggregate and a binary one of the same runs deduplicate in the
+// merge; the text streams through the hasher and is never held whole.
+type aggregate struct {
+	hash    hash.Hash64
+	chunker *core.BinaryRunChunker
+	chunks  []byte // the binary batches, back to back
+	ends    []int  // each batch's end in chunks
 }
 
-// recordScratch is the pooled space uploadRecord builds a record in.
+func newAggregate() *aggregate {
+	a := &aggregate{hash: fnv.New64a()}
+	a.hash.Write([]byte{0})
+	a.chunker = core.NewBinaryRunChunker(recordChunkBytes, func(chunk []byte) error {
+		a.chunks = append(a.chunks, chunk...)
+		a.ends = append(a.ends, len(a.chunks))
+		return nil
+	})
+	return a
+}
+
+// add appends runs, whose canonical text (core.AppendRuns with load) is
+// text.
+func (a *aggregate) add(runs []*core.Run, text []byte) error {
+	a.hash.Write(text)
+	return a.chunker.Add(runs)
+}
+
+// writeTo writes the aggregate's frames to w.
+func (a *aggregate) writeTo(w io.Writer) error {
+	if err := a.chunker.Close(); err != nil {
+		return err
+	}
+	var sum [8]byte
+	binary.LittleEndian.PutUint64(sum[:], a.hash.Sum64())
+	var rec []byte
+	start := 0
+	for part, end := range a.ends {
+		var err error
+		rec, err = protocol.AppendFrame(rec[:0], protocol.Message{
+			Type: protocol.TypeResults, Ver: binaryRunsFormat, Nonce: string(sum[:]), Count: part, Payload: borrowString(a.chunks[start:end]),
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(rec); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
+}
+
+// writeAggregate writes the aggregate of the run store's first n runs
+// to w. It reads the store through scan, so runs still held as binary
+// batches are decoded a block at a time, their text encoded on the
+// decoding goroutines, and none is kept: a snapshot leaves the store in
+// the form it found it.
+func (s *Server) writeAggregate(w io.Writer, n int) error {
+	a := newAggregate()
+	err := s.runs.scan(n, s.ReplayWorkers,
+		func(p *runPiece) { p.buf = core.AppendRuns(p.buf[:0], p.runs, true) },
+		func(p *runPiece) error { return a.add(p.runs, p.buf) })
+	if err != nil {
+		return err
+	}
+	return a.writeTo(w)
+}
+
+// recordScratch is the pooled space an upload's binary batch and its
+// journal record are built in.
 type recordScratch struct{ payload, frame []byte }
 
 var recordPool = sync.Pool{New: func() any { return new(recordScratch) }}
 
-// uploadRecord returns the journal record of an accepted upload f whose
-// decoded runs are runs: a jruns frame with the client id, the batch
-// seq and the runs in binary form. The record is built in pooled
-// scratch and copied out once, so that copy is its only allocation. A
-// batch whose binary form outgrows recordChunkBytes — tens of megabytes
-// of zero-valued load samples — is journaled as the client's text frame
-// instead, which replay reads as well.
-func uploadRecord(f *protocol.Frame, runs []*core.Run) []byte {
+// encodeUpload returns pooled scratch holding runs in binary form
+// (core.AppendRunsBinary) as payload: the batch the run store keeps and
+// the journal record carries. Hand it back with release.
+func encodeUpload(runs []*core.Run) *recordScratch {
 	sc := recordPool.Get().(*recordScratch)
-	defer func() {
-		if cap(sc.payload) <= protocol.ConnBufSize && cap(sc.frame) <= protocol.ConnBufSize {
-			recordPool.Put(sc)
-		}
-	}()
 	sc.payload = core.AppendRunsBinary(sc.payload[:0], runs)
+	return sc
+}
+
+// release returns sc to the pool unless it grew past a connection
+// buffer.
+func (sc *recordScratch) release() {
+	if cap(sc.payload) <= protocol.ConnBufSize && cap(sc.frame) <= protocol.ConnBufSize {
+		recordPool.Put(sc)
+	}
+}
+
+// uploadRecord returns the journal record of an accepted upload f whose
+// runs sc encodes: a jruns frame with the client id, the batch seq and
+// the binary payload. The record is built in the scratch and copied out
+// once, so that copy is its only allocation. A batch whose binary form
+// outgrows recordChunkBytes — tens of megabytes of zero-valued load
+// samples — is journaled as the client's text frame instead, which
+// replay reads as well.
+func (sc *recordScratch) uploadRecord(f *protocol.Frame) []byte {
 	if len(sc.payload) <= recordChunkBytes {
 		var err error
 		sc.frame, err = protocol.AppendFrame(sc.frame[:0], protocol.Message{
@@ -545,21 +606,6 @@ func aggregateHash(id, payload string) uint64 {
 	h.Write([]byte{0})
 	io.WriteString(h, payload)
 	return h.Sum64()
-}
-
-// runsHash is a snapshot aggregate's identity: aggregateHash of the
-// empty id and the runs' canonical text, the payload every earlier
-// format stored, so a text aggregate and a binary one of the same runs
-// deduplicate in the merge. The text streams through the hasher a
-// block at a time and is never held whole.
-func runsHash(runs []*core.Run) (uint64, error) {
-	h := fnv.New64a()
-	h.Write([]byte{0})
-	err := core.EncodeRunBlocks(runs, true, func(block []byte, _ []int) error {
-		h.Write(block)
-		return nil
-	})
-	return h.Sum64(), err
 }
 
 // borrowString returns a string view of b without copying. Safe here
@@ -658,7 +704,7 @@ func (op StateOp) AggregateKey() (hash uint64, part int) {
 // which is immutable and garbage-collected normally, so they stay
 // valid even if retained.
 func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error {
-	data, err := readStateFile(path, tolerateTail, false)
+	data, err := readState(path)
 	if err != nil {
 		return err
 	}
@@ -683,6 +729,15 @@ func ScanStateOps(path string, tolerateTail bool, fn func(StateOp) error) error 
 // StateFiles for the complete replay-ordered list.
 func StateFilePaths(dir string) (snapshot, journal string) {
 	return filepath.Join(dir, snapshotFile), journalPathIn(dir)
+}
+
+// readState reads one state file; a missing file reads as nil.
+func readState(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	return data, err
 }
 
 func fileExists(path string) bool {

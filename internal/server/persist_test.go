@@ -401,6 +401,26 @@ func resultsFrame(t testing.TB, id string, seq uint64, payload string) *protocol
 	return f
 }
 
+// uploadRecord returns the journal record addResults writes for an
+// accepted upload f whose decoded runs are runs.
+func uploadRecord(f *protocol.Frame, runs []*core.Run) []byte {
+	sc := encodeUpload(runs)
+	defer sc.release()
+	return sc.uploadRecord(f)
+}
+
+// appendAggregateRecords appends the snapshot aggregate records
+// SaveState writes for runs.
+func appendAggregateRecords(dst []byte, runs []*core.Run) ([]byte, error) {
+	a := newAggregate()
+	if err := a.add(runs, core.AppendRuns(nil, runs, true)); err != nil {
+		return dst, err
+	}
+	b := bytes.NewBuffer(dst)
+	err := a.writeTo(b)
+	return b.Bytes(), err
+}
+
 // format4Header is the jmeta frame the format-4 builds opened their
 // journals and snapshots with.
 func format4Header(t testing.TB) []byte {

@@ -19,21 +19,22 @@ import (
 
 // Journal replay. The reference semantics are serial: decode each
 // record and apply it in file order. Decode — frame CRC and field
-// parse, run-payload decode (binary since journal format 5, text in
-// older records) — is nearly the whole cost of a cold
-// restart and of failover promotion, so replay runs as one bounded,
-// ordered pipeline (pool.Ordered) that decodes on every core and
-// applies strictly in record order:
+// parse, a check of each binary run payload that builds no run (the
+// run store keeps the bytes; see runstore.go), a transcode of each text
+// one (records older than journal format 5) — is nearly the whole cost
+// of a cold restart and of failover promotion, so replay runs as one
+// bounded, ordered pipeline (pool.Ordered) that decodes on every core
+// and applies strictly in record order:
 //
 //   - Cut, on the dispatcher goroutine: the state files are read one at
 //     a time, and recordScanner cuts each into blocks of up to
 //     replayBlockRecs records without decoding anything —
 //     protocol.FrameLen reads just a frame's magic byte and length
 //     prefix. A block never spans two files. A file that holds legacy
-//     JSON lines is converted to frames as it is read (legacy.go) —
-//     written back over the file when OpenState replays, in memory for
-//     LoadState.
-//   - Decode, on ReplayWorkers goroutines: a worker fully decodes every
+//     JSON lines is converted to frames where the scanner meets the
+//     first one (legacy.go) — written back over the file when
+//     OpenState replays, in memory for LoadState.
+//   - Decode, on ReplayWorkers goroutines: a worker decodes every
 //     record of a block (decodeRec). A record's decoded form is a pure
 //     function of its bytes, so blocks may decode in any order.
 //   - Apply, on the dispatcher goroutine: blocks are applied in the
@@ -90,10 +91,13 @@ type replayRec struct {
 
 // replayDec is a record's decoded form, produced by a decode worker.
 type replayDec struct {
-	op   StateOp
-	runs []*core.Run          // pre-decoded opResults payload
-	tcs  []*testcase.Testcase // pre-decoded opTestcases payload
-	err  error
+	op StateOp
+	// batch is an opResults payload as a checked binary batch of n runs:
+	// a view of the record, or a text payload's transcoding.
+	batch []byte
+	n     int
+	tcs   []*testcase.Testcase // pre-decoded opTestcases payload
+	err   error
 }
 
 // errAt formats a record-scoped error, the same for replay,
@@ -171,16 +175,38 @@ func IsStateFileName(base string) bool {
 // framing error tearing cannot explain comes back as a record carrying
 // err, after which the scan ends — so a reader reports it at the exact
 // record index a record-by-record decode would.
+//
+// At the first record that is not a frame, the scanner converts the
+// rest of the file (convertLegacy) and scans on in the conversion,
+// calling onConvert with it first when set; a conversion error comes
+// back like a framing error, at the record that caused it.
 type recordScanner struct {
 	data         []byte
 	file         string
 	tolerateTail bool
+	onConvert    func(conv []byte) error
+	converted    bool
 	pos          int
 	rec          int
 }
 
 // next returns the next record, or ok == false once the file is done.
 func (sc *recordScanner) next() (r replayRec, ok bool) {
+	if sc.pos < len(sc.data) && sc.data[sc.pos] != protocol.FrameMagic && !sc.converted {
+		sc.converted = true
+		conv, bad, err := convertLegacy(sc.data, sc.pos, sc.rec, sc.file, sc.tolerateTail)
+		if err == nil && sc.onConvert != nil {
+			if err = sc.onConvert(conv); err != nil {
+				bad = replayRec{file: sc.file, rec: sc.rec + 1, pos: sc.pos}
+			}
+		}
+		if err != nil {
+			sc.data = sc.data[:sc.pos] // the scan ends here
+			bad.err = err
+			return bad, true
+		}
+		sc.data = conv
+	}
 	if sc.pos == len(sc.data) {
 		return r, false
 	}
@@ -200,16 +226,27 @@ func (sc *recordScanner) next() (r replayRec, ok bool) {
 	return r, true
 }
 
-// decodeRec fully decodes one record: its op (decodeOp), then the
-// payload (runs or testcases). f is a per-worker scratch frame; the
-// decoded op borrows views of the file buffer, not of f.
+// decodeRec decodes one record: its op (decodeOp), then the payload. A
+// binary run payload is checked and counted without building a run
+// (core.CountRunsBinary), and the run store keeps its bytes; a text one
+// (a legacy record) is transcoded to binary once, here. Testcases are
+// parsed. f is a per-worker scratch frame; the decoded op borrows views
+// of the file buffer, not of f.
 func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 	if d.op, d.err = decodeOp(r, f); d.err != nil {
 		return
 	}
 	switch d.op.Op {
 	case opResults:
-		d.runs, d.err = d.op.Runs()
+		if d.op.binary {
+			d.batch = borrowBytes(d.op.Payload)
+			d.n, d.err = core.CountRunsBinary(d.batch)
+			return
+		}
+		var runs []*core.Run
+		if runs, d.err = core.ParseRuns(borrowBytes(d.op.Payload)); d.err == nil {
+			d.batch, d.n = core.AppendRunsBinary(nil, runs), len(runs)
+		}
 	case opTestcases:
 		d.tcs, d.err = testcase.Parse(borrowBytes(d.op.Payload))
 	}
@@ -226,7 +263,7 @@ func (s *Server) applyRec(d *replayDec) error {
 	case opClient:
 		return s.applyClient(&d.op)
 	case opResults:
-		return s.applyResults(&d.op, d.runs)
+		return s.applyResults(&d.op, d.batch, d.n)
 	}
 	// A jmeta header, whose version decodeOp checked. A replica journal
 	// can carry several (one per bootstrap segment shipped after a
@@ -258,9 +295,10 @@ func (s *Server) applyClient(op *StateOp) error {
 }
 
 // applyResults replays one opResults: registration check, (id, seq)
-// dedup and lastSeq advance, then the append of its runs unless the
-// snapshot already covers the batch.
-func (s *Server) applyResults(op *StateOp, runs []*core.Run) error {
+// dedup and lastSeq advance, then, unless the snapshot already covers
+// the batch, the append of its n runs, whose binary form the run store
+// copies.
+func (s *Server) applyResults(op *StateOp, batch []byte, n int) error {
 	sh := shardFor(s, op.ID)
 	sh.lock()
 	if op.Seq > 0 {
@@ -275,9 +313,9 @@ func (s *Server) applyResults(op *StateOp, runs []*core.Run) error {
 		sh.lastSeq[op.ID] = op.Seq
 	}
 	sh.mu.Unlock()
-	s.resMu.Lock()
-	s.results = append(s.results, runs...)
-	s.resMu.Unlock()
+	s.runs.mu.Lock()
+	s.runs.add(batch, n)
+	s.runs.mu.Unlock()
 	return nil
 }
 
@@ -297,14 +335,15 @@ type replayBlock struct {
 	err error
 }
 
-// replayFile is one state file's bytes, held while the scanner cuts it
-// or a block cut from it is in flight. refs counts those holds so the
-// replayer can account pinned bytes (replayStats.peakPinned), which
-// tests read to check the pipeline's memory bound; the bytes themselves
-// become garbage once every slot holding a block of the file is
-// recycled.
+// replayFile accounts for one state file's bytes, held while the
+// scanner cuts it or a block cut from it is in flight. refs counts
+// those holds so the replayer can account pinned bytes
+// (replayStats.peakPinned), which tests read to check the pipeline's
+// memory bound; size is the file's length, plus its conversion's if it
+// held legacy records. The bytes themselves become garbage once every
+// slot holding a block of the file is recycled.
 type replayFile struct {
-	data []byte
+	size int64
 	refs int
 }
 
@@ -384,14 +423,14 @@ func (rp *replayer) fill(b *replayBlock) bool {
 	return true
 }
 
-// open reads the next state file (readStateFile) and starts cutting
-// it. A missing file is an empty one.
+// open reads the next state file and starts cutting it. A missing
+// file is an empty one.
 func (rp *replayer) open() error {
 	path := rp.files[rp.next]
 	rp.next++
 	// Only the last file, the active journal, may be torn.
 	active := rp.next == len(rp.files)
-	data, err := readStateFile(path, active, rp.upgrade)
+	data, err := readState(path)
 	if err != nil || data == nil {
 		return err
 	}
@@ -400,17 +439,41 @@ func (rp *replayer) open() error {
 	}
 	rp.nfiles++
 	rp.bytes += int64(len(data))
-	rp.pinned += int64(len(data))
-	rp.peak = max(rp.peak, rp.pinned)
-	rp.cur = &replayFile{data: data, refs: 1}
-	rp.sc = recordScanner{data: data, file: filepath.Base(path), tolerateTail: active}
+	f := &replayFile{refs: 1}
+	rp.pin(f, len(data))
+	rp.cur = f
+	rp.sc = recordScanner{data: data, file: filepath.Base(path), tolerateTail: active,
+		onConvert: func(conv []byte) error { return rp.converted(path, f, conv) }}
 	return nil
+}
+
+// converted takes over a legacy file's conversion: it writes it over
+// the file when upgrading, pins it next to the file's bytes, and makes
+// it the size OpenState registers for a sealed segment.
+func (rp *replayer) converted(path string, f *replayFile, conv []byte) error {
+	if rp.upgrade {
+		if err := writeConverted(path, conv); err != nil {
+			return err
+		}
+	}
+	rp.pin(f, len(conv))
+	if n := len(rp.segs); n > 0 && rp.segs[n-1].path == path {
+		rp.segs[n-1].size = int64(len(conv))
+	}
+	return nil
+}
+
+// pin accounts n more bytes held for f.
+func (rp *replayer) pin(f *replayFile, n int) {
+	f.size += int64(n)
+	rp.pinned += int64(n)
+	rp.peak = max(rp.peak, rp.pinned)
 }
 
 // release drops one hold on f, unpinning its bytes with the last.
 func (rp *replayer) release(f *replayFile) {
 	if f.refs--; f.refs == 0 {
-		rp.pinned -= int64(len(f.data))
+		rp.pinned -= f.size
 	}
 }
 

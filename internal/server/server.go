@@ -6,6 +6,14 @@
 // growing random samples of testcases at hot sync, and collects uploaded
 // results for the analysis phase (Figure 2).
 //
+// Uploaded runs stay in that binary form in memory too, until someone
+// reads them (runstore.go): an upload costs the server its binary
+// batch, about 93 bytes a run, and restart and failover promotion check
+// each journaled batch and keep its bytes instead of building runs.
+// Results decodes what is still binary, once, and keeps the decoded
+// runs; WriteResults and SaveState stream the runs without keeping
+// them; RunCount counts without decoding.
+//
 // The server is built for the volunteer-computing fault model the
 // paper's fleet ran under: clients vanish mid-request, uploads are
 // retried after lost acks, and the server process itself restarts. Idle
@@ -31,6 +39,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"slices"
@@ -52,8 +61,10 @@ import (
 const numShards = 16
 
 // shard holds the per-client state for the client ids that hash to it.
-// Lock ordering: regMu < tcMu < shard.mu (ascending index) < resMu;
-// any path holding several must acquire them in that order.
+// Lock ordering: regMu < tcMu < shard.mu (ascending index) < runs.mu;
+// any path holding several must acquire them in that order. The run
+// store's decode lock, runs.decMu, comes before runs.mu and is never
+// taken while holding any other of these.
 type shard struct {
 	mu sync.Mutex
 	// clients maps registered client ids to their machine snapshots.
@@ -142,10 +153,11 @@ type Server struct {
 	// means defaultJournalSegmentBytes. Set before OpenState.
 	JournalSegmentBytes int64
 	// ReplayWorkers bounds the concurrent record-decode workers
-	// LoadState uses when replaying state files (0 means GOMAXPROCS,
-	// and at most 2×GOMAXPROCS are used; 1 decodes serially). Any
-	// value yields a bit-identical store — the knob trades restart
-	// latency against restart CPU. Set before OpenState.
+	// LoadState uses when replaying state files, and those Results
+	// uses to decode runs held in binary form (0 means GOMAXPROCS; replay
+	// uses at most 2×GOMAXPROCS; 1 decodes serially). Any value yields
+	// a bit-identical store and the same Results — the knob trades
+	// latency against CPU. Set before OpenState.
 	ReplayWorkers int
 
 	// CrashAfterJournalOps is a crash-test hook (uucs-server
@@ -169,9 +181,9 @@ type Server struct {
 	testcases []*tcSlot
 	tcIndex   map[string]int
 
-	// resMu guards the uploaded-run store (append-only).
-	resMu   sync.Mutex
-	results []*core.Run
+	// runs is the uploaded-run store (runstore.go): binary batches in
+	// arrival order, decoded when first read.
+	runs runStore
 
 	// regMu serializes registration: the nonce table and the id
 	// assignment probe. Registration happens once per client lifetime,
@@ -350,13 +362,39 @@ func (s *Server) TestcaseCount() int {
 	return len(s.testcases)
 }
 
-// Results returns a copy of all uploaded run records.
+// Results returns all uploaded run records, in the order they were
+// stored. The slice is the caller's; the runs are shared and must not
+// be modified. Runs still held as binary batches (every run a restart
+// or a promote restored, and every upload since the last read) are
+// decoded here, on ReplayWorkers goroutines and without holding up
+// uploads, and stay decoded: the first read after a restart pays the
+// decode that replay no longer does. Callers that need only the number
+// of runs should call RunCount, which decodes nothing.
 func (s *Server) Results() []*core.Run {
-	s.resMu.Lock()
-	defer s.resMu.Unlock()
-	out := make([]*core.Run, len(s.results))
-	copy(out, s.results)
-	return out
+	return s.runs.decodeAll(s.ReplayWorkers)
+}
+
+// WriteResults writes every uploaded run record to w as text, in the
+// order they were stored: the bytes core.EncodeRuns(w, Results(),
+// withLoad) writes, but without keeping a run it decodes. Runs still
+// held as binary batches are decoded a block at a time and encoded on
+// ReplayWorkers goroutines, so a periodic export (uucs-server -out)
+// leaves the store as compact as it found it; uploads keep flowing
+// while it runs.
+func (s *Server) WriteResults(w io.Writer, withLoad bool) error {
+	return s.runs.scan(-1, s.ReplayWorkers,
+		func(p *runPiece) { p.buf = core.AppendRuns(p.buf[:0], p.runs, withLoad) },
+		func(p *runPiece) error {
+			_, err := w.Write(p.buf)
+			return err
+		})
+}
+
+// RunCount returns the number of uploaded run records held, without
+// decoding any: len(Results()) at a fraction of the cost.
+func (s *Server) RunCount() int {
+	held, _ := s.runs.counts()
+	return held
 }
 
 // ClientCount returns the number of registered clients.
@@ -578,17 +616,24 @@ func (s *Server) sample(clientID []byte, have [][]byte, want int) (string, int, 
 // runs. Seq 0 marks an unsequenced (legacy) upload, applied
 // unconditionally. For Seq > 0 the batch is applied exactly once per
 // client: a retried batch (Seq at or below the last applied) reports
-// dup without storing anything. The journal record is a jruns frame
-// holding the runs in binary form (uploadRecord), so replay decodes
-// them without parsing text; the record is the path's one allocation,
-// and it outlives the connection's read buffer. The op is enqueued
-// before the shard lock is released and the ack waits for the fsync
-// covering it, so an acked batch survives a crash.
+// dup without storing anything. The runs are stored, and journaled, in
+// binary form (encodeUpload): the run store copies the batch into its
+// arena, and the journal record is a jruns frame holding it, so replay
+// reads it without parsing text. A journaling server encodes the batch
+// before taking the shard lock, duplicates included, since the record
+// must be ready to enqueue under it; a server with no journal encodes
+// only a batch it stores, under the lock. The record is the path's one
+// allocation, and it outlives the connection's read buffer. The op is
+// enqueued before the shard lock is released and the ack waits for the
+// fsync covering it, so an acked batch survives a crash.
 func (s *Server) addResults(f *protocol.Frame, runs []*core.Run) (dup bool, err error) {
 	jw := s.journal()
+	var sc *recordScratch
 	var op []byte
 	if jw != nil {
-		op = uploadRecord(f, runs)
+		sc = encodeUpload(runs)
+		defer sc.release()
+		op = sc.uploadRecord(f)
 	}
 	sh := shardFor(s, f.ClientID)
 	sh.lock()
@@ -612,9 +657,15 @@ func (s *Server) addResults(f *protocol.Frame, runs []*core.Run) (dup bool, err 
 	if f.Seq > 0 {
 		sh.lastSeq[string(f.ClientID)] = f.Seq
 	}
-	s.resMu.Lock()
-	s.results = append(s.results, runs...)
-	s.resMu.Unlock()
+	if sc == nil {
+		// No journal needs the record before the lock: encode only a
+		// batch that is stored, never a duplicate.
+		sc = encodeUpload(runs)
+		defer sc.release()
+	}
+	s.runs.mu.Lock()
+	s.runs.add(sc.payload, len(runs))
+	s.runs.mu.Unlock()
 	sh.mu.Unlock()
 	if pending != nil {
 		if err := <-pending.done; err != nil {

@@ -41,6 +41,11 @@ type IngestStats struct {
 	DupBatches uint64 `json:"dup_batches"`
 	// Runs is the total run records ingested.
 	Runs uint64 `json:"runs"`
+	// RunsHeld is how many run records the server holds (restored ones
+	// included; RunCount), and RunsUndecoded how many of those are
+	// still binary batches, which the next Results call decodes.
+	RunsHeld      uint64 `json:"runs_held"`
+	RunsUndecoded uint64 `json:"runs_undecoded"`
 	// Rejects is the number of requests answered with an in-band error
 	// (undecodable payload, unknown client, bad version).
 	Rejects uint64 `json:"rejects"`
@@ -101,6 +106,8 @@ func (s *Server) Stats() IngestStats {
 		ShardLocks:    make([]uint64, numShards),
 		ShardWaits:    make([]uint64, numShards),
 	}
+	held, undecoded := s.runs.counts()
+	st.RunsHeld, st.RunsUndecoded = uint64(held), uint64(undecoded)
 	for i := range s.shards {
 		st.ShardLocks[i] = s.shards[i].locks.Load()
 		st.ShardWaits[i] = s.shards[i].waits.Load()
