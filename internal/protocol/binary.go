@@ -34,9 +34,10 @@ import (
 // table walk instead of a re-encode, and makes the frame safe to store
 // and forward verbatim: the router relays a v3 frame byte-for-byte, the
 // server's journal records are frames (an accepted upload as a jruns
-// frame carrying its runs in binary form), replicas receive those same
-// bytes, and replay, compaction, and merge all re-read them without
-// ever re-encoding.
+// frame carrying its runs in binary form, a testcase batch as a
+// jtestcases frame carrying binary testcases), replicas receive those
+// same bytes, and replay, compaction, and merge all re-read them
+// without ever re-encoding.
 //
 // The first byte distinguishes the framings on sight: a v2 frame
 // begins with '{' (0x7B), a v3 frame with 0xB3 — not valid UTF-8, so
@@ -91,17 +92,18 @@ func TuneConn(nc net.Conn) {
 // travels in fieldTypeName — nothing the fleet sends today, but it
 // keeps the binary framing total over arbitrary Message values.
 var typeCodes = map[MsgType]uint64{
-	TypeRegister:    1,
-	TypeRegistered:  2,
-	TypeSync:        3,
-	TypeTestcases:   4,
-	TypeResults:     5,
-	TypeAck:         6,
-	TypeError:       7,
-	TypeShip:        8,
-	TypeShipAck:     9,
-	TypeJournalMeta: 10,
-	TypeJournalRuns: 11,
+	TypeRegister:         1,
+	TypeRegistered:       2,
+	TypeSync:             3,
+	TypeTestcases:        4,
+	TypeResults:          5,
+	TypeAck:              6,
+	TypeError:            7,
+	TypeShip:             8,
+	TypeShipAck:          9,
+	TypeJournalMeta:      10,
+	TypeJournalRuns:      11,
+	TypeJournalTestcases: 12,
 }
 
 var typeByCode = [...]MsgType{
@@ -117,6 +119,7 @@ var typeByCode = [...]MsgType{
 	9:  TypeShipAck,
 	10: TypeJournalMeta,
 	11: TypeJournalRuns,
+	12: TypeJournalTestcases,
 }
 
 // Field ids. The wire tag is id<<1 | kind, kind 0 = uvarint value,

@@ -90,6 +90,12 @@ const (
 	// as Payload. A server refuses it from a peer like any type it does
 	// not serve.
 	TypeJournalRuns MsgType = "jruns"
+	// TypeJournalTestcases is journal-only as well: the record of a
+	// testcase batch, the testcases in binary form
+	// (testcase.AppendBinary) back to back as Payload, so replay reads
+	// them without parsing text. Sync replies stay TypeTestcases text.
+	// A server refuses it from a peer like any type it does not serve.
+	TypeJournalTestcases MsgType = "jtestcases"
 )
 
 // Snapshot is the detailed machine description presented at
@@ -140,7 +146,8 @@ type Message struct {
 	// Want is the number of new testcases requested (TypeSync).
 	Want int `json:"want,omitempty"`
 	// Payload carries text-encoded testcases (TypeTestcases) or run
-	// records (TypeResults).
+	// records (TypeResults); in the journal-only records, binary runs
+	// (TypeJournalRuns) or binary testcases (TypeJournalTestcases).
 	Payload string `json:"payload,omitempty"`
 	// Count reports how many items were accepted (TypeAck) or returned
 	// (TypeTestcases).

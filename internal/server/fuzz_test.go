@@ -34,10 +34,11 @@ func FuzzPersistReload(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	// Records as this build writes them: the format 5 header, a
-	// registration with a LastSeq floor, a testcase batch, a binary
-	// upload record, a snapshot aggregate cut into two chunks, and a
-	// whole framed history; and a format-4 text aggregate.
+	// Records as this build writes them: the journal header, a
+	// registration with a LastSeq floor, a binary upload record, a
+	// snapshot aggregate cut into two chunks, and a whole framed
+	// history; a format-5 text testcase batch and a format-4 text
+	// aggregate.
 	snap := testSnapshot()
 	reg, _ := appendClientRecord(nil, "uucs-1", "n-1", &snap, 3)
 	gen, _ := testcase.Generate("t", testcase.GeneratorConfig{Count: 2, Rate: 1, Duration: 20, MaxCPU: 10, MaxDisk: 7}, stats.NewStream(1))
@@ -61,6 +62,11 @@ func FuzzPersistReload(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add(bytes.Join([][]byte{journalHeader, tcs, reg, upload, agg}, nil))
+	// A history whose testcases are binary records, one per testcase.
+	recordChunkBytes = 1
+	tcBin, _ := appendTestcaseBatch(nil, gen)
+	recordChunkBytes = saved
+	f.Add(bytes.Join([][]byte{journalHeader, tcBin, reg, upload}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, journalFile), data, 0o644); err != nil {

@@ -19,9 +19,10 @@ import (
 // journals, being concatenated bootstraps, can hold such lines
 // anywhere. This file is the only reader of them: when recordScanner
 // meets a state file's first record that is not a frame, convertLegacy
-// rewrites the rest of the file as the frames this build writes for
-// the same ops, so replay, ScanStateOps and the cluster merge read
-// frames and nothing else, and a file of frames only is walked once.
+// rewrites the rest of the file as frames of the same ops, payloads in
+// the text they were written in, so replay, ScanStateOps and the
+// cluster merge read frames and nothing else, and a file of frames
+// only is walked once.
 
 // A legacy snapshot opens with a "meta" line of stateVersion, the only
 // version there is.
@@ -104,9 +105,9 @@ func writeConverted(path string, conv []byte) error {
 	})
 }
 
-// appendLegacyRecord appends the frames this build writes for one JSON
-// op: the format header for a "meta" line, a registration record,
-// testcase records cut at testcase ends, or a text results frame. An
+// appendLegacyRecord appends the frames of one JSON op: the format
+// header for a "meta" line, a registration record, text testcase
+// records cut at testcase ends, or a text results frame. An
 // upload keeps its ClientID and Seq; an aggregate (no ClientID) carries
 // the identity the cluster merge has always given it,
 // aggregateHash("", payload) as Nonce and its chunk index as Count, and
@@ -137,6 +138,16 @@ func appendLegacyRecord(dst []byte, op *legacyOp) ([]byte, error) {
 	default:
 		return dst, fmt.Errorf("unknown op %q", op.Op)
 	}
+}
+
+// appendTestcaseRecords appends text-encoded testcases as testcases
+// frames, the form builds of journal formats 4 and 5 journaled them in
+// and the one a converted JSON batch keeps; ends holds each testcase's
+// end offset in payload.
+func appendTestcaseRecords(dst, payload []byte, ends []int) ([]byte, error) {
+	return appendChunked(dst, payload, ends, func(_ int, chunk string) protocol.Message {
+		return protocol.Message{Type: protocol.TypeTestcases, Payload: chunk}
+	})
 }
 
 // recordEnds returns the end offset of every text record in payload —

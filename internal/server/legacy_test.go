@@ -377,10 +377,10 @@ func TestLegacyDifferentialLoad(t *testing.T) {
 				if n := count(snapTypes, protocol.TypeResults); n < 2 {
 					t.Errorf("snapshot aggregate in %d frame(s), want it cut into several", n)
 				}
-				if n := count(snapTypes, protocol.TypeTestcases); n < 2 {
+				if n := count(snapTypes, protocol.TypeJournalTestcases); n < 2 {
 					t.Errorf("snapshot testcases in %d frame(s), want several", n)
 				}
-				if n := count(journalTypes, protocol.TypeTestcases); n < 2 {
+				if n := count(journalTypes, protocol.TypeJournalTestcases); n < 2 {
 					t.Errorf("journaled testcase batch in %d frame(s), want several", n)
 				}
 			} else if n := count(snapTypes, protocol.TypeResults); n != 1 {

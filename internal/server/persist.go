@@ -17,14 +17,16 @@ import (
 	"uucs/internal/atomicfile"
 	"uucs/internal/core"
 	"uucs/internal/protocol"
+	"uucs/internal/testcase"
 )
 
 // Server-side permanent storage. This file round-trips the server's
 // full state through a directory so restarts lose nothing. The paper's
-// server keeps text files; here the exchange formats stay text (uploads
-// on the wire, the export, the cluster merge's output) while the state
-// files hold framed records, run batches in core's binary run format,
-// so a restart never lexes or float-parses a run.
+// server keeps text files; here the exchange formats stay text (sync
+// replies and uploads on the wire, the export, the cluster merge's
+// output) while the state files hold framed records, run batches in
+// core's binary run format and testcases in testcase's, so a restart
+// never lexes or float-parses a run or a testcase.
 //
 // The layout is crash-safe: a compacted snapshot file written
 // atomically (temp file + rename) plus an append-only journal. Every
@@ -51,7 +53,9 @@ import (
 //	jmeta       file header; Ver = journalFormatVersion
 //	registered  a registration: ClientID, Nonce, Snapshot, and Seq =
 //	            the client's LastSeq floor (snapshot records only)
-//	testcases   a testcase batch: Payload
+//	jtestcases  a testcase batch, journaled by AddTestcases or written
+//	            from the store by SaveState: the testcases in binary
+//	            form (testcase.AppendBinary), back to back, as Payload
 //	jruns       an accepted upload: ClientID, Seq, and the runs the
 //	            server decoded from it, in binary form
 //	            (core.AppendRunsBinary), as Payload
@@ -61,17 +65,18 @@ import (
 //	            8 bytes) and the chunk's index (Count)
 //
 // A frame holds at most protocol.MaxMessageBytes, so testcase batches
-// and aggregates are cut at record boundaries into consecutive frames
-// (recordChunkBytes); replay applies the pieces in order, which is the
-// state the whole would give. Every record carries its own CRC, and
+// and aggregates are cut at testcase and run ends into consecutive
+// frames (recordChunkBytes); replay applies the pieces in order, which
+// is the state the whole would give. Every record carries its own CRC, and
 // replay re-validates it with the wire decoder.
 //
 // Legacy input, read but never written in normal operation: a results
 // frame with a ClientID is an upload journaled verbatim, text payload
-// and all, by a format-3 or format-4 build, and an aggregate chunk
-// without Ver holds text. The one exception is an upload whose binary
-// form outgrows recordChunkBytes (binary floats take 8 bytes, a "0" in
-// text 2), which is journaled as its text frame. Older state holds JSON
+// and all, by a format-3 or format-4 build; an aggregate chunk without
+// Ver holds text; and a testcases frame is a text testcase batch, as
+// formats 4 and 5 wrote them. The one exception is an upload whose
+// binary form outgrows recordChunkBytes (binary floats take 8 bytes, a
+// "0" in text 2), which is journaled as its text frame. Older state holds JSON
 // op lines; legacy.go converts them to frames, and only there: OpenState
 // rewrites each state file that holds one, once, before replaying it,
 // while LoadState and ScanStateOps convert in memory and write nothing.
@@ -102,14 +107,16 @@ const (
 // Journal format versions a jmeta header declares. Version 3 marked the
 // builds that framed uploads but wrote JSON registration and testcase
 // lines; version 4 wrote every record as a frame, run payloads as text;
-// version 5 writes run payloads in binary (binaryRunsFormat). All are
-// read; a newer version means a future build wrote records this one
-// cannot be sure it parses, which must poison the load rather than
-// mis-parse.
+// version 5 wrote run payloads in binary (binaryRunsFormat) and
+// testcases as text; version 6 writes testcases in binary too, as
+// jtestcases records (binaryTestcasesFormat). All are read; a newer
+// version means a future build wrote records this one cannot be sure it
+// parses, which must poison the load rather than mis-parse.
 const (
-	legacyJournalFormat  = 3
-	binaryRunsFormat     = 5
-	journalFormatVersion = 5
+	legacyJournalFormat   = 3
+	binaryRunsFormat      = 5
+	binaryTestcasesFormat = 6
+	journalFormatVersion  = binaryTestcasesFormat
 )
 
 // newestJournalFormat is the newest jmeta version this build reads. It
@@ -304,26 +311,17 @@ func (s *Server) SaveState(dir string) error {
 	err := atomicfile.Write(filepath.Join(dir, snapshotFile), func(f *os.File) error {
 		w := bufio.NewWriter(f)
 		w.Write(journalHeader)
-		var rec []byte
-		if len(c.tcs) > 0 {
-			// The stored encodings, rendering any slot replay left empty.
-			var payload []byte
-			ends := make([]int, len(c.tcs))
-			for i, sl := range c.tcs {
-				text, err := sl.encoding()
-				if err != nil {
-					return err
-				}
-				payload = append(payload, text...)
-				ends[i] = len(payload)
-			}
-			var err error
-			if rec, err = appendTestcaseRecords(rec, payload, ends); err != nil {
-				return err
-			}
+		// The testcases are encoded from the store's own testcases; no
+		// slot's text is rendered.
+		tcs := make([]*testcase.Testcase, len(c.tcs))
+		for i, sl := range c.tcs {
+			tcs[i] = sl.tc
+		}
+		rec, err := appendTestcaseBatch(nil, tcs)
+		if err != nil {
+			return err
 		}
 		for _, cl := range c.clients {
-			var err error
 			if rec, err = appendClientRecord(rec, cl.id, cl.nonce, &cl.snap, cl.seq); err != nil {
 				return err
 			}
@@ -420,6 +418,8 @@ func decodeOp(r *replayRec, f *protocol.Frame) (StateOp, error) {
 			return StateOp{}, err
 		}
 		return StateOp{Op: opClient, ID: string(f.ClientID), Nonce: string(f.Nonce), Snapshot: snap, LastSeq: f.Seq}, nil
+	case protocol.TypeJournalTestcases:
+		return StateOp{Op: opTestcases, Payload: borrowString(f.Payload), binary: true}, nil
 	case protocol.TypeTestcases:
 		return StateOp{Op: opTestcases, Payload: borrowString(f.Payload)}, nil
 	case protocol.TypeJournalRuns:
@@ -451,11 +451,23 @@ func appendClientRecord(dst []byte, id, nonce string, snap *protocol.Snapshot, l
 	})
 }
 
-// appendTestcaseRecords appends text-encoded testcases as TypeTestcases
-// frames; ends holds each testcase's end offset in payload.
-func appendTestcaseRecords(dst, payload []byte, ends []int) ([]byte, error) {
+// appendTestcaseBatch appends tcs as jtestcases records: their binary
+// encodings back to back, cut at testcase ends. It fails, appending
+// nothing, on a testcase that is invalid or that the text format cannot
+// state (testcase.AppendBinary), which a replay could not serve back as
+// the same text.
+func appendTestcaseBatch(dst []byte, tcs []*testcase.Testcase) ([]byte, error) {
+	var payload []byte
+	ends := make([]int, len(tcs))
+	for i, tc := range tcs {
+		var err error
+		if payload, err = testcase.AppendBinary(payload, tc); err != nil {
+			return dst, err
+		}
+		ends[i] = len(payload)
+	}
 	return appendChunked(dst, payload, ends, func(_ int, chunk string) protocol.Message {
-		return protocol.Message{Type: protocol.TypeTestcases, Payload: chunk}
+		return protocol.Message{Type: protocol.TypeJournalTestcases, Payload: chunk}
 	})
 }
 
@@ -655,10 +667,12 @@ type StateOp struct {
 	// Seq is the upload batch sequence number (OpKindResults; 0 for
 	// unsequenced or compacted payloads).
 	Seq uint64
-	// Payload holds the op's payload as stored: text-encoded testcases
-	// (OpKindTestcases), or run records (OpKindResults) in core's binary
-	// form when binary is set (records written from journal format 5 on)
-	// and in text otherwise. Runs decodes either.
+	// Payload holds the op's payload as stored, in binary when binary
+	// is set and in text otherwise: testcases (OpKindTestcases; binary,
+	// testcase.AppendBinary's form, in jtestcases records, written from
+	// journal format 6 on), or run records (OpKindResults; binary,
+	// core's form, from format 5 on). Testcases and Runs decode either
+	// form.
 	Payload string
 
 	binary bool
@@ -677,6 +691,15 @@ func (op StateOp) Runs() ([]*core.Run, error) {
 		return core.ParseRunsBinary(borrowBytes(op.Payload))
 	}
 	return core.ParseRuns(borrowBytes(op.Payload))
+}
+
+// Testcases decodes an OpKindTestcases op's testcases, whichever form
+// they were stored in. The testcases copy what they keep.
+func (op StateOp) Testcases() ([]*testcase.Testcase, error) {
+	if op.binary {
+		return testcase.ParseBinary(borrowBytes(op.Payload))
+	}
+	return testcase.Parse(borrowBytes(op.Payload))
 }
 
 // AggregateKey identifies an unsequenced OpKindResults op for the

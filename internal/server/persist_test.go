@@ -557,7 +557,7 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 // valid length+CRC pair.
 func TestJournalMigrationCorruption(t *testing.T) {
 	const id = "uucs-00000000000000bb"
-	header, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalMeta, Ver: journalFormatVersion})
+	header, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalMeta, Ver: binaryRunsFormat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,6 +629,11 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		return b
+	}
+	// A testcase batch as this build journals it.
+	tcRec, err := appendTestcaseBatch(nil, tcs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	goodBatch := core.AppendRunsBinary(nil, []*core.Run{testRun()})
 	badCount := jruns(append([]byte{2}, goodBatch[1:]...))        // claims 2 runs, holds 1
@@ -774,6 +779,23 @@ func TestJournalMigrationCorruption(t *testing.T) {
 			journal: join(header, regFrame, unknownLine[:len(unknownLine)-1]),
 			wantErr: true,
 			errHas:  []string{journalFile, "record 3", "unknown client"},
+		},
+		{
+			name:    "format 6 journal with a binary testcase record",
+			journal: join(journalHeader, regFrame, tcRec, runsRec),
+			clients: 1, results: 1, testcases: 1,
+		},
+		{
+			name:    "format 6 header under a format 5 build's version check",
+			journal: join(journalHeader, regFrame, tcRec),
+			newest:  binaryRunsFormat,
+			wantErr: true,
+			errHas:  []string{"unsupported journal format version 6"},
+		},
+		{
+			name:    "binary testcase record torn at EOF",
+			journal: join(journalHeader, regFrame, tcRec[:len(tcRec)-5]),
+			clients: 1,
 		},
 	}
 	for _, tc := range tests {

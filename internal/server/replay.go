@@ -21,10 +21,11 @@ import (
 // record and apply it in file order. Decode — frame CRC and field
 // parse, a check of each binary run payload that builds no run (the
 // run store keeps the bytes; see runstore.go), a transcode of each text
-// one (records older than journal format 5) — is nearly the whole cost
-// of a cold restart and of failover promotion, so replay runs as one
-// bounded, ordered pipeline (pool.Ordered) that decodes on every core
-// and applies strictly in record order:
+// one (records older than journal format 5), the decode of each
+// testcase batch (binary from format 6 on, text before) — is nearly the
+// whole cost of a cold restart and of failover promotion, so replay
+// runs as one bounded, ordered pipeline (pool.Ordered) that decodes on
+// every core and applies strictly in record order:
 //
 //   - Cut, on the dispatcher goroutine: the state files are read one at
 //     a time, and recordScanner cuts each into blocks of up to
@@ -230,8 +231,9 @@ func (sc *recordScanner) next() (r replayRec, ok bool) {
 // binary run payload is checked and counted without building a run
 // (core.CountRunsBinary), and the run store keeps its bytes; a text one
 // (a legacy record) is transcoded to binary once, here. Testcases are
-// parsed. f is a per-worker scratch frame; the decoded op borrows views
-// of the file buffer, not of f.
+// decoded from binary, with no float parsing, or parsed from a legacy
+// text record. f is a per-worker scratch frame; the decoded op borrows
+// views of the file buffer, not of f.
 func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 	if d.op, d.err = decodeOp(r, f); d.err != nil {
 		return
@@ -248,7 +250,7 @@ func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 			d.batch, d.n = core.AppendRunsBinary(nil, runs), len(runs)
 		}
 	case opTestcases:
-		d.tcs, d.err = testcase.Parse(borrowBytes(d.op.Payload))
+		d.tcs, d.err = d.op.Testcases()
 	}
 }
 
@@ -259,7 +261,8 @@ func (s *Server) applyRec(d *replayDec) error {
 	}
 	switch d.op.Op {
 	case opTestcases:
-		return s.addTestcases(d.tcs, false)
+		s.storeTestcases(d.tcs, nil, nil)
+		return nil
 	case opClient:
 		return s.applyClient(&d.op)
 	case opResults:

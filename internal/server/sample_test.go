@@ -111,11 +111,11 @@ func sampleBatches(t testing.TB, n int, seed uint64) (first, second []*testcase.
 	return first, second
 }
 
-// sampleStore is one fuzzed store: a live server that rendered its
-// testcases at AddTestcases, and servers restarted from the two state
+// sampleStore is one fuzzed store: a live server, whose slots earlier
+// syncs have filled, and servers restarted from the two state
 // directories it left behind — a journal and a compacted snapshot.
-// Replay renders nothing, so the restarted servers start with every
-// slot empty.
+// Neither AddTestcases nor replay renders anything, so the restarted
+// servers start with every slot empty.
 type sampleStore struct {
 	live       *Server
 	journaled  *Server
@@ -214,7 +214,7 @@ var sampleSizes = []int{0, 1, 50, 400}
 // FuzzSampleDifferential checks the index-based sample over stored
 // encodings against the map-based oracle, byte for byte, on stores of
 // 0, 1, 50 and 400 testcases with same-ID replacements: on the live
-// server (bytes rendered at AddTestcases), and with every slot empty
+// server (slots filled by earlier syncs), and with every slot empty
 // on a server replayed from its journal and on one loaded from a
 // compacted snapshot.
 func FuzzSampleDifferential(f *testing.F) {
@@ -256,8 +256,8 @@ func FuzzSampleDifferential(f *testing.F) {
 }
 
 // TestSnapshotReusesStoredEncodings: a snapshot written from a replayed
-// store, whose slots SaveState must fill, is byte-identical to one
-// written from the bytes AddTestcases rendered.
+// store is byte-identical to one written from the live store: both
+// encode the same testcases, replay having restored them bit for bit.
 func TestSnapshotReusesStoredEncodings(t *testing.T) {
 	st := newSampleStore(t, 50, 3, t.TempDir())
 	replayed := restart(t, st.journalDir, st.live.seed)

@@ -1,7 +1,8 @@
 // Package server implements the UUCS server (paper Figure 1): it stores
-// testcases and results — testcases in text form, run records in the
-// binary form core.AppendRunsBinary writes, so restarts and merges
-// decode them without parsing text — registers clients by handing out
+// testcases and results — journaled and snapshotted in the binary forms
+// testcase.AppendBinary and core.AppendRunsBinary write, so restarts,
+// promotions and merges decode them without parsing text, while sync
+// replies stay text — registers clients by handing out
 // globally unique identifiers for their machine snapshots, serves
 // growing random samples of testcases at hot sync, and collects uploaded
 // results for the analysis phase (Figure 2).
@@ -255,15 +256,15 @@ func (s *Server) journal() *journalWriter {
 	return s.jw
 }
 
-// tcSlot is one stored testcase with its text encoding, kept so every
-// sync reply and snapshot is built from bytes rendered once. A slot is
-// never mutated after it is stored except to fill text; replacing a
-// testcase swaps the whole slot.
+// tcSlot is one stored testcase and its text encoding, rendered once,
+// by the first sync that picks the testcase, so every later sync reply
+// is built from those bytes. A slot is never mutated after it is stored
+// except to fill text; replacing a testcase swaps the whole slot.
 type tcSlot struct {
 	tc *testcase.Testcase
-	// text is the testcase's encoding, nil until first rendered. Syncs
-	// (under tcMu.RLock) and SaveState (on its copy of the store) may
-	// race to fill it; they store identical bytes.
+	// text is the testcase's encoding, nil until first rendered.
+	// Concurrent syncs (under tcMu.RLock) may race to fill it; they
+	// store identical bytes.
 	text atomic.Pointer[string]
 }
 
@@ -283,64 +284,40 @@ func (sl *tcSlot) encoding() (string, error) {
 
 // AddTestcases adds testcases to the store; new testcases can be added
 // to the server at any time and propagate to clients at their next hot
-// sync. Duplicate IDs are replaced. Each testcase is rendered to text
-// here, once: syncs and snapshots serve these bytes verbatim, so
-// mutating a *Testcase after adding it changes neither (just as it
-// never changed the journal).
+// sync. Duplicate IDs are replaced. A testcase that is invalid, or that
+// the text format cannot state as it is (testcase.AppendBinary), fails
+// the whole batch, which then stores nothing. With a journal attached,
+// the batch is journaled in binary form and durable when AddTestcases
+// returns. Nothing is rendered to text here: a sync renders a testcase
+// when it first picks it, and SaveState encodes the stored testcase
+// itself, so a *Testcase must not be modified once added.
 func (s *Server) AddTestcases(tcs ...*testcase.Testcase) error {
-	return s.addTestcases(tcs, true)
+	rec, err := appendTestcaseBatch(nil, tcs)
+	if err != nil {
+		return err
+	}
+	if pending := s.storeTestcases(tcs, s.journal(), rec); pending != nil {
+		return <-pending.done
+	}
+	return nil
 }
 
-// addTestcases stores tcs, replacing same-ID entries. With encode set
-// it renders the batch once, journals it when a journal is attached,
-// and keeps each testcase's bytes as a view of one exact-size copy.
-// Replay passes encode=false and renders nothing: a slot left empty is
-// filled by the first sync that picks it.
-func (s *Server) addTestcases(tcs []*testcase.Testcase, encode bool) error {
-	for _, tc := range tcs {
-		if err := tc.Validate(); err != nil {
-			return err
-		}
-	}
+// storeTestcases stores tcs, replacing same-ID entries, in slots whose
+// text is not yet rendered. With a journal writer jw, a non-empty rec,
+// the batch's journal record, is enqueued on it under the store's
+// lock, and its pending request returned.
+func (s *Server) storeTestcases(tcs []*testcase.Testcase, jw *journalWriter, rec []byte) *journalReq {
 	slots := make([]tcSlot, len(tcs))
-	for i, tc := range tcs {
-		slots[i].tc = tc
-	}
-	var op []byte
-	jw := s.journal()
-	if encode {
-		var buf []byte
-		ends := make([]int, len(tcs))
-		for i, tc := range tcs {
-			var err error
-			if buf, err = testcase.Append(buf, tc); err != nil {
-				return fmt.Errorf("testcase %s: %w", tc.ID, err)
-			}
-			ends[i] = len(buf)
-		}
-		payload := string(buf)
-		texts := make([]string, len(tcs))
-		start := 0
-		for i, end := range ends {
-			texts[i] = payload[start:end]
-			slots[i].text.Store(&texts[i])
-			start = end
-		}
-		if jw != nil {
-			var err error
-			if op, err = appendTestcaseRecords(nil, buf, ends); err != nil {
-				return err
-			}
-		}
-	}
 	s.tcMu.Lock()
+	defer s.tcMu.Unlock()
 	var pending *journalReq
-	if op != nil {
+	if jw != nil && len(rec) > 0 {
 		// Enqueued under tcMu: state visible under this lock implies
 		// the op is in the journal queue (the compaction invariant).
-		pending = jw.enqueue(op)
+		pending = jw.enqueue(rec)
 	}
 	for i, tc := range tcs {
+		slots[i].tc = tc
 		if j, ok := s.tcIndex[tc.ID]; ok {
 			s.testcases[j] = &slots[i]
 			continue
@@ -348,11 +325,7 @@ func (s *Server) addTestcases(tcs []*testcase.Testcase, encode bool) error {
 		s.tcIndex[tc.ID] = len(s.testcases)
 		s.testcases = append(s.testcases, &slots[i])
 	}
-	s.tcMu.Unlock()
-	if pending != nil {
-		return <-pending.done
-	}
-	return nil
+	return pending
 }
 
 // TestcaseCount returns the number of stored testcases.

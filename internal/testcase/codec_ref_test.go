@@ -140,11 +140,11 @@ func refDecodeAll(r io.Reader) ([]*Testcase, error) {
 	return out, nil
 }
 
-// FuzzTestcaseCodecDifferential holds Parse and EncodeAll to the
-// reference codec: the same accept/reject decision and error text, the
-// same testcases, and the same encoded bytes.
-func FuzzTestcaseCodecDifferential(f *testing.F) {
-	for _, s := range []string{
+// codecSeeds is the seed corpus of the text codec fuzz targets: odd
+// spacing and line ends, special float spellings, and each kind of
+// rejection, an over-long line included.
+func codecSeeds() []string {
+	return []string{
 		"",
 		"testcase a\nrate 1\nshape ramp   2,120 \t x\nfunction cpu 0 1 2\nend\n",
 		"# c\r\n\r\ntestcase b\r\nrate 0.5\r\nfunction memory 0.1 1e-7 -0\r\nfunction disk 1e21 5e-324 +Inf\r\nend\r\n",
@@ -157,7 +157,14 @@ func FuzzTestcaseCodecDifferential(f *testing.F) {
 		"testcase a\ntestcase b\n",
 		"testcase a\nbogus\n",
 		"testcase a\nrate 1\nend\n#" + strings.Repeat("x", 1<<24),
-	} {
+	}
+}
+
+// FuzzTestcaseCodecDifferential holds Parse and EncodeAll to the
+// reference codec: the same accept/reject decision and error text, the
+// same testcases, and the same encoded bytes.
+func FuzzTestcaseCodecDifferential(f *testing.F) {
+	for _, s := range codecSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
