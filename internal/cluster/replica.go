@@ -59,10 +59,18 @@ func (t ChaosTransport) Dial(addr string) (net.Conn, error) {
 // briefly before the partition degrades instead of wedging ingest.
 const shipTimeout = 2 * time.Second
 
+// shipPieceBytes bounds the journal bytes one ship frame carries,
+// leaving headroom under protocol.MaxMessageBytes for the other fields.
+// A variable so tests can force the cut on small inputs.
+var shipPieceBytes = protocol.MaxMessageBytes - 1<<10
+
 // Shipper streams a primary's committed journal segments to its
 // follower's ReplicaHost, in order, over one persistent connection.
 // Segments are numbered contiguously from 1 so the follower can refuse
-// gaps; a retried segment whose ack was lost is acked idempotently.
+// gaps; a retried segment whose ack was lost is acked idempotently. A
+// segment too large for one frame (a restarted node's bootstrap, or a
+// large group commit) is cut at frame ends into pieces of at most
+// shipPieceBytes, each shipped as a segment of its own.
 //
 // Failure policy — the heart of the cluster's durability story:
 //
@@ -100,9 +108,45 @@ func NewShipper(tr Transport, node, addr string, onDegrade func(error)) *Shipper
 	return &Shipper{tr: tr, addr: addr, node: node, onDegrade: onDegrade}
 }
 
-// Ship sends one journal segment to the follower and waits for its
-// durable ack. Safe to pass as Server.JournalShip.
+// Ship sends one journal segment to the follower, in pieces that each
+// fit one frame, and waits for the durable ack of each. Safe to pass as
+// Server.JournalShip. A single record larger than a piece cannot be
+// cut: it ships alone, and if it outgrows a frame the send fails like a
+// transport failure and replication degrades.
 func (sh *Shipper) Ship(segment []byte) error {
+	for len(segment) > 0 {
+		n := pieceLen(segment)
+		if err := sh.shipPiece(segment[:n]); err != nil {
+			return err
+		}
+		segment = segment[n:]
+	}
+	return nil
+}
+
+// pieceLen returns the length of the first piece of segment: whole
+// frames totalling at most shipPieceBytes, or the first frame alone if
+// it is larger. Bytes that do not cut as frames go as one piece.
+func pieceLen(segment []byte) int {
+	if len(segment) <= shipPieceBytes {
+		return len(segment)
+	}
+	n := 0
+	for n < len(segment) {
+		fl, err := protocol.FrameLen(segment[n:])
+		if err != nil {
+			return len(segment)
+		}
+		if n > 0 && n+fl > shipPieceBytes {
+			break
+		}
+		n += fl
+	}
+	return n
+}
+
+// shipPiece sends one piece as the next segment and waits for its ack.
+func (sh *Shipper) shipPiece(piece []byte) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.degraded || sh.closed {
@@ -110,7 +154,7 @@ func (sh *Shipper) Ship(segment []byte) error {
 	}
 	sh.seq++
 	msg := protocol.Message{Type: protocol.TypeShip, Node: sh.node, Seq: sh.seq}
-	ack, err := sh.roundTrip(msg, segment)
+	ack, err := sh.roundTrip(msg, piece)
 	if err != nil {
 		// Transport-level failure, already retried once on a fresh
 		// connection: the follower is gone. Degrade, keep serving.

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"uucs/internal/atomicfile"
 	"uucs/internal/telemetry"
 )
 
@@ -34,6 +34,14 @@ import (
 //     because the upload cannot start until the registration's ack —
 //     and therefore its fsync — has completed.
 //
+// A seal (journalWriter.seal) rides the same queue. It ends its commit:
+// the ops enqueued before it are written and fsynced, then the active
+// file, if it holds any bytes, is sealed into the next numbered segment
+// and an empty active file opened, so the ops enqueued after it land in
+// that file. SaveState enqueues one under every state lock, which makes
+// each journal file either wholly covered by its snapshot or wholly
+// past it: compaction only deletes files.
+//
 // A write or sync failure poisons the writer: the failing batch and
 // every later append report the error, so no ack can ever be emitted
 // on top of a journal in an unknown state (the fsync-failure stance
@@ -52,8 +60,7 @@ const (
 	defaultJournalDelay = 0 * time.Millisecond
 	// defaultJournalSegmentBytes is the rotation threshold when
 	// Server.JournalSegmentBytes is zero: the journal is always
-	// segmented, so restart replay can fan out across sealed segments
-	// and compaction deletes files instead of rewriting one.
+	// segmented, so restart replay can fan out across sealed segments.
 	defaultJournalSegmentBytes = 64 << 20
 )
 
@@ -70,29 +77,23 @@ var testHookBeforeJournalSync func() error
 
 // journalReq is one queued append. A nil data slice is a barrier: it
 // carries no bytes but its done channel still fires only after every
-// earlier op is durable.
+// earlier op is durable. A seal is a barrier that also seals the active
+// file behind those ops.
 type journalReq struct {
 	data []byte
 	done chan error
+	seal bool
+	// seq is, once a seal's done fires with nil, the first segment
+	// number the seal did not cover: every sealed segment below it holds
+	// only ops enqueued before the seal.
+	seq int
 }
 
-// segInfo tracks one sealed journal segment. base/skip/size place the
-// segment in the logical journal stream: physical bytes [skip, size)
-// hold logical offsets [base, base+size-skip). skip covers the
-// physical-only jmeta header a rotation writes at the head of a fresh
-// file — header bytes created mid-life are never counted as logical
-// journal bytes, so the enq accounting SaveState's compaction cut
-// relies on is untouched by rotation.
+// segInfo names one sealed journal segment on disk.
 type segInfo struct {
 	path string
 	seq  int
-	base int64
-	skip int64
-	size int64
 }
-
-// end returns the logical offset just past the segment's last byte.
-func (sg segInfo) end() int64 { return sg.base + (sg.size - sg.skip) }
 
 // journalWriter owns the journal file and the group-commit loop.
 type journalWriter struct {
@@ -112,23 +113,17 @@ type journalWriter struct {
 	// durability the replica does not have.
 	ship func(segment []byte) error
 
-	// qmu guards the append queue and the logical enqueue offset.
+	// qmu guards the append queue.
 	qmu    sync.Mutex
 	queue  []*journalReq
 	closed bool
 	err    error // sticky first failure; set under qmu
-	// enq is the logical journal offset: total bytes ever accepted into
-	// the queue, counted from the start of the journal's life. Because
-	// the writer is FIFO, an op enqueued when enq == x occupies logical
-	// bytes [x, x+len). SaveState records this as the offset its state
-	// copy covers.
-	enq int64
 
 	kick   chan struct{}
 	exited chan struct{}
 
-	// fmu serializes file access between the writer's commits,
-	// rotation, and compaction's read-tail-and-swap.
+	// fmu serializes the writer's commits and rotations with readers of
+	// the segment list.
 	fmu sync.Mutex
 	f   *os.File
 	// dir is the state directory the journal lives in (segment files
@@ -141,15 +136,7 @@ type journalWriter struct {
 	segs []segInfo
 	// nextSeq numbers the next segment to seal.
 	nextSeq int
-	// base is the logical offset of the active file's physical byte
-	// skip: zero at open, then advanced by each rotation (to the sealed
-	// prefix's logical end) and each compaction (to the compaction cut).
-	base int64
-	// skip is the physical size of the active file's header prefix that
-	// is not part of the logical stream (a rotation-written jmeta
-	// header; zero for a file inherited at open or rebuilt by compaction).
-	skip int64
-	// fsize is the active file's physical size.
+	// fsize is the active file's size.
 	fsize int64
 
 	wbuf []byte // writer-goroutine-only coalescing buffer
@@ -166,7 +153,7 @@ type journalWriter struct {
 	ops       atomic.Uint64 // non-barrier ops made durable
 	fsyncs    atomic.Uint64 // fsync calls issued
 	bytesOut  atomic.Uint64 // journal bytes written
-	sealed    atomic.Uint64 // segments sealed by rotation this life
+	sealed    atomic.Uint64 // segments sealed this life
 	batchHist [batchHistBuckets]atomic.Uint64
 
 	// USE collectors (telemetry): queueDepth tracks reqs accepted but
@@ -182,10 +169,9 @@ type journalWriter struct {
 	flushBusy  telemetry.Counter
 }
 
-// newJournalWriter wraps an append-only journal file whose current size
-// is size (the logical offset already on disk). Call go w.run() to
-// start the commit loop.
-func newJournalWriter(f *os.File, size int64, maxBatch int, maxDelay time.Duration) *journalWriter {
+// newJournalWriter wraps an append-only journal file. Call go w.run()
+// to start the commit loop.
+func newJournalWriter(f *os.File, maxBatch int, maxDelay time.Duration) *journalWriter {
 	if maxBatch <= 0 {
 		maxBatch = defaultJournalBatch
 	}
@@ -193,7 +179,6 @@ func newJournalWriter(f *os.File, size int64, maxBatch int, maxDelay time.Durati
 		maxBatch: maxBatch,
 		maxDelay: maxDelay,
 		f:        f,
-		enq:      size,
 		kick:     make(chan struct{}, 1),
 		exited:   make(chan struct{}),
 	}
@@ -205,7 +190,18 @@ func newJournalWriter(f *os.File, size int64, maxBatch int, maxDelay time.Durati
 // "state visible in memory implies op already enqueued" cheap to
 // guarantee.
 func (w *journalWriter) enqueue(data []byte) *journalReq {
-	r := &journalReq{data: data, done: make(chan error, 1)}
+	return w.push(&journalReq{data: data, done: make(chan error, 1)})
+}
+
+// seal enqueues a seal and returns its pending handle. Like enqueue it
+// never blocks on I/O, so copyState calls it under every state lock:
+// the ops it covers are then exactly those visible in the state copy.
+func (w *journalWriter) seal() *journalReq {
+	return w.push(&journalReq{seal: true, done: make(chan error, 1)})
+}
+
+// push queues r and wakes the writer.
+func (w *journalWriter) push(r *journalReq) *journalReq {
 	w.qmu.Lock()
 	if w.err != nil || w.closed {
 		err := w.err
@@ -217,10 +213,9 @@ func (w *journalWriter) enqueue(data []byte) *journalReq {
 		return r
 	}
 	w.queue = append(w.queue, r)
-	w.enq += int64(len(data))
 	w.qmu.Unlock()
 	w.queueDepth.Add(1)
-	if data != nil {
+	if r.data != nil {
 		w.ackBacklog.Add(1)
 	}
 	select {
@@ -241,16 +236,6 @@ func (w *journalWriter) append(data []byte) error {
 // claim durability the disk does not yet have.
 func (w *journalWriter) barrier() error {
 	return <-w.enqueue(nil).done
-}
-
-// enqueued returns the logical journal offset covering everything
-// accepted so far. Callers that hold all server state locks get the
-// compaction invariant: every op below this offset is already applied
-// to the state they are about to copy.
-func (w *journalWriter) enqueued() int64 {
-	w.qmu.Lock()
-	defer w.qmu.Unlock()
-	return w.enq
 }
 
 // take grabs the entire pending queue, reporting whether the writer
@@ -294,9 +279,11 @@ func (w *journalWriter) run() {
 				batch = append(batch, more...)
 			}
 			for len(batch) > 0 {
-				n := len(batch)
-				if n > w.maxBatch {
-					n = w.maxBatch
+				n := min(len(batch), w.maxBatch)
+				// A seal ends its commit: the ops after it belong in the
+				// file it opens.
+				if i := slices.IndexFunc(batch[:n], func(r *journalReq) bool { return r.seal }); i >= 0 {
+					n = i + 1
 				}
 				w.commit(batch[:n])
 				batch = batch[n:]
@@ -306,9 +293,11 @@ func (w *journalWriter) run() {
 }
 
 // commit writes one batch as a single buffered append, fsyncs once, and
-// releases every member. A failure poisons the writer and is reported
-// to the whole batch.
+// releases every member; a batch ending in a seal then seals the
+// active file. A failure poisons the writer and is reported to the
+// whole batch.
 func (w *journalWriter) commit(batch []*journalReq) {
+	last := batch[len(batch)-1]
 	w.qmu.Lock()
 	err := w.err
 	w.qmu.Unlock()
@@ -362,13 +351,13 @@ func (w *journalWriter) commit(batch []*journalReq) {
 			}
 			if err == nil {
 				w.fsize += int64(len(w.wbuf))
-				if w.fsize >= w.segBytes {
+				if w.fsize >= w.segBytes && !last.seal {
 					// The batch just flushed is durable and about to be
 					// acked; seal the file behind it so the next batch
 					// opens a fresh segment. A rotation failure poisons
 					// the writer like an fsync failure: the journal's
 					// on-disk shape is no longer known-good.
-					err = w.rotateLocked()
+					err = w.rotateLocked(journalHeader)
 				}
 			}
 			w.fmu.Unlock()
@@ -383,6 +372,9 @@ func (w *journalWriter) commit(batch []*journalReq) {
 				w.flushLat.ObserveDuration(d)
 				w.flushBusy.Add(uint64(d))
 			}
+		}
+		if err == nil && last.seal {
+			err = w.sealActive(last)
 		}
 		if err != nil {
 			w.qmu.Lock()
@@ -414,15 +406,28 @@ func histBucket(n int) int {
 	return b
 }
 
+// sealActive seals the active file, if it holds any bytes, into the
+// next segment behind an empty active file, and reports in r the first
+// segment number the seal did not cover.
+func (w *journalWriter) sealActive(r *journalReq) error {
+	w.fmu.Lock()
+	defer w.fmu.Unlock()
+	if w.fsize > 0 {
+		if err := w.rotateLocked(nil); err != nil {
+			return err
+		}
+	}
+	r.seq = w.nextSeq
+	return nil
+}
+
 // rotateLocked seals the active journal file into the next numbered
-// segment and opens a fresh active file headed by its own jmeta frame.
-// Called by the writer goroutine under fmu, between batches, so no op
-// ever straddles a segment boundary. The header is written and synced
-// before any op lands in the new file, but it is physical-only (skip):
-// logical offsets — enq, the compaction cut — are untouched, which is
-// what keeps SaveState's "everything below the recorded offset is in
-// the snapshot" invariant exact across rotations.
-func (w *journalWriter) rotateLocked() error {
+// segment and opens a fresh active file holding header: a jmeta frame
+// after a size rotation, nothing after a seal. Called by the writer
+// goroutine under fmu, between batches, so no op ever straddles a
+// segment boundary. The header is written and synced before any op
+// lands in the new file.
+func (w *journalWriter) rotateLocked(header []byte) error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("server: journal seal: %w", err)
 	}
@@ -431,102 +436,52 @@ func (w *journalWriter) rotateLocked() error {
 	if err := os.Rename(active, segPath); err != nil {
 		return fmt.Errorf("server: journal seal: %w", err)
 	}
-	w.segs = append(w.segs, segInfo{path: segPath, seq: w.nextSeq, base: w.base, skip: w.skip, size: w.fsize})
+	w.segs = append(w.segs, segInfo{path: segPath, seq: w.nextSeq})
 	w.nextSeq++
 	nf, err := os.OpenFile(active, os.O_CREATE|os.O_EXCL|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("server: journal rotate: %w", err)
 	}
-	if _, err := nf.Write(journalHeader); err != nil {
-		nf.Close()
-		return fmt.Errorf("server: journal rotate: %w", err)
+	if len(header) > 0 {
+		if _, err := nf.Write(header); err != nil {
+			nf.Close()
+			return fmt.Errorf("server: journal rotate: %w", err)
+		}
+		if err := nf.Sync(); err != nil {
+			nf.Close()
+			return fmt.Errorf("server: journal rotate: %w", err)
+		}
 	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return fmt.Errorf("server: journal rotate: %w", err)
-	}
-	w.base += w.fsize - w.skip
-	w.skip = int64(len(journalHeader))
-	w.fsize = int64(len(journalHeader))
+	w.fsize = int64(len(header))
 	w.f = nf
 	w.sealed.Add(1)
 	return nil
 }
 
-// compactTo drops the journal prefix below the logical offset off:
-// everything below off is covered by the snapshot the caller just
-// wrote; everything at or past it — journaled and possibly acked while
-// the snapshot was being written — must survive, preserving the PR 2
-// offset-tracking fix. Sealed segments wholly below the cut are simply
-// deleted (the payoff of segmentation: compaction is O(tail), not
-// O(journal)); the at-most-one partially covered file — a sealed
-// segment or the active file — has its covered prefix trimmed exactly,
-// because replay applies unsequenced ops unconditionally and must
-// never see a covered one again. The caller must have barrier()ed
-// first so the files are complete through off.
-func (w *journalWriter) compactTo(off int64, path string) error {
+// deleteSealedBelow deletes the sealed segments numbered below seq,
+// oldest first, so a crash part way leaves a suffix of the segments,
+// never a gap. fmu is held only to read and update the segment list: a
+// commit never waits on an unlink.
+func (w *journalWriter) deleteSealedBelow(seq int) error {
 	w.fmu.Lock()
-	defer w.fmu.Unlock()
-	keep := w.segs[:0]
-	for _, sg := range w.segs {
-		switch {
-		case sg.end() <= off:
-			if err := os.Remove(sg.path); err != nil {
-				return err
-			}
-			continue
-		case sg.base < off:
-			data, err := os.ReadFile(sg.path)
-			if err != nil {
-				return err
-			}
-			tail := data[sg.skip+(off-sg.base):]
-			if err := atomicfile.Write(sg.path, func(f *os.File) error {
-				if len(tail) == 0 {
-					return nil
-				}
-				_, err := f.Write(tail)
-				return err
-			}); err != nil {
-				return err
-			}
-			sg.base, sg.skip, sg.size = off, 0, int64(len(tail))
+	n := 0
+	for n < len(w.segs) && w.segs[n].seq < seq {
+		n++
+	}
+	drop := slices.Clone(w.segs[:n])
+	w.fmu.Unlock()
+	deleted := 0
+	var err error
+	for _, sg := range drop {
+		if err = os.Remove(sg.path); err != nil {
+			break
 		}
-		keep = append(keep, sg)
+		deleted++
 	}
-	w.segs = keep
-	if off <= w.base {
-		// Rotation moved the whole active file past the cut while the
-		// snapshot was being written; it survives untouched.
-		return nil
-	}
-	var tail []byte
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if cut := w.skip + (off - w.base); int64(len(data)) > cut {
-		tail = data[cut:]
-	}
-	if err := atomicfile.Write(path, func(f *os.File) error {
-		if len(tail) == 0 {
-			return nil
-		}
-		_, err := f.Write(tail)
-		return err
-	}); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f.Close()
-	w.f = nf
-	w.base = off
-	w.skip = 0
-	w.fsize = int64(len(tail))
-	return nil
+	w.fmu.Lock()
+	w.segs = w.segs[deleted:]
+	w.fmu.Unlock()
+	return err
 }
 
 // errJournalCrashed is the sticky error an aborted writer reports to

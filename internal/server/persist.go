@@ -29,22 +29,24 @@ import (
 // never lexes or float-parses a run or a testcase.
 //
 // The layout is crash-safe: a compacted snapshot file written
-// atomically (temp file + rename) plus an append-only journal. Every
-// registration and accepted result batch is appended to the journal and
-// synced to stable storage — by the group-commit writer in journal.go,
-// one fsync per batch of concurrent ops — before it is acknowledged to
-// the client. SaveState compacts: it records the journal's logical
-// offset while holding every state lock (so the state copy provably
-// covers all ops below the offset — each op is enqueued before it
-// becomes visible under those locks), writes a fresh snapshot, then
-// atomically replaces the journal with whatever was appended past that
-// offset while the snapshot was being written (acked ops are never
-// dropped). A crash at any point leaves either the old snapshot + full
-// journal or the new snapshot + tail journal — and replay is idempotent
-// (registrations dedup by nonce, result batches dedup by per-client
-// sequence number, testcases dedup by ID), so both recover to the same
-// state. A partial final journal record (crash mid-append) is detected
-// and dropped.
+// atomically (temp file + rename) plus an append-only journal of sealed
+// segments and one active file. Every registration and accepted result
+// batch is appended to the journal and synced to stable storage — by
+// the group-commit writer in journal.go, one fsync per batch of
+// concurrent ops — before it is acknowledged to the client. SaveState
+// compacts: while holding every state lock it copies the state and
+// enqueues a seal (each op is enqueued before it becomes visible under
+// those locks, so the copy covers exactly the ops queued before the
+// seal), writes a fresh snapshot, waits for the seal to close the
+// active file behind those ops, and deletes the sealed segments below
+// it, oldest first. Ops journaled while the snapshot was being written
+// sit in files past the seal and are never touched. A crash before the
+// deletes leaves the new snapshot with old segments under it; replay
+// dedups registrations by nonce, sequenced result batches by per-client
+// sequence number and testcases by ID, so that restores the same state
+// — except an unsequenced (Seq 0) upload, which it applies twice. A
+// partial final journal record (crash mid-append) is detected and
+// dropped.
 //
 // Record formats: every record this build writes — to the journal and
 // to the snapshot alike — is a v3 wire frame (protocol.FrameMagic, a
@@ -133,8 +135,8 @@ var journalHeader, _ = protocol.AppendFrame(nil, protocol.Message{Type: protocol
 var recordChunkBytes = protocol.MaxMessageBytes - 1<<10
 
 // testHookAfterSnapshot, when non-nil, runs between SaveState's
-// snapshot write and its journal compaction — the window in which a
-// live server keeps accepting (journaling and acking) ops that the
+// snapshot write and its segment deletes — the window in which a live
+// server keeps accepting (journaling and acking) ops that the
 // snapshot's state copy predates. Tests use it to pin that race open.
 var testHookAfterSnapshot func(*Server)
 
@@ -178,28 +180,18 @@ func (s *Server) OpenState(dir string) error {
 		}
 		size = int64(len(journalHeader))
 	}
-	// Register the sealed segments replay read so compaction can drop
-	// them once a snapshot covers them. At open, every surviving
-	// physical byte counts as logical (skip stays zero): logical offsets
-	// are session-local, and assigning segment bases cumulatively from
-	// zero keeps enq = "total logical bytes on disk" exactly as for a
-	// journal with no sealed segments.
-	var segBase int64
-	nextSeq := 0
-	for i := range segs {
-		segs[i].base = segBase
-		segBase += segs[i].size
-		nextSeq = segs[i].seq + 1
-	}
-	jw := newJournalWriter(f, segBase+size, s.JournalBatch, s.JournalDelay)
+	// Register the sealed segments replay read so compaction can delete
+	// them once a snapshot covers them.
+	jw := newJournalWriter(f, s.JournalBatch, s.JournalDelay)
 	jw.dir = dir
 	jw.segBytes = s.JournalSegmentBytes
 	if jw.segBytes <= 0 {
 		jw.segBytes = defaultJournalSegmentBytes
 	}
 	jw.segs = segs
-	jw.nextSeq = nextSeq
-	jw.base = segBase
+	if n := len(segs); n > 0 {
+		jw.nextSeq = segs[n-1].seq + 1
+	}
 	jw.fsize = size
 	jw.syncCost = s.JournalSyncCost
 	jw.ship = s.JournalShip
@@ -221,15 +213,15 @@ func (s *Server) OpenState(dir string) error {
 
 // stateCopy is the coordinated cut SaveState works from.
 type stateCopy struct {
-	tcs     []*tcSlot
-	held    int // the copy's runs: the first held of the run store
-	clients []clientEntry
-	// journalOff is the logical journal offset the copy covers; ops at
-	// or past it must survive compaction. Valid only when compact.
-	journalOff int64
+	tcs        []*tcSlot
+	held       int // the copy's runs: the first held of the run store
+	clients    []clientEntry
 	journaling bool
-	compact    bool
 	jw         *journalWriter
+	// seal, when compacting (journaling into the snapshot's own
+	// directory), is the seal enqueued with the copy: the segments below
+	// it hold only ops the copy covers.
+	seal *journalReq
 }
 
 type clientEntry struct {
@@ -244,8 +236,9 @@ type clientEntry struct {
 // count: the log only grows, so its first held runs are the copy's, to
 // be read once the locks are released. Because every mutation enqueues
 // its journal op before becoming visible under these locks, the copy
-// covers every journal op below the recorded offset — the invariant
-// that makes compaction lossless on a live server.
+// covers every journal op queued before the seal enqueued here, and
+// none after it — the invariant that makes compaction lossless on a
+// live server.
 func (s *Server) copyState(dir string) stateCopy {
 	jw := s.journal()
 	s.stateMu.Lock()
@@ -259,11 +252,7 @@ func (s *Server) copyState(dir string) stateCopy {
 	}
 	s.runs.mu.Lock()
 
-	c := stateCopy{
-		jw:         jw,
-		journaling: jw != nil,
-		compact:    jw != nil && stateDir == dir,
-	}
+	c := stateCopy{jw: jw, journaling: jw != nil}
 	c.tcs = slices.Clone(s.testcases)
 	c.held = s.runs.held
 	nonceByID := make(map[string]string, len(s.nonces))
@@ -276,10 +265,8 @@ func (s *Server) copyState(dir string) stateCopy {
 			c.clients = append(c.clients, clientEntry{id: id, nonce: nonceByID[id], snap: snap, seq: sh.lastSeq[id]})
 		}
 	}
-	if c.compact {
-		// Everything enqueued so far is visible in the copy above; the
-		// tail past this offset is preserved by compactTo.
-		c.journalOff = jw.enqueued()
+	if jw != nil && stateDir == dir {
+		c.seal = jw.seal()
 	}
 
 	s.runs.mu.Unlock()
@@ -293,11 +280,12 @@ func (s *Server) copyState(dir string) stateCopy {
 }
 
 // SaveState writes a compacted snapshot of the server's stores to dir
-// (creating it if needed) and compacts the journal. It is safe to call
-// on a live server: registrations and result batches keep flowing while
-// the snapshot is written, and any op journaled in that window — already
-// acked to its client — is preserved in the compacted journal rather
-// than truncated away, so the journal-before-ack guarantee holds across
+// (creating it if needed) and compacts the journal by deleting the
+// sealed segments the snapshot covers. It is safe to call on a live
+// server: registrations and result batches keep flowing while the
+// snapshot is written, and any op journaled in that window — already
+// acked to its client — lands in a file past the seal, which compaction
+// never touches, so the journal-before-ack guarantee holds across
 // compaction.
 func (s *Server) SaveState(dir string) error {
 	if dir == "" {
@@ -341,18 +329,13 @@ func (s *Server) SaveState(dir string) error {
 		testHookAfterSnapshot(s)
 	}
 
-	if c.compact {
-		// The snapshot covers the journal below c.journalOff. Ops
-		// appended past it while the snapshot was being written are
-		// journaled and acked but in neither the snapshot nor (after a
-		// blind truncate) the journal — so carry that tail into the
-		// compacted journal. A crash before the swap is harmless: old
-		// prefix + tail replay dedups. The barrier flushes the queue so
-		// the on-disk file is complete through the offset.
-		if err := c.jw.barrier(); err != nil {
+	if c.seal != nil {
+		// The snapshot covers every segment below the seal; the files
+		// past it hold the ops acked while it was being written.
+		if err := <-c.seal.done; err != nil {
 			return err
 		}
-		return c.jw.compactTo(c.journalOff, journalPathIn(dir))
+		return c.jw.deleteSealedBelow(c.seal.seq)
 	}
 	// Not journaling into dir (detached server, or a snapshot exported
 	// to a foreign directory): leave any live journal alone, but empty

@@ -363,7 +363,7 @@ type replayer struct {
 	upgrade bool
 
 	tail              int64     // the active journal's valid prefix
-	segs              []segInfo // the sealed segments read, bases unset
+	segs              []segInfo // the sealed segments read
 	nfiles            int
 	bytes             int64
 	records           uint64
@@ -438,7 +438,7 @@ func (rp *replayer) open() error {
 		return err
 	}
 	if seq, ok := segmentSeq(filepath.Base(path)); ok {
-		rp.segs = append(rp.segs, segInfo{path: path, seq: seq, size: int64(len(data))})
+		rp.segs = append(rp.segs, segInfo{path: path, seq: seq})
 	}
 	rp.nfiles++
 	rp.bytes += int64(len(data))
@@ -451,8 +451,7 @@ func (rp *replayer) open() error {
 }
 
 // converted takes over a legacy file's conversion: it writes it over
-// the file when upgrading, pins it next to the file's bytes, and makes
-// it the size OpenState registers for a sealed segment.
+// the file when upgrading and pins it next to the file's bytes.
 func (rp *replayer) converted(path string, f *replayFile, conv []byte) error {
 	if rp.upgrade {
 		if err := writeConverted(path, conv); err != nil {
@@ -460,9 +459,6 @@ func (rp *replayer) converted(path string, f *replayFile, conv []byte) error {
 		}
 	}
 	rp.pin(f, len(conv))
-	if n := len(rp.segs); n > 0 && rp.segs[n-1].path == path {
-		rp.segs[n-1].size = int64(len(conv))
-	}
 	return nil
 }
 

@@ -33,8 +33,8 @@
 // apply-then-journal-then-ack order: state changes become visible in
 // memory (with the journal op already enqueued) before the fsync, and
 // the client ack waits for the fsync — so a snapshot taken under all
-// state locks always covers every journaled byte below the recorded
-// offset, which is what keeps live compaction (SaveState) lossless.
+// state locks covers exactly the ops queued before the seal it queues
+// there, which is what keeps live compaction (SaveState) lossless.
 package server
 
 import (
@@ -149,9 +149,9 @@ type Server struct {
 	// JournalSegmentBytes rotates the active journal into a sealed,
 	// numbered segment file (journal-NNNNNN.seg) once its size reaches
 	// this many bytes. Sealed segments are immutable: restart replay
-	// scans them in parallel, and SaveState's compaction deletes the
-	// fully covered ones instead of rewriting one growing file. Zero
-	// means defaultJournalSegmentBytes. Set before OpenState.
+	// scans them in parallel. SaveState seals the active file too,
+	// whatever its size, and deletes the segments its snapshot covers.
+	// Zero means defaultJournalSegmentBytes. Set before OpenState.
 	JournalSegmentBytes int64
 	// ReplayWorkers bounds the concurrent record-decode workers
 	// LoadState uses when replaying state files, and those Results

@@ -62,8 +62,8 @@ type IngestStats struct {
 	JournalBytes uint64 `json:"journal_bytes"`
 	// MeanBatch is JournalOps / JournalFsyncs (0 when no fsync ran).
 	MeanBatch float64 `json:"mean_batch"`
-	// SegmentsSealed is how many journal segments rotation sealed this
-	// process life.
+	// SegmentsSealed is how many journal segments were sealed this
+	// process life, by size rotation or by SaveState's seal.
 	SegmentsSealed uint64 `json:"segments_sealed,omitempty"`
 	// Replay* describe the most recent LoadState — the cold-path health
 	// readings: how long restart replay took and how much it covered.
