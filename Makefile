@@ -15,12 +15,14 @@
 # same run with the fleet pinned to the v2 JSON framing. `make e2e`
 # runs the process-level chaos suite (real binaries, kill -9 inside the
 # journal fsync window, seeded regression replay); `make e2e-smoke` and
-# `make e2e-seeds` run its halves.
+# `make e2e-seeds` run its halves. `make loc` prints non-test Go lines
+# per package, for the root module and for fleetbench/, with and
+# without comment and blank lines.
 
 GO ?= go
 THRESHOLD ?= 0.15
 
-.PHONY: all build test race bench bench-check bench-baseline loadgen-smoke loadgen-smoke-v2 pop-smoke cluster-smoke cluster-smoke-v2 e2e e2e-smoke e2e-smoke-v3 e2e-restart e2e-seeds
+.PHONY: all build test race bench bench-check bench-baseline loadgen-smoke loadgen-smoke-v2 pop-smoke cluster-smoke cluster-smoke-v2 e2e e2e-smoke e2e-smoke-v3 e2e-restart e2e-seeds loc
 
 all: build test
 
@@ -79,3 +81,6 @@ e2e-restart:
 
 e2e-seeds:
 	scripts/e2e/run.sh -seeds
+
+loc:
+	scripts/loc.sh

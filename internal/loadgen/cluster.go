@@ -2,51 +2,26 @@ package loadgen
 
 import (
 	"fmt"
-	"net"
-	"sort"
-	"sync"
+	"io"
 	"sync/atomic"
 	"time"
 
 	"uucs/internal/chaos"
 	"uucs/internal/cluster"
-	"uucs/internal/protocol"
 )
 
-// runClusterLoad drives a closed-loop fleet through an in-process
-// N-node cluster's router instead of a single server. Workers are
-// resilient — they retry across connection drops and in-band "node
-// unavailable" rejections, treating a dup ack as success — because a
-// cluster run is allowed to kill a node mid-upload (KillNode) and the
-// whole point is that the fleet rides through the failover.
-//
-// Verification is the cluster-grade contract: after shutdown, the
-// deterministic merge of every node and replica journal must contain
+// startCluster starts an in-process N-node cluster and points the
+// fleet at its router, with the node killer armed when cfg.KillNode is
+// set. Its finish step is the cluster-grade contract: after shutdown,
+// the deterministic merge of every node and replica journal must hold
 // every acked batch exactly once.
-func runClusterLoad(cfg Config, payload string) (*Report, error) {
-	if cfg.Addr != "" {
-		return nil, fmt.Errorf("loadgen: cluster mode starts its own nodes; -addr conflicts with -nodes")
-	}
-	if cfg.StateDir == "" {
-		return nil, fmt.Errorf("loadgen: cluster mode needs a state dir (per-node journals live under it)")
-	}
-
-	var (
-		tr   cluster.Transport
-		dial func(string) (net.Conn, error)
-	)
-	switch cfg.Net {
-	case "", "tcp":
-		tr = cluster.TCPTransport{}
-		dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
-	case "mem":
+func startCluster(cfg Config, acked *atomic.Uint64) (*target, error) {
+	t := &target{dial: dialTCP}
+	var tr cluster.Transport = cluster.TCPTransport{}
+	if cfg.Net == "mem" {
 		nw := chaos.NewNetwork()
-		tr = cluster.ChaosTransport{Net: nw}
-		dial = nw.Dial
-	default:
-		return nil, fmt.Errorf("loadgen: unknown net %q (want tcp or mem)", cfg.Net)
+		tr, t.dial = cluster.ChaosTransport{Net: nw}, nw.Dial
 	}
-
 	cl, err := cluster.Start(cluster.Config{
 		Nodes: cfg.Nodes, Seed: cfg.Seed, StateRoot: cfg.StateDir,
 		Transport:    tr,
@@ -58,200 +33,59 @@ func runClusterLoad(cfg Config, payload string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	addr := cl.Addr()
-
-	var (
-		budget   atomic.Int64
-		deadline time.Time
-	)
-	if cfg.Batches > 0 {
-		budget.Store(int64(cfg.Batches))
-	} else {
-		deadline = time.Now().Add(cfg.Duration)
-	}
-	more := func() bool {
-		if cfg.Batches > 0 {
-			return budget.Add(-1) >= 0
-		}
-		return time.Now().Before(deadline)
-	}
-
-	// The node killer: once the fleet has acked KillAfterBatches
-	// batches, SIGKILL-equivalently crash the named node and let the
-	// router's failover take over.
-	var acked atomic.Uint64
-	killDone := make(chan error, 1)
-	stopKill := make(chan struct{})
-	if cfg.KillNode != "" {
-		after := uint64(cfg.KillAfterBatches)
-		if after == 0 && cfg.Batches > 0 {
-			after = uint64(cfg.Batches) / 2
-		}
-		go func() {
-			for acked.Load() < after {
-				select {
-				case <-stopKill:
-					killDone <- fmt.Errorf("loadgen: run ended before %d batches; node %s never killed", after, cfg.KillNode)
-					return
-				case <-time.After(time.Millisecond):
-				}
-			}
-			killDone <- cl.CrashNode(cfg.KillNode)
-		}()
-	} else {
-		killDone <- nil
-	}
-
-	results := make([]workerResult, cfg.Clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Clients; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[w] = driveResilient(w, addr, dial, payload, cfg.Protocol, more, &acked)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(stopKill)
-	if err := <-killDone; err != nil {
-		cl.Close()
-		return nil, err
-	}
-
-	rep := &Report{Clients: cfg.Clients, Protocol: cfg.Protocol, Elapsed: elapsed}
-	var lats []time.Duration
-	for w := range results {
-		if err := results[w].err; err != nil {
+	t.addr = cl.Addr()
+	stopKiller := startKiller(cfg, cl, acked)
+	t.finish = func(rep *Report) error {
+		if err := stopKiller(); rep == nil || err != nil {
 			cl.Close()
-			return nil, fmt.Errorf("loadgen: client %d: %w", w, err)
+			return err
 		}
-		rep.Batches += results[w].batches
-		lats = append(lats, results[w].lats...)
+		rep.Telemetry = cl.Telemetry()
+		rep.Failovers = cl.Router().Stats().Failovers
+		if err := cl.Close(); err != nil {
+			return fmt.Errorf("loadgen: cluster shutdown: %w", err)
+		}
+		// The merge's run count is all the check needs, so its output
+		// goes nowhere and no run is kept.
+		st, err := cluster.MergeTree(io.Discard, cfg.StateDir)
+		if err != nil {
+			return fmt.Errorf("loadgen: merge: %w", err)
+		}
+		rep.Merge = &st
+		rep.check(int64(st.Runs), cfg.RunsPerBatch)
+		return nil
 	}
-	rep.Runs = rep.Batches * uint64(cfg.RunsPerBatch)
-	if elapsed > 0 {
-		rep.BatchesPerSec = float64(rep.Batches) / elapsed.Seconds()
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if n := len(lats); n > 0 {
-		rep.LatP50 = lats[n/2]
-		rep.LatP90 = lats[n*90/100]
-		rep.LatP99 = lats[n*99/100]
-		rep.LatMax = lats[n-1]
-	}
-	rep.Telemetry = cl.Telemetry()
-	rep.Failovers = cl.Router().Stats().Failovers
-
-	if err := cl.Close(); err != nil {
-		return nil, fmt.Errorf("loadgen: cluster shutdown: %w", err)
-	}
-
-	// Cluster-grade verification: merge every node and replica journal
-	// and demand exactly the acked batches, once each.
-	runs, st, err := cluster.MergedRuns(cfg.StateDir)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: merge: %w", err)
-	}
-	rep.Merge = &st
-	got, want := int64(len(runs)), int64(rep.Runs)
-	if got < want {
-		rep.Lost = (want - got + int64(cfg.RunsPerBatch) - 1) / int64(cfg.RunsPerBatch)
-	}
-	if got > want {
-		rep.Duplicated = (got - want) / int64(cfg.RunsPerBatch)
-	}
-	return rep, nil
+	return t, nil
 }
 
-// driveResilient is the cluster-mode worker: the same closed loop as
-// driveClient, but it survives the turbulence of a mid-run failover —
-// dropped connections are redialed, in-band rejections are retried,
-// and a dup ack (the retry of a batch whose first ack was lost) counts
-// as acked, because the batch is durably in the dataset exactly once.
-func driveResilient(w int, addr string, dial func(string) (net.Conn, error), payload string, ver int, more func() bool, acked *atomic.Uint64) (res workerResult) {
-	var conn *protocol.Conn
-	defer func() {
-		if conn != nil {
-			conn.Close()
+// startKiller arms the node killer: once the fleet has acked
+// cfg.KillAfterBatches batches (default half of cfg.Batches), it
+// crashes cfg.KillNode SIGKILL-equivalently and lets the router's
+// failover take over. The returned stop disarms it and reports an
+// error if the node was never killed or the crash failed.
+func startKiller(cfg Config, cl *cluster.Cluster, acked *atomic.Uint64) (stop func() error) {
+	if cfg.KillNode == "" {
+		return func() error { return nil }
+	}
+	after := uint64(cfg.KillAfterBatches)
+	if after == 0 {
+		after = uint64(cfg.Batches) / 2
+	}
+	done := make(chan error, 1)
+	quit := make(chan struct{})
+	go func() {
+		for acked.Load() < after {
+			select {
+			case <-quit:
+				done <- fmt.Errorf("loadgen: run ended before %d batches; node %s never killed", after, cfg.KillNode)
+				return
+			case <-time.After(time.Millisecond):
+			}
 		}
+		done <- cl.CrashNode(cfg.KillNode)
 	}()
-	roundTrip := func(msg protocol.Message) (protocol.Message, error) {
-		var lastErr error
-		for attempt := 0; attempt < 60; attempt++ {
-			if attempt > 0 {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if conn == nil {
-				raw, err := dial(addr)
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				conn = protocol.NewConn(raw)
-				conn.SetVersion(ver)
-			}
-			if err := conn.Send(msg); err != nil {
-				lastErr = err
-				conn.Close()
-				conn = nil
-				continue
-			}
-			reply, err := conn.Recv()
-			if err != nil {
-				lastErr = err
-				conn.Close()
-				conn = nil
-				continue
-			}
-			if perr := protocol.AsError(reply); perr != nil {
-				lastErr = perr // mid-failover rejection; same conn, retry
-				continue
-			}
-			return reply, nil
-		}
-		return protocol.Message{}, lastErr
+	return func() error {
+		close(quit)
+		return <-done
 	}
-
-	snap := protocol.Snapshot{
-		Hostname: fmt.Sprintf("lg-host-%03d", w), OS: "winxp",
-		CPUGHz: 2, MemMB: 512, DiskGB: 80,
-	}
-	reg, err := roundTrip(protocol.Message{
-		Type: protocol.TypeRegister, Ver: ver,
-		Snapshot: &snap, Nonce: fmt.Sprintf("lg-nonce-%03d", w),
-	})
-	if err != nil {
-		res.err = err
-		return
-	}
-	if reg.Type != protocol.TypeRegistered || reg.ClientID == "" {
-		res.err = fmt.Errorf("bad register reply %q", reg.Type)
-		return
-	}
-	id := reg.ClientID
-
-	res.lats = make([]time.Duration, 0, 4096)
-	seq := uint64(0)
-	for more() {
-		seq++
-		t0 := time.Now()
-		ack, err := roundTrip(protocol.Message{
-			Type: protocol.TypeResults, ClientID: id, Payload: payload, Seq: seq,
-		})
-		if err != nil {
-			res.err = err
-			return
-		}
-		if ack.Type != protocol.TypeAck || ack.Seq != seq {
-			res.err = fmt.Errorf("bad ack %q seq %d (want seq %d)", ack.Type, ack.Seq, seq)
-			return
-		}
-		res.lats = append(res.lats, time.Since(t0))
-		res.batches++
-		acked.Add(1)
-	}
-	return
 }

@@ -15,6 +15,7 @@ package loadgen
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,8 +76,9 @@ type Config struct {
 	// workers retry across failovers instead of failing fast.
 	Nodes []string
 	// KillNode, in cluster mode, names a node to crash mid-run once the
-	// fleet has acked KillAfterBatches batches (default: half the batch
-	// budget) — the failover load rig.
+	// fleet has acked KillAfterBatches batches — the failover load rig.
+	// KillAfterBatches defaults to half of Batches; a timed run has no
+	// batch budget, so it must set KillAfterBatches.
 	KillNode         string
 	KillAfterBatches int
 	// Addr, when non-empty, targets an already-running server there
@@ -158,7 +160,9 @@ func batchPayload(n int) (string, error) {
 	return b.String(), nil
 }
 
-// Run executes one closed-loop load run.
+// Run executes one closed-loop load run. The mode only picks the
+// target: a cluster when cfg.Nodes is set, else one server. Both share
+// the budget, the workers, the report and the exactly-once check.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 32
@@ -169,100 +173,43 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Duration <= 0 && cfg.Batches <= 0 {
 		cfg.Duration = 5 * time.Second
 	}
-	switch cfg.Protocol {
-	case 0:
+	if cfg.Protocol == 0 {
 		cfg.Protocol = protocol.V3
-	case protocol.V2, protocol.V3:
-	default:
-		return nil, fmt.Errorf("loadgen: unknown protocol version %d (want %d or %d)", cfg.Protocol, protocol.V2, protocol.V3)
 	}
-
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	payload, err := batchPayload(cfg.RunsPerBatch)
 	if err != nil {
 		return nil, err
 	}
 
-	if len(cfg.Nodes) > 0 {
-		return runClusterLoad(cfg, payload)
-	}
-	if cfg.KillNode != "" {
-		return nil, fmt.Errorf("loadgen: -kill-node needs cluster mode (-nodes)")
-	}
-
-	// Transport, and — unless an external address is given — the
-	// in-process target server. The state directory attaches before the
-	// listener opens, so every accepted op is journaled.
+	// A cluster run may lose a node mid-upload, so its workers ride
+	// through the failover. One server's transport is reliable, so
+	// there a retry would only hide a fault.
+	resilient := len(cfg.Nodes) > 0
 	var (
-		srv  *server.Server
-		addr = cfg.Addr
-		dial func(string) (net.Conn, error)
+		acked atomic.Uint64
+		t     *target
 	)
-	if cfg.Net == "mem" && cfg.Addr != "" {
-		return nil, fmt.Errorf("loadgen: -net mem cannot target an external -addr")
-	}
-	if addr == "" {
-		srv = server.New(cfg.Seed)
-		srv.JournalBatch = cfg.JournalBatch
-		srv.JournalDelay = cfg.JournalDelay
-		srv.JournalSyncCost = cfg.FsyncCost
-		srv.JournalSegmentBytes = cfg.JournalSegmentBytes
-		srv.ReplayWorkers = cfg.ReplayWorkers
-		if cfg.StateDir != "" {
-			if err := srv.OpenState(cfg.StateDir); err != nil {
-				return nil, err
-			}
-		}
-		defer srv.Close()
-	}
-	switch cfg.Net {
-	case "", "tcp":
-		dial = func(a string) (net.Conn, error) { return net.Dial("tcp", a) }
-		if srv != nil {
-			a, err := srv.ListenAndServe("127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			addr = a
-		}
-	case "mem":
-		nw := chaos.NewNetwork()
-		dial = nw.Dial
-		ln, err := nw.Listen("uucs-loadgen")
-		if err != nil {
-			return nil, err
-		}
-		go srv.Serve(ln)
-		addr = ln.Addr().String()
-	default:
-		return nil, fmt.Errorf("loadgen: unknown net %q (want tcp or mem)", cfg.Net)
-	}
-
-	// Budget: a timed window or a fixed batch count.
-	var (
-		budget   atomic.Int64
-		deadline time.Time
-	)
-	if cfg.Batches > 0 {
-		budget.Store(int64(cfg.Batches))
+	if resilient {
+		t, err = startCluster(cfg, &acked)
 	} else {
-		deadline = time.Now().Add(cfg.Duration)
+		t, err = startServer(cfg)
 	}
-	more := func() bool {
-		if cfg.Batches > 0 {
-			return budget.Add(-1) >= 0
-		}
-		return time.Now().Before(deadline)
+	if err != nil {
+		return nil, err
 	}
 
+	more := budget(cfg)
 	results := make([]workerResult, cfg.Clients)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Clients; w++ {
-		w := w
+	for w := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[w] = driveClient(w, addr, dial, payload, cfg.Protocol, more)
+			results[w] = drive(w, t, payload, cfg.Protocol, resilient, more, &acked)
 		}()
 	}
 	wg.Wait()
@@ -272,11 +219,12 @@ func Run(cfg Config) (*Report, error) {
 	var lats []time.Duration
 	for w := range results {
 		if err := results[w].err; err != nil {
+			_ = t.finish(nil) // the worker's error is the one to report
 			return nil, fmt.Errorf("loadgen: client %d: %w", w, err)
 		}
-		rep.Batches += results[w].batches
 		lats = append(lats, results[w].lats...)
 	}
+	rep.Batches = uint64(len(lats))
 	rep.Runs = rep.Batches * uint64(cfg.RunsPerBatch)
 	if elapsed > 0 {
 		rep.BatchesPerSec = float64(rep.Batches) / elapsed.Seconds()
@@ -288,67 +236,220 @@ func Run(cfg Config) (*Report, error) {
 		rep.LatP99 = lats[n*99/100]
 		rep.LatMax = lats[n-1]
 	}
-
-	if srv != nil {
-		st := srv.Stats()
-		rep.Server = &st
-		rep.Telemetry = srv.Telemetry()
-		// Verification: every acked batch in the dataset exactly once.
-		// The workers never retry (the transport is reliable), so the
-		// server must report zero dups and exactly rep.Runs records.
-		got := int64(srv.RunCount())
-		want := int64(rep.Runs)
-		if got < want {
-			rep.Lost = (want - got + int64(cfg.RunsPerBatch) - 1) / int64(cfg.RunsPerBatch)
-		}
-		if got > want {
-			rep.Duplicated = (got - want) / int64(cfg.RunsPerBatch)
-		}
-		if st.DupBatches > 0 {
-			rep.Duplicated += int64(st.DupBatches)
-		}
+	if err := t.finish(rep); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
-// workerResult is what one closed-loop worker measured.
-type workerResult struct {
-	batches uint64
-	lats    []time.Duration
-	err     error
+// validate rejects a configuration before anything starts.
+func (cfg *Config) validate() error {
+	switch cfg.Protocol {
+	case protocol.V2, protocol.V3:
+	default:
+		return fmt.Errorf("loadgen: unknown protocol version %d (want %d or %d)", cfg.Protocol, protocol.V2, protocol.V3)
+	}
+	switch cfg.Net {
+	case "", "tcp", "mem":
+	default:
+		return fmt.Errorf("loadgen: unknown net %q (want tcp or mem)", cfg.Net)
+	}
+	if cfg.Net == "mem" && cfg.Addr != "" {
+		return fmt.Errorf("loadgen: -net mem cannot target an external -addr")
+	}
+	if len(cfg.Nodes) == 0 {
+		if cfg.KillNode != "" {
+			return fmt.Errorf("loadgen: -kill-node needs cluster mode (-nodes)")
+		}
+		return nil
+	}
+	if cfg.Addr != "" {
+		return fmt.Errorf("loadgen: cluster mode starts its own nodes; -addr conflicts with -nodes")
+	}
+	if cfg.StateDir == "" {
+		return fmt.Errorf("loadgen: cluster mode needs a state dir (per-node journals live under it)")
+	}
+	if cfg.KillNode == "" {
+		return nil
+	}
+	if !slices.Contains(cfg.Nodes, cfg.KillNode) {
+		return fmt.Errorf("loadgen: -kill-node %s is not one of -nodes %s", cfg.KillNode, strings.Join(cfg.Nodes, ","))
+	}
+	if cfg.KillAfterBatches <= 0 && cfg.Batches <= 0 {
+		return fmt.Errorf("loadgen: -kill-node in a timed run needs -kill-after (the default, half of -batches, needs a batch budget)")
+	}
+	return nil
 }
 
-// driveClient is one closed-loop worker: register, then upload batches
-// back to back until the budget runs out. ver pins the wire framing
-// (the fleet is homogeneous; negotiation is the real client's job).
-func driveClient(w int, addr string, dial func(string) (net.Conn, error), payload string, ver int, more func() bool) (res workerResult) {
-	nc, err := dial(addr)
-	if err != nil {
-		res.err = err
-		return
+// budget returns the fleet's shared budget: each call claims one more
+// batch, from a fixed count or until the timed window closes.
+func budget(cfg Config) func() bool {
+	if cfg.Batches > 0 {
+		var left atomic.Int64
+		left.Store(int64(cfg.Batches))
+		return func() bool { return left.Add(-1) >= 0 }
 	}
-	conn := protocol.NewConn(nc)
-	defer conn.Close()
-	conn.SetVersion(ver)
+	deadline := time.Now().Add(cfg.Duration)
+	return func() bool { return time.Now().Before(deadline) }
+}
+
+// target is what a run drives: the address and dialer the fleet uses,
+// and the step that ends the run once the workers have returned.
+type target struct {
+	addr string
+	dial func(string) (net.Conn, error)
+	// finish stops what the target started. Given a report, it first
+	// fills in the target's stats, telemetry and exactly-once check;
+	// given nil (a worker failed), it only releases.
+	finish func(rep *Report) error
+}
+
+func dialTCP(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+
+// startServer starts the in-process server the fleet drives, or, when
+// cfg.Addr names an external one, only dials it. The state directory
+// attaches before the listener opens, so every accepted op is
+// journaled.
+func startServer(cfg Config) (*target, error) {
+	t := &target{addr: cfg.Addr, dial: dialTCP, finish: func(*Report) error { return nil }}
+	if cfg.Addr != "" {
+		return t, nil
+	}
+	srv := server.New(cfg.Seed)
+	srv.JournalBatch = cfg.JournalBatch
+	srv.JournalDelay = cfg.JournalDelay
+	srv.JournalSyncCost = cfg.FsyncCost
+	srv.JournalSegmentBytes = cfg.JournalSegmentBytes
+	srv.ReplayWorkers = cfg.ReplayWorkers
+	if cfg.StateDir != "" {
+		if err := srv.OpenState(cfg.StateDir); err != nil {
+			srv.Close()
+			return nil, err
+		}
+	}
+	if cfg.Net == "mem" {
+		nw := chaos.NewNetwork()
+		ln, err := nw.Listen("uucs-loadgen")
+		if err != nil {
+			srv.Close()
+			return nil, err
+		}
+		go srv.Serve(ln)
+		t.addr, t.dial = ln.Addr().String(), nw.Dial
+	} else {
+		addr, err := srv.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			srv.Close()
+			return nil, err
+		}
+		t.addr = addr
+	}
+	t.finish = func(rep *Report) error {
+		defer srv.Close()
+		if rep == nil {
+			return nil
+		}
+		st := srv.Stats()
+		rep.Server = &st
+		rep.Telemetry = srv.Telemetry()
+		// The workers never retry, so every dup the server saw is one.
+		rep.Duplicated = int64(st.DupBatches)
+		rep.check(int64(srv.RunCount()), cfg.RunsPerBatch)
+		return nil
+	}
+	return t, nil
+}
+
+// check sets Lost and Duplicated from the number of runs the target's
+// dataset holds: every acked batch must be there exactly once.
+func (r *Report) check(got int64, runsPerBatch int) {
+	want, per := int64(r.Runs), int64(runsPerBatch)
+	if got < want {
+		r.Lost = (want - got + per - 1) / per
+	}
+	if got > want {
+		r.Duplicated += (got - want) / per
+	}
+}
+
+// workerResult is what one closed-loop worker measured: the ack
+// latency of each batch it got acked.
+type workerResult struct {
+	lats []time.Duration
+	err  error
+}
+
+// drive is one closed-loop worker: register, then upload batches back
+// to back until the budget runs out. ver pins the wire framing (the
+// fleet is homogeneous; negotiation is the real client's job).
+//
+// A resilient worker rides a mid-run failover: it redials a dropped
+// connection, retries an in-band rejection, and counts a dup ack (the
+// retry of a batch whose first ack was lost) as acked, because the
+// batch is in the dataset exactly once. Otherwise the first transport
+// error, in-band error or dup ack fails the worker.
+func drive(w int, t *target, payload string, ver int, resilient bool, more func() bool, acked *atomic.Uint64) (res workerResult) {
+	attempts := 1
+	if resilient {
+		attempts = 60
+	}
+	var conn *protocol.Conn
+	defer func() {
+		if conn != nil {
+			conn.Close()
+		}
+	}()
+	roundTrip := func(msg protocol.Message) (protocol.Message, error) {
+		var lastErr error
+		for attempt := 0; attempt < attempts; attempt++ {
+			if attempt > 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			if conn == nil {
+				raw, err := t.dial(t.addr)
+				if err != nil {
+					lastErr = err
+					continue
+				}
+				conn = protocol.NewConn(raw)
+				conn.SetVersion(ver)
+			}
+			if err := conn.Send(msg); err != nil {
+				lastErr = err
+				conn.Close()
+				conn = nil
+				continue
+			}
+			reply, err := conn.Recv()
+			if err != nil {
+				lastErr = err
+				conn.Close()
+				conn = nil
+				continue
+			}
+			if perr := protocol.AsError(reply); perr != nil {
+				lastErr = perr // mid-failover rejection; same conn, retry
+				continue
+			}
+			return reply, nil
+		}
+		return protocol.Message{}, lastErr
+	}
 
 	snap := protocol.Snapshot{
 		Hostname: fmt.Sprintf("lg-host-%03d", w), OS: "winxp",
 		CPUGHz: 2, MemMB: 512, DiskGB: 80,
 	}
-	if err := conn.Send(protocol.Message{
+	reg, err := roundTrip(protocol.Message{
 		Type: protocol.TypeRegister, Ver: ver,
 		Snapshot: &snap, Nonce: fmt.Sprintf("lg-nonce-%03d", w),
-	}); err != nil {
-		res.err = err
-		return
-	}
-	reg, err := conn.Recv()
+	})
 	if err != nil {
 		res.err = err
 		return
 	}
-	if err := protocol.AsError(reg); err != nil {
-		res.err = err
+	if reg.Type != protocol.TypeRegistered || reg.ClientID == "" {
+		res.err = fmt.Errorf("bad register reply %q", reg.Type)
 		return
 	}
 	id := reg.ClientID
@@ -358,18 +459,10 @@ func driveClient(w int, addr string, dial func(string) (net.Conn, error), payloa
 	for more() {
 		seq++
 		t0 := time.Now()
-		if err := conn.Send(protocol.Message{
+		ack, err := roundTrip(protocol.Message{
 			Type: protocol.TypeResults, ClientID: id, Payload: payload, Seq: seq,
-		}); err != nil {
-			res.err = err
-			return
-		}
-		ack, err := conn.Recv()
+		})
 		if err != nil {
-			res.err = err
-			return
-		}
-		if err := protocol.AsError(ack); err != nil {
 			res.err = err
 			return
 		}
@@ -377,12 +470,12 @@ func driveClient(w int, addr string, dial func(string) (net.Conn, error), payloa
 			res.err = fmt.Errorf("bad ack %q seq %d (want seq %d)", ack.Type, ack.Seq, seq)
 			return
 		}
-		if ack.Dup {
+		if ack.Dup && !resilient {
 			res.err = fmt.Errorf("first send of seq %d acked as duplicate", seq)
 			return
 		}
 		res.lats = append(res.lats, time.Since(t0))
-		res.batches++
+		acked.Add(1)
 	}
 	return
 }

@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -71,6 +73,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Net: "mem", Nodes: []string{"n1"}, Batches: 1}); err == nil {
 		t.Error("cluster mode without a state dir accepted")
 	}
+	// Rejected before any node starts: the state root stays empty.
+	root := t.TempDir()
+	if _, err := Run(Config{Net: "mem", Nodes: []string{"n1", "n2", "n3"}, KillNode: "n9", Batches: 400, StateDir: root}); err == nil {
+		t.Error("kill-node outside the cluster's nodes accepted")
+	}
+	if ents, _ := os.ReadDir(root); len(ents) != 0 {
+		t.Errorf("rejected config left %d entries in the state root", len(ents))
+	}
+	_, err := Run(Config{Net: "mem", Nodes: []string{"n1", "n2", "n3"}, KillNode: "n2", Duration: 300 * time.Millisecond, StateDir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "-batches") || !strings.Contains(err.Error(), "-kill-after") {
+		t.Errorf("timed kill-node run without a kill threshold: err = %v, want one naming -batches and -kill-after", err)
+	}
 }
 
 // TestClusterModeFaultFree drives the fleet through a 3-node cluster's
@@ -121,5 +135,42 @@ func TestClusterModeNodeKill(t *testing.T) {
 	}
 	if rep.Lost != 0 || rep.Duplicated != 0 {
 		t.Errorf("lost=%d duplicated=%d, want 0/0", rep.Lost, rep.Duplicated)
+	}
+}
+
+// TestClusterCheckSeesMergedRuns reruns a one-client cluster over a
+// state root that already holds 20 batches of another size. The
+// resilient worker gets its client id back and accepts the dup acks of
+// seqs 1..20, so the merged dataset holds the first run's batches
+// where the second run's were acked, and the exactly-once check must
+// say so, in the second run's batch size: 40 extra runs are 20
+// duplicated batches of 2, 40 missing runs are 10 lost batches of 4.
+func TestClusterCheckSeesMergedRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		first, second int
+		lost, dup     int64
+	}{
+		{"larger-first", 4, 2, 0, 20},
+		{"smaller-first", 2, 4, 10, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Clients: 1, Batches: 20, RunsPerBatch: tc.first,
+				StateDir: t.TempDir(), Net: "mem", Seed: 7,
+				Nodes: []string{"n1", "n2", "n3"},
+			}
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.RunsPerBatch = tc.second
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Lost != tc.lost || rep.Duplicated != tc.dup {
+				t.Errorf("lost=%d duplicated=%d, want %d/%d", rep.Lost, rep.Duplicated, tc.lost, tc.dup)
+			}
+		})
 	}
 }
