@@ -60,7 +60,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "print reports as JSON")
 		nodesCSV  = flag.String("nodes", "", "cluster mode: comma-separated node ids; the fleet drives an in-process routed cluster")
 		killNode  = flag.String("kill-node", "", "cluster mode: SIGKILL-equivalently crash this node mid-run")
-		killAfter = flag.Int("kill-after", 0, "cluster mode: acked batches before the kill (default: half of -batches; a timed run must set it)")
+		killAfter = flag.Int("kill-after", 0, "cluster mode: acked batches before -kill-node's kill, below -batches (0: half of -batches; a timed run must set it)")
 	)
 	flag.Parse()
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"uucs/internal/hostsim"
 	"uucs/internal/testcase"
@@ -191,79 +192,273 @@ func uvarintLen(n int) int {
 	return binary.PutUvarint(b[:], uint64(n))
 }
 
-// runReader reads one binary batch. The first failure sticks in err
-// and zeroes every later read, so callers check once per run.
-type runReader struct {
+// A binary batch is checked by one walk, runWalk: a run at a time,
+// every field against the bytes left, with the offsets in locals. A
+// failed check records a fault (what failed, where, and the values its
+// message quotes) and stops the walk; the error text is formatted from
+// the fault only then. CountRunsBinary is the walk alone; ParseRunsBinary
+// builds each run from what the walk found, reading nothing unchecked.
+
+// faultKind names the check a batch failed.
+type faultKind uint8
+
+const (
+	faultBad       faultKind = iota + 1 // a varint does not parse: "bad <field>"
+	faultCount                          // a count exceeds the bytes left
+	faultStrings                        // a run's strings exceed the bytes left
+	faultTruncated                      // a one-byte field is past the end
+	faultTask
+	faultOutcome
+	faultFloat // a float is past the end
+	faultPrimary
+	faultMask
+	faultLastFive // a run's lastfive values exceed the bytes left
+	faultTrailing // bytes follow the last run
+)
+
+// lengthFields names a run's three string lengths.
+var lengthFields = [3]string{"id length", "params length", "shape length"}
+
+// runWalk walks one binary batch. After a successful run, its fields
+// describe the run just walked: its values, and the offsets of its
+// strings and floats in data. After a failure, the fault fields say
+// what failed.
+type runWalk struct {
 	data []byte
-	pos  int
-	err  error
+	pos  int // where the next run starts
+
+	strs                       int // offset of the id; params and shape follow it
+	idLen, paramsLen, shapeLen int
+	task, outcome, primary     byte // codes, checked
+	mask                       byte
+	user, events               int
+	offset                     int // offset of the Offset float; the primary, mask and levels follow it
+	last                       [len(resources)]int
+	lastAt                     int // offset of the lastfive values
+	samples, loadAt            int
+
+	fault   faultKind
+	field   string // the varint a faultBad or faultCount is about
+	faultAt int    // the offset the error reports
+	v       uint64 // the value the error quotes
+	left    int    // the bytes left the error quotes
 }
 
-func (rd *runReader) fail(format string, args ...any) {
-	if rd.err == nil {
-		rd.err = fmt.Errorf("core: binary runs: offset %d: %s", rd.pos, fmt.Sprintf(format, args...))
-		rd.pos = len(rd.data)
-	}
+// fail records the first fault and reports false, the walk's result.
+func (w *runWalk) fail(kind faultKind, field string, at int, v uint64, left int) bool {
+	w.fault, w.field, w.faultAt, w.v, w.left = kind, field, at, v, left
+	return false
 }
 
-func (rd *runReader) left() int { return len(rd.data) - rd.pos }
-
-func (rd *runReader) uvarint(what string) uint64 {
-	// Lengths and counts almost always fit one byte.
-	if rd.pos < len(rd.data) && rd.data[rd.pos] < 0x80 {
-		rd.pos++
-		return uint64(rd.data[rd.pos-1])
+// runCount reads the batch's run count, checked against the bytes
+// left at minBinaryRun bytes a run.
+func (w *runWalk) runCount() (int, bool) {
+	d, p := w.data, 0
+	var v uint64
+	if len(d) > 0 && d[0] < 0x80 {
+		v, p = uint64(d[0]), 1
+	} else {
+		var n int
+		if v, n = binary.Uvarint(d); n <= 0 {
+			return 0, w.fail(faultBad, "run count", 0, 0, 0)
+		}
+		p = n
 	}
-	v, n := binary.Uvarint(rd.data[rd.pos:])
-	if n <= 0 {
-		rd.fail("bad %s", what)
-		return 0
-	}
-	rd.pos += n
-	return v
-}
-
-// count reads a uvarint count of items of at least size bytes each and
-// fails unless the rest of the input can hold that many.
-func (rd *runReader) count(what string, size int) int {
-	v := rd.uvarint(what)
 	// v > left/size without the division: v <= left keeps v*size far
 	// from overflowing.
-	if left := uint64(rd.left()); v > left || v*uint64(size) > left {
-		rd.fail("%s %d exceeds the %d bytes left", what, v, rd.left())
-		return 0
+	if left := uint64(len(d) - p); v > left || v*minBinaryRun > left {
+		return 0, w.fail(faultCount, "run count", p, v, len(d)-p)
 	}
-	return int(v)
+	w.pos = p
+	return int(v), true
 }
 
-func (rd *runReader) varint(what string) int {
-	v, n := binary.Varint(rd.data[rd.pos:])
-	if n <= 0 || int64(int(v)) != v {
-		rd.fail("bad %s", what)
-		return 0
+// run walks the run at w.pos and moves w.pos past it. It reports false
+// at the first field that fails its check, with the fault recorded.
+func (w *runWalk) run() bool {
+	d, p := w.data, w.pos
+	var lens [3]int
+	for i := range lens {
+		var v uint64
+		if p < len(d) && d[p] < 0x80 {
+			v = uint64(d[p])
+			p++
+		} else {
+			var n int
+			if v, n = binary.Uvarint(d[p:]); n <= 0 {
+				return w.fail(faultBad, lengthFields[i], p, 0, 0)
+			}
+			p += n
+		}
+		if v > uint64(len(d)-p) {
+			return w.fail(faultCount, lengthFields[i], p, v, len(d)-p)
+		}
+		lens[i] = int(v)
 	}
-	rd.pos += n
-	return int(v)
+	strs := lens[0] + lens[1] + lens[2]
+	if strs > len(d)-p {
+		return w.fail(faultStrings, "", p, uint64(strs), len(d)-p)
+	}
+	w.strs, w.idLen, w.paramsLen, w.shapeLen = p, lens[0], lens[1], lens[2]
+	p += strs
+
+	// The fixed fields: task, user, outcome, offset, primary and mask.
+	if p >= len(d) {
+		return w.fail(faultTruncated, "", p, 0, 0)
+	}
+	c := d[p]
+	p++
+	if c == 0 || int(c) > len(tasks) {
+		return w.fail(faultTask, "", p, uint64(c), 0)
+	}
+	w.task = c
+	if p < len(d) && d[p] < 0x80 {
+		u := d[p] // zigzag, as binary.Varint decodes it
+		w.user = int(u>>1) ^ -int(u&1)
+		p++
+	} else {
+		v, n := binary.Varint(d[p:])
+		if n <= 0 || int64(int(v)) != v {
+			return w.fail(faultBad, "user id", p, 0, 0)
+		}
+		w.user = int(v)
+		p += n
+	}
+	if p >= len(d) {
+		return w.fail(faultTruncated, "", p, 0, 0)
+	}
+	c = d[p]
+	p++
+	if c == 0 || c > 2 {
+		return w.fail(faultOutcome, "", p, uint64(c), 0)
+	}
+	w.outcome = c
+	if len(d)-p < 8 {
+		return w.fail(faultFloat, "", p, 0, 0)
+	}
+	w.offset = p
+	p += 8
+	if p >= len(d) {
+		return w.fail(faultTruncated, "", p, 0, 0)
+	}
+	c = d[p]
+	p++
+	if int(c) > len(resources) {
+		return w.fail(faultPrimary, "", p, uint64(c), 0)
+	}
+	w.primary = c
+	if p >= len(d) {
+		return w.fail(faultTruncated, "", p, 0, 0)
+	}
+	c = d[p]
+	p++
+	if c >= 1<<len(resources) {
+		return w.fail(faultMask, "", p, uint64(c), 0)
+	}
+	w.mask = c
+
+	// Levels, lastfive, events and load samples.
+	if levels := 8 * bits.OnesCount8(c); levels > len(d)-p {
+		return w.fail(faultFloat, "", p+(len(d)-p)&^7, 0, 0)
+	} else {
+		p += levels
+	}
+	total := 0
+	for i := range w.last {
+		var v uint64
+		if p < len(d) && d[p] < 0x80 {
+			v = uint64(d[p])
+			p++
+		} else {
+			var n int
+			if v, n = binary.Uvarint(d[p:]); n <= 0 {
+				return w.fail(faultBad, "lastfive count", p, 0, 0)
+			}
+			p += n
+		}
+		if left := uint64(len(d) - p); v > left || v*8 > left {
+			return w.fail(faultCount, "lastfive count", p, v, len(d)-p)
+		}
+		w.last[i] = int(v)
+		total += int(v)
+	}
+	if total > (len(d)-p)/8 {
+		return w.fail(faultLastFive, "", p, uint64(total), len(d)-p)
+	}
+	w.lastAt = p
+	p += 8 * total
+	if p < len(d) && d[p] < 0x80 {
+		u := d[p]
+		w.events = int(u>>1) ^ -int(u&1)
+		p++
+	} else {
+		v, n := binary.Varint(d[p:])
+		if n <= 0 || int64(int(v)) != v {
+			return w.fail(faultBad, "events", p, 0, 0)
+		}
+		w.events = int(v)
+		p += n
+	}
+	var v uint64
+	if p < len(d) && d[p] < 0x80 {
+		v = uint64(d[p])
+		p++
+	} else {
+		var n int
+		if v, n = binary.Uvarint(d[p:]); n <= 0 {
+			return w.fail(faultBad, "load sample count", p, 0, 0)
+		}
+		p += n
+	}
+	if left := uint64(len(d) - p); v > left || v*32 > left {
+		return w.fail(faultCount, "load sample count", p, v, len(d)-p)
+	}
+	w.samples, w.loadAt = int(v), p
+	w.pos = p + 32*int(v)
+	return true
 }
 
-func (rd *runReader) byte() byte {
-	if rd.pos >= len(rd.data) {
-		rd.fail("truncated run")
-		return 0
+// err formats the recorded fault. A fault in run i (0-based) of n
+// names the run, as a fault in the run count (i < 0) does not.
+func (w *runWalk) err(i, n int) error {
+	var msg string
+	switch w.fault {
+	case faultBad:
+		msg = "bad " + w.field
+	case faultCount:
+		msg = fmt.Sprintf("%s %d exceeds the %d bytes left", w.field, w.v, w.left)
+	case faultStrings:
+		msg = fmt.Sprintf("strings of %d bytes exceed the %d bytes left", w.v, w.left)
+	case faultTruncated:
+		msg = "truncated run"
+	case faultTask:
+		msg = fmt.Sprintf("unknown task code %d", w.v)
+	case faultOutcome:
+		msg = fmt.Sprintf("unknown outcome code %d", w.v)
+	case faultFloat:
+		msg = "truncated float"
+	case faultPrimary:
+		msg = fmt.Sprintf("unknown primary resource code %d", w.v)
+	case faultMask:
+		msg = fmt.Sprintf("bad level mask %#x", w.v)
+	case faultLastFive:
+		msg = fmt.Sprintf("lastfive values of %d floats exceed the %d bytes left", w.v, w.left)
+	case faultTrailing:
+		return fmt.Errorf("core: binary runs: %d trailing bytes after %d runs", w.left, n)
 	}
-	b := rd.data[rd.pos]
-	rd.pos++
-	return b
+	if i < 0 {
+		return fmt.Errorf("core: binary runs: offset %d: %s", w.faultAt, msg)
+	}
+	return fmt.Errorf("core: binary runs: offset %d: %s (run %d of %d)", w.faultAt, msg, i+1, n)
 }
 
-func (rd *runReader) float() float64 {
-	if rd.left() < 8 {
-		rd.fail("truncated float")
-		return 0
+// end reports whether the walk ended at the end of data, recording a
+// faultTrailing if not.
+func (w *runWalk) end() bool {
+	if w.pos == len(w.data) {
+		return true
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(rd.data[rd.pos:]))
-	rd.pos += 8
-	return v
+	return w.fail(faultTrailing, "", w.pos, 0, len(w.data)-w.pos)
 }
 
 // ParseRunsBinary decodes a batch AppendRunsBinary wrote. The runs
@@ -274,163 +469,96 @@ func (rd *runReader) float() float64 {
 // is an error; every count is checked against the bytes left before
 // anything is allocated for it.
 func ParseRunsBinary(data []byte) ([]*Run, error) {
-	rd := runReader{data: data}
-	n := rd.count("run count", minBinaryRun)
-	if rd.err != nil {
-		return nil, rd.err
+	w := runWalk{data: data}
+	n, ok := w.runCount()
+	if !ok {
+		return nil, w.err(-1, 0)
 	}
 	block := make([]Run, n)
 	out := make([]*Run, n)
 	for i := range block {
+		if !w.run() {
+			return nil, w.err(i, n)
+		}
+		w.build(&block[i])
 		out[i] = &block[i]
 	}
-	if err := rd.runs(n, block); err != nil {
-		return nil, err
+	if !w.end() {
+		return nil, w.err(n, n)
 	}
 	return out, nil
 }
 
 // CountRunsBinary checks that data is one well-formed batch and returns
-// how many runs it holds, without allocating: it is the walk
-// ParseRunsBinary makes, building nothing. It accepts exactly the
-// inputs ParseRunsBinary accepts, with the same count and the same
-// error text.
+// how many runs it holds, without allocating: it is ParseRunsBinary's
+// walk, building nothing, so it accepts exactly the inputs
+// ParseRunsBinary accepts, with the same count and the same error text.
 func CountRunsBinary(data []byte) (int, error) {
-	rd := runReader{data: data}
-	n := rd.count("run count", minBinaryRun)
-	if rd.err != nil {
-		return 0, rd.err
+	w := runWalk{data: data}
+	n, ok := w.runCount()
+	if !ok {
+		return 0, w.err(-1, 0)
 	}
-	if err := rd.runs(n, nil); err != nil {
-		return 0, err
+	for i := 0; i < n; i++ {
+		if !w.run() {
+			return 0, w.err(i, n)
+		}
+	}
+	if !w.end() {
+		return 0, w.err(n, n)
 	}
 	return n, nil
 }
 
-// runs reads n runs and checks that nothing follows them. Run i is
-// decoded into block[i]; a nil block only checks the runs.
-func (rd *runReader) runs(n int, block []Run) error {
-	for i := 0; i < n; i++ {
-		var r *Run
-		if block != nil {
-			r = &block[i]
-		}
-		rd.readRun(r)
-		if rd.err != nil {
-			return fmt.Errorf("%w (run %d of %d)", rd.err, i+1, n)
-		}
-	}
-	if rd.left() != 0 {
-		return fmt.Errorf("core: binary runs: %d trailing bytes after %d runs", rd.left(), n)
-	}
-	return nil
-}
-
-// readRun decodes one run into r, leaving rd.err set on failure. A nil
-// r reads and checks the same fields and keeps none of them, so it
-// allocates nothing.
-func (rd *runReader) readRun(r *Run) {
-	build := r != nil
-	if !build {
-		r = new(Run) // stays on the stack: nothing below keeps it
-	}
-	idLen := rd.count("id length", 1)
-	paramsLen := rd.count("params length", 1)
-	shapeLen := rd.count("shape length", 1)
-	if rd.err != nil {
-		return
-	}
-	if idLen+paramsLen+shapeLen > rd.left() {
-		rd.fail("strings of %d bytes exceed the %d bytes left", idLen+paramsLen+shapeLen, rd.left())
-		return
-	}
-	if build {
-		// One copy holds the run's strings.
-		strs := string(rd.data[rd.pos : rd.pos+idLen+paramsLen+shapeLen])
-		r.TestcaseID, r.Params = strs[:idLen], strs[idLen:idLen+paramsLen]
-		r.Shape = testcase.Shape(strs[idLen+paramsLen:])
-	}
-	rd.pos += idLen + paramsLen + shapeLen
-
-	if c := rd.byte(); c >= 1 && int(c) <= len(tasks) {
-		r.Task = tasks[c-1]
-	} else {
-		rd.fail("unknown task code %d", c)
-	}
-	r.UserID = rd.varint("user id")
-	switch c := rd.byte(); c {
-	case 1:
-		r.Terminated = Discomfort
-	case 2:
+// build decodes the run just walked into r. One copy holds the run's
+// strings.
+func (w *runWalk) build(r *Run) {
+	d := w.data
+	strs := string(d[w.strs : w.strs+w.idLen+w.paramsLen+w.shapeLen])
+	r.TestcaseID, r.Params = strs[:w.idLen], strs[w.idLen:w.idLen+w.paramsLen]
+	r.Shape = testcase.Shape(strs[w.idLen+w.paramsLen:])
+	r.Task = tasks[w.task-1]
+	r.UserID = w.user
+	r.Terminated = Discomfort
+	if w.outcome == 2 {
 		r.Terminated = Exhausted
-	default:
-		rd.fail("unknown outcome code %d", c)
 	}
-	r.Offset = rd.float()
-	if c := rd.byte(); int(c) <= len(resources) {
-		if c > 0 {
-			r.PrimaryResource = resources[c-1]
-		}
-	} else {
-		rd.fail("unknown primary resource code %d", c)
+	r.Offset = floatAt(d, w.offset)
+	if w.primary > 0 {
+		r.PrimaryResource = resources[w.primary-1]
 	}
-	mask := rd.byte()
-	if mask >= 1<<len(resources) {
-		rd.fail("bad level mask %#x", mask)
-	}
-	if rd.err != nil {
-		return
-	}
-	if build {
-		r.Levels = make(map[testcase.Resource]float64)
-	}
+	r.Levels = make(map[testcase.Resource]float64)
+	at := w.offset + 10 // past the offset, primary and mask
 	for i, res := range resources {
-		if mask&(1<<i) != 0 {
-			if v := rd.float(); build {
-				r.Levels[res] = v
+		if w.mask&(1<<i) != 0 {
+			r.Levels[res] = floatAt(d, at)
+			at += 8
+		}
+	}
+	r.LastFive = make(map[testcase.Resource][]float64)
+	if total := w.last[0] + w.last[1] + w.last[2]; total > 0 {
+		vals := make([]float64, total)
+		for i := range vals {
+			vals[i] = floatAt(d, w.lastAt+8*i)
+		}
+		for i, res := range resources {
+			if c := w.last[i]; c > 0 {
+				r.LastFive[res] = vals[:c:c]
+				vals = vals[c:]
 			}
 		}
 	}
-	var counts [len(resources)]int
-	total := 0
-	for i := range counts {
-		counts[i] = rd.count("lastfive count", 8)
-		total += counts[i]
-	}
-	if total > rd.left()/8 {
-		rd.fail("lastfive values of %d floats exceed the %d bytes left", total, rd.left())
-	}
-	if rd.err != nil {
-		return
-	}
-	if !build {
-		rd.pos += 8 * total // checked against the bytes left above
-	} else {
-		r.LastFive = make(map[testcase.Resource][]float64)
-		if total > 0 {
-			vals := make([]float64, total)
-			for i := range vals {
-				vals[i] = rd.float()
-			}
-			for i, res := range resources {
-				if c := counts[i]; c > 0 {
-					r.LastFive[res] = vals[:c:c]
-					vals = vals[c:]
-				}
-			}
-		}
-	}
-	r.Events = rd.varint("events")
-	samples := rd.count("load sample count", 32)
-	if !build {
-		rd.pos += 32 * samples // checked against the bytes left by count
-		return
-	}
-	if samples > 0 {
-		r.Load = make([]hostsim.Load, samples)
+	r.Events = w.events
+	if w.samples > 0 {
+		r.Load = make([]hostsim.Load, w.samples)
 		for i := range r.Load {
-			r.Load[i] = hostsim.Load{Time: rd.float(), CPU: rd.float(), MemFrac: rd.float(), DiskQ: rd.float()}
+			o := w.loadAt + 32*i
+			r.Load[i] = hostsim.Load{Time: floatAt(d, o), CPU: floatAt(d, o+8), MemFrac: floatAt(d, o+16), DiskQ: floatAt(d, o+24)}
 		}
 	}
 	r.Blank = len(r.Levels) == 0 || allZeroLevels(r)
+}
+
+func floatAt(d []byte, at int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(d[at:]))
 }

@@ -99,6 +99,77 @@ func FuzzCountRunsBinaryDifferential(f *testing.F) {
 	})
 }
 
+// FuzzRunWalkDifferential holds the fused walk to the method-per-field
+// reader it replaced (binary_ref_test.go): on any input, and on the
+// binary encoding of any text input ParseRuns accepts, with prefixes of
+// it and, up to 4 KiB, each one-byte corruption of it, CountRunsBinary
+// and ParseRunsBinary accept exactly what the old reader accepts, with
+// the same run count, the same runs and the same error text. The two
+// share one walk, so their agreement with each other
+// (FuzzCountRunsBinaryDifferential) cannot catch a bug in it; this
+// target can.
+func FuzzRunWalkDifferential(f *testing.F) {
+	for _, s := range runRecordSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		checkRunWalk(t, []byte(input))
+		runs, err := ParseRuns([]byte(input))
+		if err != nil {
+			return
+		}
+		enc := AppendRunsBinary(nil, runs)
+		checkRunWalk(t, enc)
+		for cut := 1; cut < len(enc); cut += 1 + cut/4 {
+			checkRunWalk(t, enc[:len(enc)-cut])
+		}
+		if len(enc) > 4<<10 {
+			return // a seed's multi-megabyte batch: its prefixes suffice
+		}
+		b := bytes.Clone(enc)
+		for at := range enc {
+			for _, v := range []byte{0, 1, 0x7f, 0x80, 0xff, enc[at] + 1} {
+				b[at] = v
+				checkRunWalk(t, b)
+			}
+			b[at] = enc[at]
+		}
+	})
+}
+
+// checkRunWalk fails t unless CountRunsBinary and ParseRunsBinary agree
+// with the reference reader on data.
+func checkRunWalk(t *testing.T, data []byte) {
+	t.Helper()
+	want, werr := refParseRunsBinary(data)
+	wantN, wcerr := refCountRunsBinary(data)
+	if (werr == nil) != (wcerr == nil) || (werr != nil && werr.Error() != wcerr.Error()) {
+		t.Fatalf("%q: the reference reader disagrees with itself: %v, %v", data, werr, wcerr)
+	}
+	got, perr := ParseRunsBinary(data)
+	n, cerr := CountRunsBinary(data)
+	for _, e := range []struct {
+		name string
+		err  error
+	}{{"ParseRunsBinary", perr}, {"CountRunsBinary", cerr}} {
+		switch {
+		case (e.err == nil) != (werr == nil):
+			t.Fatalf("%q: %s error %v, reference %v", data, e.name, e.err, werr)
+		case e.err != nil && e.err.Error() != werr.Error():
+			t.Fatalf("%q: error texts differ:\n%s %v\nreference %v", data, e.name, e.err, werr)
+		}
+	}
+	if werr != nil {
+		return
+	}
+	if n != wantN {
+		t.Fatalf("%q: CountRunsBinary counts %d runs, reference %d", data, n, wantN)
+	}
+	if d := diffRuns(got, want); d != "" {
+		t.Fatalf("%q: ParseRunsBinary against the reference: %s", data, d)
+	}
+}
+
 // TestCountRunsBinaryAllocs pins the validation walk at zero
 // allocations on a valid batch: replay runs it on every binary run
 // record it loads.

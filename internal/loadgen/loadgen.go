@@ -77,8 +77,8 @@ type Config struct {
 	Nodes []string
 	// KillNode, in cluster mode, names a node to crash mid-run once the
 	// fleet has acked KillAfterBatches batches — the failover load rig.
-	// KillAfterBatches defaults to half of Batches; a timed run has no
-	// batch budget, so it must set KillAfterBatches.
+	// KillAfterBatches defaults to half of Batches and must be below it;
+	// a timed run has no batch budget, so it must set KillAfterBatches.
 	KillNode         string
 	KillAfterBatches int
 	// Addr, when non-empty, targets an already-running server there
@@ -275,7 +275,12 @@ func (cfg *Config) validate() error {
 	if !slices.Contains(cfg.Nodes, cfg.KillNode) {
 		return fmt.Errorf("loadgen: -kill-node %s is not one of -nodes %s", cfg.KillNode, strings.Join(cfg.Nodes, ","))
 	}
-	if cfg.KillAfterBatches <= 0 && cfg.Batches <= 0 {
+	switch {
+	case cfg.KillAfterBatches < 0:
+		return fmt.Errorf("loadgen: -kill-after %d is negative (want acked batches below -batches, or 0 for half of -batches)", cfg.KillAfterBatches)
+	case cfg.Batches > 0 && cfg.KillAfterBatches >= cfg.Batches:
+		return fmt.Errorf("loadgen: -kill-after %d must be below -batches %d, or the kill lands after the last ack", cfg.KillAfterBatches, cfg.Batches)
+	case cfg.KillAfterBatches == 0 && cfg.Batches <= 0:
 		return fmt.Errorf("loadgen: -kill-node in a timed run needs -kill-after (the default, half of -batches, needs a batch budget)")
 	}
 	return nil

@@ -85,6 +85,18 @@ func TestConfigValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-batches") || !strings.Contains(err.Error(), "-kill-after") {
 		t.Errorf("timed kill-node run without a kill threshold: err = %v, want one naming -batches and -kill-after", err)
 	}
+	// A kill threshold the batch budget never reaches, or reaches only
+	// with the last ack, is rejected before any node starts.
+	for _, after := range []int{-1, 400, 401} {
+		root := t.TempDir()
+		_, err := Run(Config{Net: "mem", Nodes: []string{"n1", "n2", "n3"}, KillNode: "n2", KillAfterBatches: after, Batches: 400, StateDir: root})
+		if err == nil || !strings.Contains(err.Error(), "-batches") || !strings.Contains(err.Error(), "-kill-after") {
+			t.Errorf("-kill-after %d of -batches 400: err = %v, want one naming -batches and -kill-after", after, err)
+		}
+		if ents, _ := os.ReadDir(root); len(ents) != 0 {
+			t.Errorf("-kill-after %d: rejected config left %d entries in the state root", after, len(ents))
+		}
+	}
 }
 
 // TestClusterModeFaultFree drives the fleet through a 3-node cluster's

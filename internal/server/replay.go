@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"uucs/internal/core"
 	"uucs/internal/pool"
@@ -20,12 +21,13 @@ import (
 // Journal replay. The reference semantics are serial: decode each
 // record and apply it in file order. Decode — frame CRC and field
 // parse, a check of each binary run payload that builds no run (the
-// run store keeps the bytes; see runstore.go), a transcode of each text
-// one (records older than journal format 5), the decode of each
-// testcase batch (binary from format 6 on, text before) — is nearly the
-// whole cost of a cold restart and of failover promotion, so replay
-// runs as one bounded, ordered pipeline (pool.Ordered) that decodes on
-// every core and applies strictly in record order:
+// run store indexes it in the file's bytes; see runstore.go), a
+// transcode of each text one (records older than journal format 5),
+// the decode of each testcase batch (binary from format 6 on, text
+// before) — is nearly the whole cost of a cold restart and of failover
+// promotion, so replay runs as one bounded, ordered pipeline
+// (pool.Ordered) that decodes on every core and applies strictly in
+// record order:
 //
 //   - Cut, on the dispatcher goroutine: the state files are read one at
 //     a time, and recordScanner cuts each into blocks of up to
@@ -46,9 +48,9 @@ import (
 // are in flight. A file's bytes are held while the scanner cuts it and
 // while a block cut from it is in flight; recycling a slot clears its
 // records and decoded ops, so a file buffer becomes garbage once its
-// last block is applied. Beyond the restored stores, replay holds at
-// most 2×GOMAXPROCS+1 state files and as many blocks, however long the
-// journal is.
+// last block is applied — unless the run store took it (replayFile).
+// Beyond the restored stores, replay holds at most 2×GOMAXPROCS+1
+// state files and as many blocks, however long the journal is.
 //
 // Why this is the serial order: the dispatcher cuts records in (file
 // order, offset order) and applies them one at a time, on one
@@ -254,8 +256,8 @@ func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 	}
 }
 
-// applyRec applies one decoded record to the stores.
-func (s *Server) applyRec(d *replayDec) error {
+// applyRec applies one decoded record, read from file, to the stores.
+func (s *Server) applyRec(d *replayDec, file []byte) error {
 	if d.err != nil {
 		return d.err
 	}
@@ -266,7 +268,7 @@ func (s *Server) applyRec(d *replayDec) error {
 	case opClient:
 		return s.applyClient(&d.op)
 	case opResults:
-		return s.applyResults(&d.op, d.batch, d.n)
+		return s.applyResults(&d.op, d.batch, d.n, file)
 	}
 	// A jmeta header, whose version decodeOp checked. A replica journal
 	// can carry several (one per bootstrap segment shipped after a
@@ -299,9 +301,11 @@ func (s *Server) applyClient(op *StateOp) error {
 
 // applyResults replays one opResults: registration check, (id, seq)
 // dedup and lastSeq advance, then, unless the snapshot already covers
-// the batch, the append of its n runs, whose binary form the run store
-// copies.
-func (s *Server) applyResults(op *StateOp, batch []byte, n int) error {
+// the batch, the append of its n runs. A binary batch that lies in
+// file, the bytes read from its state file, is indexed there (the run
+// store takes file); any other, a transcoded text payload or one in a
+// legacy file's conversion, is copied.
+func (s *Server) applyResults(op *StateOp, batch []byte, n int, file []byte) error {
 	sh := shardFor(s, op.ID)
 	sh.lock()
 	if op.Seq > 0 {
@@ -317,9 +321,26 @@ func (s *Server) applyResults(op *StateOp, batch []byte, n int) error {
 	}
 	sh.mu.Unlock()
 	s.runs.mu.Lock()
-	s.runs.add(batch, n)
+	if off, ok := offsetIn(file, batch); ok {
+		s.runs.addIn(file, off, len(batch), n)
+	} else {
+		s.runs.add(batch, n)
+	}
 	s.runs.mu.Unlock()
 	return nil
+}
+
+// offsetIn reports where sub lies in buf, if it lies there.
+func offsetIn(buf, sub []byte) (int, bool) {
+	if len(sub) == 0 || len(sub) > len(buf) {
+		return 0, false
+	}
+	b := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(sub)))
+	if p < b || p-b > uintptr(len(buf)-len(sub)) {
+		return 0, false
+	}
+	return int(p - b), true
 }
 
 // replayBlockRecs is how many consecutive records of one state file a
@@ -338,14 +359,19 @@ type replayBlock struct {
 	err error
 }
 
-// replayFile accounts for one state file's bytes, held while the
-// scanner cuts it or a block cut from it is in flight. refs counts
-// those holds so the replayer can account pinned bytes
-// (replayStats.peakPinned), which tests read to check the pipeline's
-// memory bound; size is the file's length, plus its conversion's if it
-// held legacy records. The bytes themselves become garbage once every
-// slot holding a block of the file is recycled.
+// replayFile is one state file's bytes, data, as read, and their
+// accounting: they are held while the scanner cuts the file or a block
+// cut from it is in flight. refs counts those holds so the replayer
+// can account pinned bytes (replayStats.peakPinned), which tests read
+// to check the pipeline's memory bound; size is the file's length,
+// plus its conversion's if it held legacy records. Who owns data: the
+// replayer, until it applies a binary run batch that lies in it; the
+// run store takes data then (runStore.addIn) and owns it from then on.
+// Nothing writes data in either hand. Bytes the store did not take
+// become garbage once every slot holding a block of the file is
+// recycled.
 type replayFile struct {
+	data []byte
 	size int64
 	refs int
 }
@@ -442,7 +468,7 @@ func (rp *replayer) open() error {
 	}
 	rp.nfiles++
 	rp.bytes += int64(len(data))
-	f := &replayFile{refs: 1}
+	f := &replayFile{data: data, refs: 1}
 	rp.pin(f, len(data))
 	rp.cur = f
 	rp.sc = recordScanner{data: data, file: filepath.Base(path), tolerateTail: active,
@@ -492,7 +518,7 @@ func (rp *replayer) applyBlock(b *replayBlock) error {
 	rp.clock(&rp.wait)
 	defer rp.clock(&rp.apply)
 	for i := range b.recs {
-		if err := rp.s.applyRec(&b.decs[i]); err != nil {
+		if err := rp.s.applyRec(&b.decs[i], b.file.data); err != nil {
 			return errAt(&b.recs[i], err)
 		}
 		rp.records++

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -11,16 +12,23 @@ import (
 )
 
 // The run store. Uploaded runs are kept in journal order as a log: a
-// prefix of decoded runs, then the binary batches (core.AppendRunsBinary)
-// that uploads and replay hand in, copied into pointer-free arena
-// chunks. A batch costs its binary size, about 93 bytes a run, plus a
-// 16-byte index entry; a decoded run costs about ten times that. The
-// cluster merge reads the journals, not the store, and a node's
-// periodic readers, the export and the snapshot aggregate, go through
-// scan, which keeps nothing it decodes. Results goes through
-// decodeAll, which decodes the batches still held as bytes once: the
-// decoded runs replace the bytes, so each batch is held in one form (at
-// chunk granularity) and each run is decoded at most once.
+// prefix of decoded runs, then binary batches (core.AppendRunsBinary)
+// in pointer-free arena chunks, each indexed by a 16-byte batchRef. An
+// upload's batch is copied into the last chunk, or into a fresh one. A
+// batch that replay found in a state file is not copied: the store
+// takes the bytes replay read from that file as a chunk of its own
+// (addIn), sealed by its capacity so no later append writes into it,
+// and indexes the batch where it lies. From then on the store owns
+// those bytes, and nothing else writes them. A run so costs its binary
+// size, about 89 bytes, plus the index entry, plus, after a restart,
+// its share of the file's other bytes (frame headers, registrations,
+// testcases); a decoded run costs about ten times that. The cluster
+// merge reads the journals, not the store, and a node's periodic
+// readers, the export and the snapshot aggregate, go through scan,
+// which keeps nothing it decodes. Results goes through decodeAll,
+// which decodes the batches still held as bytes once: the decoded runs
+// replace the bytes, so each batch is held in one form (at chunk
+// granularity) and each run is decoded at most once.
 //
 // Locks: mu guards the log; it is the innermost state lock (regMu <
 // tcMu < shard.mu < runs.mu). decMu serializes decodeAll calls, which
@@ -79,10 +87,50 @@ func (st *runStore) add(batch []byte, n int) {
 		last++
 	}
 	c := st.chunks[last]
-	st.pending = append(st.pending, batchRef{chunk: uint32(last), off: uint32(len(c)), len: uint32(len(batch)), runs: uint32(n)})
+	st.index(last, len(c), len(batch), n)
 	st.chunks[last] = append(c, batch...)
+}
+
+// addIn appends a binary batch of n runs that is file[off:off+size]
+// without copying it: unless the last chunk already is file, the store
+// takes file as a new chunk, full to its capacity, so that add never
+// appends into it. The caller holds mu and hands file over: nothing
+// may write it again. Chunks stay in log order, so a file whose binary
+// batches alternate with copied ones is taken once per run of its
+// batches; a take is a slice header, not a copy.
+func (st *runStore) addIn(file []byte, off, size, n int) {
+	if n == 0 {
+		return
+	}
+	if len(file) > math.MaxUint32 { // past what a batchRef can locate
+		st.add(file[off:off+size], n)
+		return
+	}
+	last := len(st.chunks) - 1
+	if last < 0 || !sameBytes(st.chunks[last], file) {
+		st.chunks = append(st.chunks, file[:len(file):len(file)])
+		last++
+	}
+	st.index(last, off, size, n)
+}
+
+// index appends the entry of a batch of n runs at chunks[chunk][off:off+size].
+// The index doubles when full, where append would grow a long one by a
+// quarter: a restart appends an entry for every batch of the journal,
+// and quarter steps allocate about five times the final index on the
+// way.
+func (st *runStore) index(chunk, off, size, n int) {
+	if len(st.pending) == cap(st.pending) {
+		st.pending = slices.Grow(st.pending, max(len(st.pending), 64))
+	}
+	st.pending = append(st.pending, batchRef{chunk: uint32(chunk), off: uint32(off), len: uint32(size), runs: uint32(n)})
 	st.held += n
 	st.undecoded += n
+}
+
+// sameBytes reports whether a and b are the same bytes of one array.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // counts returns how many runs the log holds, and how many of them are

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -192,18 +194,9 @@ func TestResultsMatchUploads(t *testing.T) {
 	})
 }
 
-// TestRunStoreHeapPerRun bounds what an unread run costs a journaled
-// server: at most 128 heap bytes a run, at one and at ten times the
-// uploads. A decoded run costs several times that.
-func TestRunStoreHeapPerRun(t *testing.T) {
-	heap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	// Fleet-like runs, as in fleetbench: one level, five lastfive
-	// values, no load samples.
+// fleetPayloads is 16 fleet-like 3-run upload payloads, as in
+// fleetbench: one level, five lastfive values, no load samples.
+func fleetPayloads() []string {
 	payloads := make([]string, 16)
 	for k := range payloads {
 		runs := []*core.Run{testRun(), testRun(), testRun()}
@@ -213,6 +206,190 @@ func TestRunStoreHeapPerRun(t *testing.T) {
 		}
 		payloads[k] = string(core.AppendRuns(nil, runs, false))
 	}
+	return payloads
+}
+
+// heapInUse returns the live heap after a collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestRestartHoldsJournalBytesOnce checks that a restart keeps each
+// binary run batch where replay read it. Over a fleet-shaped segmented
+// journal (fleetbench ingest's: 512 hosts, 30,720 3-run uploads),
+// OpenState allocates at most 1.6 times the journal's bytes, the
+// restarted server holds at most 128 heap bytes a run
+// (TestRunStoreHeapPerRun's bound for a live server), and the store's
+// chunks are the state files' bytes, sealed by their capacity. After
+// more uploads, made while an export reads the store, they still equal
+// the files on disk, and Results is every upload in order. A legacy directory of the same kind of uploads,
+// converted by OpenState, restores the same state.
+func TestRestartHoldsJournalBytesOnce(t *testing.T) {
+	payloads := fleetPayloads()
+	t.Run("fleet journal", func(t *testing.T) {
+		const clients, batches = 512, 60
+		dir := t.TempDir()
+		open := func() *Server {
+			s := New(1)
+			s.JournalSegmentBytes = 1 << 20
+			if err := s.OpenState(dir); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		var want []*core.Run
+		upload := func(s *Server, ids []string, from, to int) {
+			for k := from; k < to; k++ {
+				payload := payloads[k%len(payloads)]
+				runs, err := core.ParseRuns([]byte(payload))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.addResults(resultsFrame(t, ids[k%len(ids)], uint64(k/len(ids)+1), payload), runs); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, runs...)
+			}
+		}
+		s := open()
+		ids := make([]string, clients)
+		for c := range ids {
+			snap := testSnapshot()
+			snap.Hostname = fmt.Sprintf("fleet-host-%d", c)
+			var err error
+			if ids[c], err = s.register(snap, snap.Hostname); err != nil {
+				t.Fatal(err)
+			}
+		}
+		uploads := clients * batches
+		upload(s, ids, 0, uploads)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := StateFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onDisk [][]byte
+		journal := 0
+		for _, path := range files {
+			data, err := readState(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) > 0 {
+				onDisk = append(onDisk, data)
+				journal += len(data)
+			}
+		}
+
+		before := heapInUse()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s = open()
+		runtime.ReadMemStats(&m1)
+		defer s.Close()
+		n := s.RunCount()
+		if n != len(want) {
+			t.Fatalf("restart holds %d runs, want %d", n, len(want))
+		}
+		alloc := m1.TotalAlloc - m0.TotalAlloc
+		per := (float64(heapInUse()) - float64(before)) / float64(n)
+		t.Logf("OpenState allocated %.2fx the %d-byte journal; %.1f heap bytes a run held", float64(alloc)/float64(journal), journal, per)
+		if float64(alloc) > 1.6*float64(journal) {
+			t.Errorf("OpenState allocated %d bytes over a %d-byte journal, ceiling 1.6x", alloc, journal)
+		}
+		if per > 128 {
+			t.Errorf("the restarted server holds %.1f heap bytes a run over %d runs; ceiling 128", per, n)
+		}
+
+		s.runs.mu.Lock()
+		taken := slices.Clone(s.runs.chunks)
+		s.runs.mu.Unlock()
+		if len(taken) != len(onDisk) {
+			t.Fatalf("the store holds %d chunks after the restart, want the %d state files", len(taken), len(onDisk))
+		}
+		for i, c := range taken {
+			if len(c) != cap(c) {
+				t.Errorf("chunk %d: %d bytes with room for %d: not sealed", i, len(c), cap(c))
+			}
+			if !bytes.Equal(c, onDisk[i]) {
+				t.Errorf("chunk %d (%d bytes) is not state file %d's bytes (%d)", i, len(c), i, len(onDisk[i]))
+			}
+		}
+
+		// An export reads the taken chunks while the uploads land.
+		exported := make(chan error, 1)
+		go func() { exported <- s.WriteResults(io.Discard, false) }()
+		upload(s, ids, uploads, uploads+2*clients)
+		if err := <-exported; err != nil {
+			t.Fatal(err)
+		}
+		if files, err = StateFiles(dir); err != nil {
+			t.Fatal(err)
+		}
+		s.runs.mu.Lock()
+		held := slices.Clone(s.runs.chunks[:len(taken)])
+		s.runs.mu.Unlock()
+		// A chunk is its file's bytes, or the start of them: the
+		// active journal grows, and may be sealed under a new name.
+		var nowOnDisk [][]byte
+		for _, path := range files {
+			data, err := readState(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nowOnDisk = append(nowOnDisk, data)
+		}
+		for i, c := range held {
+			if !bytes.Equal(c, taken[i]) || !slices.ContainsFunc(nowOnDisk, func(data []byte) bool { return bytes.HasPrefix(data, c) }) {
+				t.Errorf("after more uploads, chunk %d (%d bytes, %d at the restart) is no state file's bytes", i, len(c), len(taken[i]))
+			}
+		}
+		if got := s.Results(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Results after the restart and more uploads: %d runs that differ from the %d uploaded", len(got), len(want))
+		}
+	})
+
+	t.Run("legacy directory", func(t *testing.T) {
+		newDir, oldDir := t.TempDir(), t.TempDir()
+		h := newDualHistory(t, newDir, oldDir)
+		var ids []string
+		for c := 0; c < 8; c++ {
+			snap := testSnapshot()
+			snap.Hostname = fmt.Sprintf("legacy-fleet-%d", c)
+			ids = append(ids, h.register(snap, snap.Hostname))
+		}
+		for k := 0; k < 8*20; k++ {
+			runs, err := core.ParseRuns([]byte(payloads[k%len(payloads)]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.upload(ids[k%len(ids)], uint64(k/len(ids)+1), runs)
+		}
+		h.close()
+		restart := func(dir string) string {
+			s := New(1)
+			if err := s.OpenState(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			return richFingerprint(t, s)
+		}
+		if got, want := restart(oldDir), restart(newDir); got != want {
+			t.Fatalf("the converted legacy directory restores another state\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// TestRunStoreHeapPerRun bounds what an unread run costs a journaled
+// server: at most 128 heap bytes a run, at one and at ten times the
+// uploads. A decoded run costs several times that.
+func TestRunStoreHeapPerRun(t *testing.T) {
+	payloads := fleetPayloads()
 	for _, scale := range []int{1, 10} {
 		const clients = 8
 		batches := 1000 * scale
@@ -229,7 +406,7 @@ func TestRunStoreHeapPerRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := heap()
+		before := heapInUse()
 		for k := 0; k < batches; k++ {
 			payload := payloads[k%len(payloads)]
 			runs, err := core.ParseRuns([]byte(payload))
@@ -240,7 +417,7 @@ func TestRunStoreHeapPerRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		held := float64(heap()) - float64(before)
+		held := float64(heapInUse()) - float64(before)
 		n := s.RunCount()
 		if n != 3*batches {
 			t.Fatalf("scale %d: %d runs held, want %d", scale, n, 3*batches)
