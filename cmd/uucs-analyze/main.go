@@ -21,13 +21,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"uucs/internal/analysis"
 	"uucs/internal/cluster"
 	"uucs/internal/core"
+	"uucs/internal/profiling"
 	"uucs/internal/testcase"
 )
 
@@ -37,22 +36,24 @@ func main() {
 		grid        = flag.Bool("grid", false, "print the per-task/resource CDF grid (Figure 18)")
 		km          = flag.String("km", "", "print the Kaplan-Meier discomfort curve for one resource")
 		clusterRoot = flag.String("cluster", "", "cluster state root: merge every node and replica journal under it")
-		workers     = flag.Int("merge-workers", 0, "parallel source-scan workers for the -cluster merge (0 = GOMAXPROCS; the merged output is byte-identical at any setting)")
 		spillMB     = flag.Int("merge-spill-mb", 0, "per-worker in-memory merge chunk bound in MB before spilling to a temp file (0 = default 32)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile (allocs) to this file on exit")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 && *clusterRoot == "" {
 		fmt.Fprintln(os.Stderr, "usage: uucs-analyze [flags] results.txt...")
 		os.Exit(2)
 	}
-	stopProfiles := startProfiles(*cpuProfile, *memProfile, fatal)
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
 	defer stopProfiles()
 
 	db := analysis.NewDB(nil)
 	if *clusterRoot != "" {
-		opt := cluster.MergeOptions{Workers: *workers, SpillBytes: *spillMB << 20}
+		opt := cluster.MergeOptions{SpillBytes: *spillMB << 20}
 		runs, st, err := cluster.MergedRunsOpts(*clusterRoot, opt)
 		if err != nil {
 			fatal(fmt.Errorf("cluster %s: %w", *clusterRoot, err))
@@ -154,40 +155,6 @@ func printMetrics(db *analysis.DB) {
 			}
 			fmt.Printf("%-14s %-8s %6.2f %8s %8s %20s %4s\n",
 				label, res, m.Fd, c05, ca, ci, letters[task][res])
-		}
-	}
-}
-
-// startProfiles starts the optional -cpuprofile capture and returns a
-// stop function that finalizes it and writes the -memprofile heap
-// snapshot. Either path may be empty.
-func startProfiles(cpuPath, memPath string, fail func(error)) func() {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fail(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
-			}
-			f.Close()
 		}
 	}
 }

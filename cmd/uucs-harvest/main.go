@@ -21,14 +21,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"uucs/internal/analysis"
 	"uucs/internal/cluster"
 	"uucs/internal/comfort"
 	"uucs/internal/core"
 	"uucs/internal/harvest"
+	"uucs/internal/profiling"
 	"uucs/internal/study"
 )
 
@@ -40,20 +39,22 @@ func main() {
 		seed        = flag.Uint64("seed", 2004, "fleet seed")
 		fixed       = flag.Float64("fixed", 0.2, "level for the fixed-priority baseline policy")
 		clusterRoot = flag.String("cluster", "", "derive the CDFs from this cluster state root (merged node journals) instead of running a controlled study")
-		workers     = flag.Int("merge-workers", 0, "parallel source-scan workers for the -cluster merge (0 = GOMAXPROCS; the merged output is byte-identical at any setting)")
 		spillMB     = flag.Int("merge-spill-mb", 0, "per-worker in-memory merge chunk bound in MB before spilling to a temp file (0 = default 32)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile (allocs) to this file on exit")
 	)
 	flag.Parse()
-	stopProfiles := startProfiles(*cpuProfile, *memProfile, fatal)
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
 	defer stopProfiles()
 
 	// Measure the CDFs first (§5: exploit them) — from a cluster's
 	// merged dataset when one is given, else from a controlled study.
 	var db *analysis.DB
 	if *clusterRoot != "" {
-		opt := cluster.MergeOptions{Workers: *workers, SpillBytes: *spillMB << 20}
+		opt := cluster.MergeOptions{SpillBytes: *spillMB << 20}
 		runs, st, err := cluster.MergedRunsOpts(*clusterRoot, opt)
 		if err != nil {
 			fatal(fmt.Errorf("cluster %s: %w", *clusterRoot, err))
@@ -104,40 +105,6 @@ func main() {
 	if ss != nil && fb != nil && ss.HarvestedCPUHours > 0 {
 		fmt.Printf("cdf+feedback harvests %.1fx the screensaver default with %d/%d uninstalls\n",
 			fb.HarvestedCPUHours/ss.HarvestedCPUHours, fb.Uninstalls, fb.Users)
-	}
-}
-
-// startProfiles starts the optional -cpuprofile capture and returns a
-// stop function that finalizes it and writes the -memprofile heap
-// snapshot. Either path may be empty.
-func startProfiles(cpuPath, memPath string, fail func(error)) func() {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		cpuFile = f
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fail(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
-			}
-			f.Close()
-		}
 	}
 }
 

@@ -49,10 +49,8 @@ func main() {
 		addr      = flag.String("addr", "", "drive an external server at this address instead of in-process")
 		stateDir  = flag.String("state", "", "server state directory (default: a fresh temp dir; 'none' disables journaling)")
 		jBatch    = flag.Int("journal-batch", 0, "max ops per group-commit fsync (0 = server default, 1 = fsync per op)")
-		jDelay    = flag.Duration("journal-delay", 0, "group-commit accumulation window (0 = never wait)")
 		fsyncCost = flag.Duration("fsync-cost", 0, "modeled storage device: stretch each fsync to at least this long (e.g. 8ms for a paper-era disk)")
 		jSegment  = flag.Int64("journal-segment-bytes", 0, "seal the journal into numbered segments at this size (0 = 64 MiB)")
-		rWorkers  = flag.Int("replay-workers", 0, "restart-replay decode workers (0 = GOMAXPROCS, 1 = serial)")
 		seed      = flag.Uint64("seed", 1, "server sampling seed")
 		proto     = flag.String("protocol", "v3", "fleet wire framing: v2 (JSON) or v3 (binary)")
 		compare   = flag.String("compare", "", `also run a baseline and print the speedup: "journal" (fsync-per-op) or "protocol" (v2 framing)`)
@@ -77,9 +75,8 @@ func main() {
 	base := loadgen.Config{
 		Clients: *clients, Duration: *duration, Batches: *batches,
 		RunsPerBatch: *runsPer, Net: *netKind, Addr: *addr,
-		JournalBatch: *jBatch, JournalDelay: *jDelay,
-		FsyncCost: *fsyncCost, JournalSegmentBytes: *jSegment,
-		ReplayWorkers: *rWorkers, Seed: *seed, Protocol: ver,
+		JournalBatch: *jBatch, FsyncCost: *fsyncCost,
+		JournalSegmentBytes: *jSegment, Seed: *seed, Protocol: ver,
 		Nodes: nodes, KillNode: *killNode, KillAfterBatches: *killAfter,
 	}
 

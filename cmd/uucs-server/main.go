@@ -15,8 +15,8 @@
 // lines are upgraded in place, once, to frames when the directory is
 // opened. Journal appends are group-committed: ops
 // arriving while a flush is in flight share the next fsync
-// (-journal-batch caps the batch, -journal-delay optionally waits for
-// more ops). -idle-timeout disconnects clients that go silent
+// (-journal-batch caps the batch). Replay and run-store decoding run on
+// GOMAXPROCS workers. -idle-timeout disconnects clients that go silent
 // mid-conversation (0 keeps them forever). With -debug-addr, the
 // /debug/vars page exposes the ingest counters (uucs_ingest: batches,
 // journal fsyncs, group-commit batch histogram, per-shard lock spread)
@@ -60,10 +60,8 @@ func main() {
 		idle     = flag.Duration("idle-timeout", 0, "disconnect clients silent for this long (0 = never)")
 		debug    = flag.String("debug-addr", "", "serve net/http/pprof, expvar and /telemetry on this address (off when empty)")
 		jBatch   = flag.Int("journal-batch", 0, "max ops per group-commit fsync (0 = default, 1 = fsync per op)")
-		jDelay   = flag.Duration("journal-delay", 0, "wait this long for more ops before fsyncing a sub-capacity batch (0 = never wait)")
 		jSync    = flag.Duration("fsync-cost", 0, "modeled storage device: stretch each journal fsync to at least this long (0 = real device)")
 		jSegment = flag.Int64("journal-segment-bytes", 0, "seal the journal into a numbered segment file once it reaches this size; sealed segments replay in parallel at restart and compaction deletes covered ones instead of rewriting (0 = 64 MiB)")
-		rWorkers = flag.Int("replay-workers", 0, "parallel record-decode workers for restart replay and for decoding the run store on read (0 = GOMAXPROCS, 1 = serial; the restored state is bit-identical at any setting)")
 		crashAft = flag.Int("crash-after", 0, "TEST HOOK: SIGKILL this process between the Nth journaled op's write and its fsync (requires -state; 0 = off)")
 		maxProto = flag.String("max-protocol", "v3", "highest wire protocol to grant at negotiation: v3, or v2 to roll the fleet back to the JSON framing")
 	)
@@ -106,10 +104,8 @@ func main() {
 	}
 	srv.IdleTimeout = *idle
 	srv.JournalBatch = *jBatch
-	srv.JournalDelay = *jDelay
 	srv.JournalSyncCost = *jSync
 	srv.JournalSegmentBytes = *jSegment
-	srv.ReplayWorkers = *rWorkers
 	srv.CrashAfterJournalOps = *crashAft
 	if *crashAft > 0 && *stateDir == "" {
 		fatal(fmt.Errorf("-crash-after needs -state (the crash window is the journal fsync)"))

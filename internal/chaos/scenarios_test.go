@@ -157,11 +157,10 @@ func TestFleetScenarios(t *testing.T) {
 }
 
 // TestGroupCommitFleetBitIdentical runs the fleet against a journaling
-// server — group commit enabled, with an accumulation delay, under the
-// mixed fault profile — and against the fsync-per-op degenerate case.
-// Both datasets must be bit-identical to the in-memory fault-free
-// baseline: the commit batching is a throughput lever, never a
-// semantic one.
+// server — group commit enabled, under the mixed fault profile — and
+// against the fsync-per-op degenerate case. Both datasets must be
+// bit-identical to the in-memory fault-free baseline: the commit
+// batching is a throughput lever, never a semantic one.
 func TestGroupCommitFleetBitIdentical(t *testing.T) {
 	baseline := runFleet(t, chaos.Profile{}, nil, 0)
 	mixed := chaos.Profile{DialFail: 0.06, Drop: 0.04, PartialWrite: 0.04, Corrupt: 0.04, MaxFaults: 6}
@@ -171,7 +170,6 @@ func TestGroupCommitFleetBitIdentical(t *testing.T) {
 	}{
 		{"group-commit", func(cfg *internetstudy.Config) {
 			cfg.StateDir = t.TempDir()
-			cfg.JournalDelay = 200 * time.Microsecond
 		}},
 		{"fsync-per-op", func(cfg *internetstudy.Config) {
 			cfg.StateDir = t.TempDir()

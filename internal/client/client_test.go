@@ -167,7 +167,11 @@ func TestStoreRunLifecycle(t *testing.T) {
 	if err != nil || len(pending) != 1 {
 		t.Fatalf("pending = %d, %v", len(pending), err)
 	}
-	if err := st.MarkUploaded(); err != nil {
+	seq, err := st.SealPending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.MarkBatchUploaded(seq); err != nil {
 		t.Fatal(err)
 	}
 	pending, _ = st.PendingRuns()
@@ -177,10 +181,6 @@ func TestStoreRunLifecycle(t *testing.T) {
 	archived, err := st.UploadedRuns()
 	if err != nil || len(archived) != 1 {
 		t.Errorf("archived = %d, %v", len(archived), err)
-	}
-	// MarkUploaded with nothing pending is a no-op.
-	if err := st.MarkUploaded(); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -318,23 +318,6 @@ func (s *Store) MarkBatchUploaded(seq uint64) error {
 	return os.Remove(s.path(outboxName(seq)))
 }
 
-// MarkUploaded moves the pending runs straight into the uploaded
-// archive, bypassing the outbox. It exists for unsequenced (legacy)
-// uploads; the fault-tolerant path is SealPending/MarkBatchUploaded.
-func (s *Store) MarkUploaded() error {
-	pending, err := os.ReadFile(s.path(pendingFile))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if err := s.appendArchive(pending); err != nil {
-		return err
-	}
-	return os.Remove(s.path(pendingFile))
-}
-
 func (s *Store) appendArchive(data []byte) error {
 	archive, err := os.OpenFile(s.path(archiveFile), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {

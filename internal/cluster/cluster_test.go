@@ -417,7 +417,7 @@ func TestClusterSegmentedCrashFailover(t *testing.T) {
 		crashed.Store(true)
 	}, func(cfg *Config) {
 		cfg.JournalSegmentBytes = 2048
-		cfg.ReplayWorkers = 4
+		setProcs(t, 4)
 	})
 	if !crashed.Load() {
 		t.Fatal("the mid-upload crash never fired")

@@ -8,12 +8,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"uucs/internal/core"
+	"uucs/internal/pool"
 	"uucs/internal/server"
 )
 
@@ -77,11 +76,9 @@ type MergeStats struct {
 }
 
 // MergeOptions tunes the streaming merge. The zero value is the
-// default configuration; no option changes the output bytes.
+// default configuration; no option changes the output bytes. The scan
+// runs on up to GOMAXPROCS workers.
 type MergeOptions struct {
-	// Workers bounds the parallel source-scan/encode workers
-	// (0 means GOMAXPROCS).
-	Workers int
 	// SpillBytes bounds one worker's in-memory sorted chunk; a chunk
 	// reaching it is spilled to a temp file (0 means 32MB).
 	SpillBytes int
@@ -187,23 +184,13 @@ func (h *cursorHeap) Pop() any {
 	return x
 }
 
-// mergeInto is the merge engine: it scans dirs with opt.Workers
-// goroutines and emits every kept run's canonical encoding in globally
+// mergeInto is the merge engine: it scans dirs on up to GOMAXPROCS
+// pool workers and emits every kept run's canonical encoding in globally
 // sorted order. run is non-nil when the decoded form survived in
 // memory; a spilled record arrives with run == nil.
 func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.Run) error) (MergeStats, error) {
 	var st MergeStats
 	st.Sources = len(dirs)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	spillBytes := opt.SpillBytes
 	if spillBytes <= 0 {
 		spillBytes = defaultSpillBytes
@@ -216,25 +203,28 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		floors = make(map[string]uint64)
 		mu     sync.Mutex
 	)
-	if err := scanDirsParallel(dirs, workers, func(_ int, op server.StateOp) error {
-		if op.Op == server.OpKindClient && op.LastSeq > 0 {
-			mu.Lock()
-			if op.LastSeq > floors[op.ID] {
-				floors[op.ID] = op.LastSeq
+	if err := pool.Run(0, len(dirs), func(i int) error {
+		return scanDir(dirs[i], func(op server.StateOp) error {
+			if op.Op == server.OpKindClient && op.LastSeq > 0 {
+				mu.Lock()
+				if op.LastSeq > floors[op.ID] {
+					floors[op.ID] = op.LastSeq
+				}
+				mu.Unlock()
 			}
-			mu.Unlock()
-		}
-		return nil
+			return nil
+		})
 	}); err != nil {
 		return st, err
 	}
 
 	// Pass 2: collect every run exactly once into per-worker sorted
-	// chunks, spilling oversized chunks to disk.
+	// chunks, spilling oversized chunks to disk. Each worker's chunk is
+	// its pool scratch.
 	var (
 		seen    = make(map[batchKey]struct{})
 		aggSeen = make(map[aggKey]struct{})
-		chunks  = make([]*chunk, workers)
+		chunks  []*chunk
 		spills  []*os.File
 		spillMu sync.Mutex
 	)
@@ -244,9 +234,6 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 			os.Remove(f.Name())
 		}
 	}()
-	for i := range chunks {
-		chunks[i] = &chunk{}
-	}
 	spill := func(c *chunk) error {
 		sort.Sort(c)
 		f, err := os.CreateTemp(opt.TempDir, "uucs-merge-*.spill")
@@ -279,7 +266,14 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		c.encs, c.runs, c.bytes = nil, nil, 0
 		return nil
 	}
-	err := scanDirsParallel(dirs, workers, func(worker int, op server.StateOp) error {
+	newChunk := func() *chunk {
+		c := &chunk{}
+		mu.Lock()
+		chunks = append(chunks, c)
+		mu.Unlock()
+		return c
+	}
+	keep := func(c *chunk, op server.StateOp) error {
 		if op.Op != server.OpKindResults {
 			return nil
 		}
@@ -330,7 +324,6 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		mu.Lock()
 		st.Runs += len(runs)
 		mu.Unlock()
-		c := chunks[worker]
 		for _, r := range runs {
 			c.buf = core.AppendRuns(c.buf[:0], []*core.Run{r}, true)
 			c.encs = append(c.encs, string(c.buf))
@@ -341,31 +334,27 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 			return spill(c)
 		}
 		return nil
-	})
-	if err != nil {
+	}
+	if err := pool.RunScratch(0, len(dirs), newChunk, func(i int, c *chunk) error {
+		return scanDir(dirs[i], func(op server.StateOp) error { return keep(c, op) })
+	}); err != nil {
 		return st, err
 	}
 
 	// Final pass: k-way heap merge over every chunk cursor. Each input
 	// is sorted, so the heap emits the globally sorted sequence — the
 	// exact byte stream a serial collect-all + sort would produce.
-	// The in-memory chunks are sorted one per goroutine.
-	var (
-		cursors []*mergeCursor
-		sorts   sync.WaitGroup
-	)
+	// The in-memory chunks are sorted on the pool.
+	_ = pool.Run(0, len(chunks), func(i int) error {
+		sort.Sort(chunks[i])
+		return nil
+	})
+	var cursors []*mergeCursor
 	for _, c := range chunks {
-		if len(c.encs) == 0 {
-			continue
+		if len(c.encs) > 0 {
+			cursors = append(cursors, &mergeCursor{mem: c})
 		}
-		sorts.Add(1)
-		go func() {
-			defer sorts.Done()
-			sort.Sort(c)
-		}()
-		cursors = append(cursors, &mergeCursor{mem: c})
 	}
-	sorts.Wait()
 	for _, f := range spills {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return st, err
@@ -400,44 +389,6 @@ func mergeInto(dirs []string, opt MergeOptions, emit func(enc string, run *core.
 		}
 	}
 	return st, nil
-}
-
-// scanDirsParallel scans each state directory on a bounded worker
-// pool, invoking fn with the worker's slot index. Errors are collected
-// per directory and the first one in dirs order is returned, so the
-// failure a caller sees does not depend on scheduling.
-func scanDirsParallel(dirs []string, workers int, fn func(worker int, op server.StateOp) error) error {
-	if workers <= 1 || len(dirs) <= 1 {
-		for _, dir := range dirs {
-			if err := scanDir(dir, func(op server.StateOp) error { return fn(0, op) }); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(dirs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(dirs) {
-					return
-				}
-				errs[i] = scanDir(dirs[i], func(op server.StateOp) error { return fn(worker, op) })
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // MergeDirs merges the given state directories and writes the

@@ -3,8 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -285,7 +288,8 @@ func TestMergeStreamingMatchesSerial(t *testing.T) {
 
 	serial := func() string {
 		var b strings.Builder
-		st, err := MergeDirsOpts(&b, dirs, MergeOptions{Workers: 1, SpillBytes: 1 << 30})
+		setProcs(t, 1)
+		st, err := MergeDirsOpts(&b, dirs, MergeOptions{SpillBytes: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +305,8 @@ func TestMergeStreamingMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for _, spill := range []int{0, 4096, 1} {
 			var b strings.Builder
-			opt := MergeOptions{Workers: workers, SpillBytes: spill, TempDir: t.TempDir()}
+			setProcs(t, workers)
+			opt := MergeOptions{SpillBytes: spill, TempDir: t.TempDir()}
 			st, err := MergeDirsOpts(&b, dirs, opt)
 			if err != nil {
 				t.Fatalf("workers=%d spill=%d: %v", workers, spill, err)
@@ -337,14 +342,16 @@ func TestMergedRunsStreamingSpill(t *testing.T) {
 	_, all := buildMergeFixture(t, root)
 	want := canonical(t, all)
 
-	inMem, stMem, err := MergedRunsOpts(root, MergeOptions{Workers: 1})
+	setProcs(t, 1)
+	inMem, stMem, err := MergedRunsOpts(root, MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stMem.Spills != 0 {
 		t.Fatalf("in-memory pass spilled %d chunks", stMem.Spills)
 	}
-	spilled, stSpill, err := MergedRunsOpts(root, MergeOptions{Workers: 4, SpillBytes: 1, TempDir: t.TempDir()})
+	setProcs(t, 4)
+	spilled, stSpill, err := MergedRunsOpts(root, MergeOptions{SpillBytes: 1, TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +369,46 @@ func TestMergedRunsStreamingSpill(t *testing.T) {
 	for i := range inMem {
 		if encodePayload(t, []*core.Run{inMem[i]}) != encodePayload(t, []*core.Run{spilled[i]}) {
 			t.Fatalf("run %d differs between the in-memory and spilled streams", i)
+		}
+	}
+}
+
+// setProcs sets GOMAXPROCS to n for the rest of the test: the merge
+// scans on as many workers as GOMAXPROCS allows.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestMergeReportsFirstCorruptDir pins the merge's error contract: with
+// several corrupt sources, the error names the first of them in dirs
+// order, whichever worker finds its corruption first.
+func TestMergeReportsFirstCorruptDir(t *testing.T) {
+	dirs, _ := buildMergeFixture(t, t.TempDir())
+	// A snapshot precedes the journal in replay order, so garbage in it
+	// is corruption, never a torn tail.
+	for _, i := range []int{1, 4} {
+		if err := os.WriteFile(filepath.Join(dirs[i], "snapshot.txt"), []byte("{not a state op\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reversed := slices.Clone(dirs)
+	slices.Reverse(reversed)
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		for _, order := range []struct {
+			dirs  []string
+			first string
+		}{{dirs, dirs[1]}, {reversed, dirs[4]}} {
+			for range 20 {
+				_, err := MergeDirs(io.Discard, order.dirs)
+				if err == nil {
+					t.Fatalf("GOMAXPROCS=%d: corrupt sources merged", procs)
+				}
+				if want := filepath.Join(order.first, "snapshot.txt"); !strings.Contains(err.Error(), want+":") {
+					t.Fatalf("GOMAXPROCS=%d: err = %v, want the error of %s", procs, err, want)
+				}
+			}
 		}
 	}
 }

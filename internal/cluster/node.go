@@ -33,16 +33,11 @@ type Config struct {
 
 	// Journal knobs, applied to every node (see server.Server).
 	JournalBatch    int
-	JournalDelay    time.Duration
 	JournalSyncCost time.Duration
 	// JournalSegmentBytes seals every node's journal into size-bounded
 	// segments (see server.Server.JournalSegmentBytes; 0 means the
 	// server default).
 	JournalSegmentBytes int64
-	// ReplayWorkers bounds the parallel replay decode workers each node
-	// uses at restart and — on the availability-critical path — at
-	// failover promotion (see server.Server.ReplayWorkers).
-	ReplayWorkers int
 	// IdleTimeout is applied to every node's client connections.
 	IdleTimeout time.Duration
 }
@@ -172,10 +167,8 @@ func (c *Cluster) openNode(n *node) error {
 	srv.NodeID = n.id
 	srv.IdleTimeout = c.cfg.IdleTimeout
 	srv.JournalBatch = c.cfg.JournalBatch
-	srv.JournalDelay = c.cfg.JournalDelay
 	srv.JournalSyncCost = c.cfg.JournalSyncCost
 	srv.JournalSegmentBytes = c.cfg.JournalSegmentBytes
-	srv.ReplayWorkers = c.cfg.ReplayWorkers
 	if n.shipper != nil {
 		srv.JournalShip = n.shipper.Ship
 	}

@@ -80,11 +80,9 @@ type Config struct {
 	// committed) before its ack, exactly as a production deployment
 	// would run.
 	StateDir string
-	// JournalBatch and JournalDelay forward to the server's group-commit
-	// writer (meaningful only with StateDir; zero values pick the
-	// server defaults).
+	// JournalBatch forwards to the server's group-commit writer
+	// (meaningful only with StateDir; zero picks the server default).
 	JournalBatch int
-	JournalDelay time.Duration
 }
 
 // DefaultConfig mirrors the paper's scale. TestcaseCount is kept to a
@@ -143,7 +141,6 @@ func Run(cfg Config) (*Results, error) {
 	srv := server.New(rng.Uint64())
 	if cfg.StateDir != "" {
 		srv.JournalBatch = cfg.JournalBatch
-		srv.JournalDelay = cfg.JournalDelay
 		if err := srv.OpenState(cfg.StateDir); err != nil {
 			return nil, err
 		}

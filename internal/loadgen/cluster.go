@@ -24,11 +24,10 @@ func startCluster(cfg Config, acked *atomic.Uint64) (*target, error) {
 	}
 	cl, err := cluster.Start(cluster.Config{
 		Nodes: cfg.Nodes, Seed: cfg.Seed, StateRoot: cfg.StateDir,
-		Transport:    tr,
-		JournalBatch: cfg.JournalBatch, JournalDelay: cfg.JournalDelay,
+		Transport:           tr,
+		JournalBatch:        cfg.JournalBatch,
 		JournalSyncCost:     cfg.FsyncCost,
 		JournalSegmentBytes: cfg.JournalSegmentBytes,
-		ReplayWorkers:       cfg.ReplayWorkers,
 	})
 	if err != nil {
 		return nil, err

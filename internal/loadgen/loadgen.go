@@ -47,11 +47,9 @@ type Config struct {
 	// StateDir, when non-empty, attaches a journal: every ack waits for
 	// an fsync. Empty measures the in-memory ceiling.
 	StateDir string
-	// JournalBatch and JournalDelay forward to the server's
-	// group-commit writer (1 degenerates to fsync-per-op — the
-	// comparison baseline).
+	// JournalBatch forwards to the server's group-commit writer (1
+	// degenerates to fsync-per-op — the comparison baseline).
 	JournalBatch int
-	JournalDelay time.Duration
 	// FsyncCost, when positive, stretches every journal fsync to at
 	// least this long — a modeled storage device. The paper-era server
 	// ran on spinning disks whose flush cost ~8ms; on modern hardware
@@ -63,9 +61,6 @@ type Config struct {
 	// the server default). The cold-restart benchmarks use it to build
 	// multi-segment state directories under real ingest load.
 	JournalSegmentBytes int64
-	// ReplayWorkers forwards the restart-replay worker count (0 =
-	// GOMAXPROCS, 1 = serial).
-	ReplayWorkers int
 
 	// Net selects the transport: "tcp" (loopback) or "mem" (the chaos
 	// in-memory network — no kernel sockets, isolates server cost).
@@ -322,10 +317,8 @@ func startServer(cfg Config) (*target, error) {
 	}
 	srv := server.New(cfg.Seed)
 	srv.JournalBatch = cfg.JournalBatch
-	srv.JournalDelay = cfg.JournalDelay
 	srv.JournalSyncCost = cfg.FsyncCost
 	srv.JournalSegmentBytes = cfg.JournalSegmentBytes
-	srv.ReplayWorkers = cfg.ReplayWorkers
 	if cfg.StateDir != "" {
 		if err := srv.OpenState(cfg.StateDir); err != nil {
 			srv.Close()

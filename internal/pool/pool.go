@@ -24,69 +24,8 @@ import (
 // failure no new units start, but units already running finish (their
 // slot writes stay consistent).
 func Run(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		mu       sync.Mutex
-		next     int
-		errIdx   = -1
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	// claim hands out the next unit index, or reports that dispatch is
-	// over (all units claimed, or a unit has failed).
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || next >= n {
-			return 0, false
-		}
-		i := next
-		next++
-		return i, true
-	}
-	fail := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil || i < errIdx {
-			firstErr, errIdx = err, i
-		}
-	}
-
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := claim()
-				if !ok {
-					return
-				}
-				if err := fn(i); err != nil {
-					fail(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return RunScratch(workers, n, func() struct{} { return struct{}{} },
+		func(i int, _ struct{}) error { return fn(i) })
 }
 
 // RunScratch is Run with per-worker scratch state: newScratch is called
@@ -124,6 +63,8 @@ func RunScratch[S any](workers, n int, newScratch func() S, fn func(i int, scrat
 		firstErr error
 		wg       sync.WaitGroup
 	)
+	// claim hands out the next unit index, or reports that dispatch is
+	// over (all units claimed, or a unit has failed).
 	claim := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()

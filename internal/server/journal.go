@@ -47,17 +47,14 @@ import (
 // on top of a journal in an unknown state (the fsync-failure stance
 // databases take: stop acking rather than guess).
 
-// Journal defaults, overridable via Server.JournalBatch,
-// Server.JournalDelay and Server.JournalSegmentBytes (-journal-batch,
-// -journal-delay and -journal-segment-bytes on uucs-server).
+// Journal defaults, overridable via Server.JournalBatch and
+// Server.JournalSegmentBytes (-journal-batch and -journal-segment-bytes
+// on uucs-server). The writer never waits for a batch to fill: a batch
+// is whatever queued while the previous fsync was in flight, which is
+// right for closed-loop clients, where waiting would add latency
+// without adding throughput.
 const (
 	defaultJournalBatch = 64
-	// defaultJournalDelay of zero means "never wait": a batch is
-	// whatever queued while the previous fsync was in flight. That is
-	// the right default for closed-loop clients — waiting would add
-	// latency without adding throughput — but a positive delay can
-	// trade latency for bigger batches on spinning disks.
-	defaultJournalDelay = 0 * time.Millisecond
 	// defaultJournalSegmentBytes is the rotation threshold when
 	// Server.JournalSegmentBytes is zero: the journal is always
 	// segmented, so restart replay can fan out across sealed segments.
@@ -98,7 +95,6 @@ type segInfo struct {
 // journalWriter owns the journal file and the group-commit loop.
 type journalWriter struct {
 	maxBatch int
-	maxDelay time.Duration
 	// syncCost, when positive, models a slower storage device by
 	// stretching every fsync to at least that long. Group-commit
 	// throughput is a function of fsync latency, so measurement rigs
@@ -171,13 +167,12 @@ type journalWriter struct {
 
 // newJournalWriter wraps an append-only journal file. Call go w.run()
 // to start the commit loop.
-func newJournalWriter(f *os.File, maxBatch int, maxDelay time.Duration) *journalWriter {
+func newJournalWriter(f *os.File, maxBatch int) *journalWriter {
 	if maxBatch <= 0 {
 		maxBatch = defaultJournalBatch
 	}
 	return &journalWriter{
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		f:        f,
 		kick:     make(chan struct{}, 1),
 		exited:   make(chan struct{}),
@@ -270,13 +265,6 @@ func (w *journalWriter) run() {
 					return
 				}
 				break
-			}
-			if w.maxDelay > 0 && len(batch) < w.maxBatch {
-				// Optional accumulation window: trade ack latency for
-				// fewer, larger fsyncs.
-				time.Sleep(w.maxDelay)
-				more, _ := w.take()
-				batch = append(batch, more...)
 			}
 			for len(batch) > 0 {
 				n := min(len(batch), w.maxBatch)

@@ -390,7 +390,7 @@ func TestLegacyDifferentialLoad(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				load := func(dir string) string {
 					s := New(1)
-					s.ReplayWorkers = workers
+					setProcs(t, workers)
 					if err := s.LoadState(dir); err != nil {
 						t.Fatal(err)
 					}

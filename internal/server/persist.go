@@ -145,8 +145,8 @@ var testHookAfterSnapshot func(*Server)
 // legacy JSON lines as frames (once; legacy.go), then starts the
 // group-commit journal writer so every subsequent registration and
 // accepted result batch is durable before it is acknowledged. Call
-// SaveState periodically to compact. JournalBatch and JournalDelay must
-// be set before OpenState.
+// SaveState periodically to compact. JournalBatch must be set before
+// OpenState.
 func (s *Server) OpenState(dir string) error {
 	if dir == "" {
 		return fmt.Errorf("server: empty state directory")
@@ -182,7 +182,7 @@ func (s *Server) OpenState(dir string) error {
 	}
 	// Register the sealed segments replay read so compaction can delete
 	// them once a snapshot covers them.
-	jw := newJournalWriter(f, s.JournalBatch, s.JournalDelay)
+	jw := newJournalWriter(f, s.JournalBatch)
 	jw.dir = dir
 	jw.segBytes = s.JournalSegmentBytes
 	if jw.segBytes <= 0 {
@@ -357,10 +357,10 @@ func (s *Server) SaveState(dir string) error {
 
 // LoadState restores a server's stores from dir: the snapshot first,
 // then the journal — sealed segments in seal order, then the active
-// file — replayed on top. Records decode on ReplayWorkers goroutines
-// and apply in record order through a bounded pipeline (replay.go); the
-// restored stores are bit-identical to a serial replay at any worker
-// count.
+// file — replayed on top. Records decode on GOMAXPROCS goroutines and
+// apply in record order through a bounded pipeline (replay.go); the
+// restored stores are bit-identical to a serial replay at any
+// GOMAXPROCS.
 // Missing files are treated as empty stores, so a fresh directory
 // loads cleanly. Legacy JSON state is converted in memory (legacy.go);
 // nothing is written. A truncated final record in the active journal —
@@ -520,7 +520,7 @@ func (a *aggregate) writeTo(w io.Writer) error {
 // the form it found it.
 func (s *Server) writeAggregate(w io.Writer, n int) error {
 	a := newAggregate()
-	err := s.runs.scan(n, s.ReplayWorkers,
+	err := s.runs.scan(n,
 		func(p *runPiece) { p.buf = core.AppendRuns(p.buf[:0], p.runs, true) },
 		func(p *runPiece) error { return a.add(p.runs, p.buf) })
 	if err != nil {

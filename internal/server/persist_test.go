@@ -1015,7 +1015,7 @@ func TestFormat4DirectoryRestoresSameState(t *testing.T) {
 
 	load := func(dir string, workers int) *Server {
 		s := New(1)
-		s.ReplayWorkers = workers
+		setProcs(t, workers)
 		if err := s.LoadState(dir); err != nil {
 			t.Fatal(err)
 		}

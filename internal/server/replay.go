@@ -37,7 +37,7 @@ import (
 //     JSON lines is converted to frames where the scanner meets the
 //     first one (legacy.go) — written back over the file when
 //     OpenState replays, in memory for LoadState.
-//   - Decode, on ReplayWorkers goroutines: a worker decodes every
+//   - Decode, on GOMAXPROCS goroutines: a worker decodes every
 //     record of a block (decodeRec). A record's decoded form is a pure
 //     function of its bytes, so blocks may decode in any order.
 //   - Apply, on the dispatcher goroutine: blocks are applied in the
@@ -549,7 +549,7 @@ func (s *Server) loadStateDir(dir string, upgrade bool) (int64, []segInfo, error
 		return 0, nil, err
 	}
 	slots := make([]replayBlock, 2*runtime.GOMAXPROCS(0))
-	if err := pool.Ordered(s.ReplayWorkers, slots, rp.fill, rp.decodeBlock, rp.applyBlock); err != nil {
+	if err := pool.Ordered(0, slots, rp.fill, rp.decodeBlock, rp.applyBlock); err != nil {
 		return 0, nil, err
 	}
 	rp.clock(&rp.wait) // the workers' shutdown

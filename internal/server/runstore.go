@@ -186,9 +186,9 @@ func appendDecoded(dst []*core.Run, views []batchView) []*core.Run {
 }
 
 // decodeAll returns every run of the log, decoding the batches still
-// held as bytes on workers goroutines (0 means GOMAXPROCS) and keeping
-// the decoded runs in their place. The returned slice is the caller's.
-func (st *runStore) decodeAll(workers int) []*core.Run {
+// held as bytes on GOMAXPROCS goroutines and keeping the decoded runs
+// in their place. The returned slice is the caller's.
+func (st *runStore) decodeAll() []*core.Run {
 	st.decMu.Lock()
 	defer st.decMu.Unlock()
 	prefix, views := st.cut(-1)
@@ -206,7 +206,7 @@ func (st *runStore) decodeAll(workers int) []*core.Run {
 	// in place. The pieces return no error: appendDecoded panics on a
 	// batch it cannot decode, which only a bug can store.
 	runs := slices.Grow(prefix, n)
-	_ = pieces(nil, views, workers, nil, func(p *runPiece) error {
+	_ = pieces(nil, views, nil, func(p *runPiece) error {
 		runs = append(runs, p.runs...)
 		return nil
 	})
@@ -233,9 +233,9 @@ func (st *runStore) decodeAll(workers int) []*core.Run {
 // a batch boundary) to emit in order, a piece at a time (pieces), and
 // leaves the log as it was: runs it decodes are not kept. It takes no
 // decMu: it only reads, and runs alongside uploads and reads.
-func (st *runStore) scan(n, workers int, work func(*runPiece), emit func(*runPiece) error) error {
+func (st *runStore) scan(n int, work func(*runPiece), emit func(*runPiece) error) error {
 	prefix, views := st.cut(n)
-	return pieces(prefix, views, workers, work, emit)
+	return pieces(prefix, views, work, emit)
 }
 
 // runPiece is one piece of a scan: consecutive runs of the log, and
@@ -251,17 +251,14 @@ type runPiece struct {
 const scanPieceRuns = 512
 
 // pieces hands decoded, then the runs of views, to emit in order, a
-// piece at a time. Pieces are prepared on workers goroutines (0 means
-// GOMAXPROCS) through pool.Ordered, so at most 2×workers pieces are
-// held at once however many runs there are: a piece of
+// piece at a time. Pieces are prepared on GOMAXPROCS goroutines
+// through pool.Ordered, so at most 2×GOMAXPROCS pieces are held at
+// once however many runs there are: a piece of
 // decodeBlockBatches batches is decoded there, then work, if not nil,
 // runs on it. A piece's runs are valid until emit returns. The first
 // emit error stops the pieces and is returned.
-func pieces(decoded []*core.Run, views []batchView, workers int, work func(*runPiece), emit func(*runPiece) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return pool.Ordered(workers, make([]runPiece, 2*workers),
+func pieces(decoded []*core.Run, views []batchView, work func(*runPiece), emit func(*runPiece) error) error {
+	return pool.Ordered(0, make([]runPiece, 2*runtime.GOMAXPROCS(0)),
 		func(p *runPiece) bool {
 			p.views = nil
 			switch {

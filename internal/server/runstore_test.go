@@ -563,7 +563,7 @@ func TestSnapshotAndExportKeepRunsBinary(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			dir := t.TempDir()
 			s := New(1)
-			s.ReplayWorkers = workers
+			setProcs(t, workers)
 			if err := s.OpenState(dir); err != nil {
 				t.Fatal(err)
 			}

@@ -63,12 +63,20 @@ func stateFingerprint(t *testing.T, s *Server) string {
 	return b.String()
 }
 
-// loadFingerprint replays dir with the given worker count and returns
-// the state fingerprint.
+// setProcs sets GOMAXPROCS to n (0 leaves it as it is) for the rest of
+// the test: replay and run-store reads run on as many workers as
+// GOMAXPROCS allows.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// loadFingerprint replays dir at GOMAXPROCS workers (0 leaves it as it
+// is) and returns the state fingerprint.
 func loadFingerprint(t *testing.T, dir string, workers int) string {
 	t.Helper()
 	s := New(1)
-	s.ReplayWorkers = workers
+	setProcs(t, workers)
 	if err := s.LoadState(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +206,7 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 
 	errAtWorkers := func(workers int) string {
 		s := New(1)
-		s.ReplayWorkers = workers
+		setProcs(t, workers)
 		err := s.LoadState(poisoned)
 		if err == nil {
 			t.Fatalf("poisoned journal accepted at %d workers", workers)
@@ -567,7 +575,7 @@ func TestReplayReportsFirstBadRecord(t *testing.T) {
 			want := tc.corrupt(t, dir, segs)
 			for _, workers := range []int{1, 2, 8} {
 				s := New(1)
-				s.ReplayWorkers = workers
+				setProcs(t, workers)
 				err := s.LoadState(dir)
 				if err == nil {
 					t.Fatalf("workers=%d: corrupt journal accepted", workers)
@@ -588,7 +596,7 @@ func TestReplayStagesPartitionWallTime(t *testing.T) {
 	seedSegmentedState(t, dir, 16<<10, 8, 150)
 	for _, workers := range []int{1, 2, 8} {
 		s := New(1)
-		s.ReplayWorkers = workers
+		setProcs(t, workers)
 		if err := s.LoadState(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -623,22 +631,23 @@ func TestReplayPinnedBytesBounded(t *testing.T) {
 				largest = max(largest, fi.Size())
 			}
 		}
-		bound := min(int64(2*runtime.GOMAXPROCS(0)+1)*largest, total)
+		// The bound follows GOMAXPROCS, which the sweep sets.
+		bound := func() int64 { return min(int64(2*runtime.GOMAXPROCS(0)+1)*largest, total) }
 		for _, workers := range []int{1, 2, 8} {
 			s := New(1)
-			s.ReplayWorkers = workers
+			setProcs(t, workers)
 			if err := s.LoadState(dir); err != nil {
 				t.Fatal(err)
 			}
 			peak := s.replayStats.peakPinned.Load()
-			if peak <= 0 || peak > bound {
+			if peak <= 0 || peak > bound() {
 				t.Errorf("batches=%d workers=%d: %d bytes pinned at peak, want (0, %d] of a %d-byte journal",
-					batches, workers, peak, bound, total)
+					batches, workers, peak, bound(), total)
 			}
 			t.Logf("batches=%d workers=%d: %d of %d bytes pinned at peak", batches, workers, peak, total)
 		}
-		if batches == 400 && total < 4*bound {
-			t.Fatalf("%d-byte journal too small to show the %d-byte bound", total, bound)
+		if batches == 400 && total < 4*bound() {
+			t.Fatalf("%d-byte journal too small to show the %d-byte bound", total, bound())
 		}
 	}
 }
@@ -677,7 +686,7 @@ func TestTornTailAtBlockEnd(t *testing.T) {
 		}
 
 		s := New(1)
-		s.ReplayWorkers = workers
+		setProcs(t, workers)
 		if err := s.OpenState(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -711,7 +720,7 @@ func TestTornTailAtBlockEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := New(1)
-		restored.ReplayWorkers = workers
+		setProcs(t, workers)
 		if err := restored.LoadState(dir); err != nil {
 			t.Fatalf("workers=%d: reload after compaction: %v", workers, err)
 		}

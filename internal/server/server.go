@@ -134,11 +134,6 @@ type Server struct {
 	// (0 means the default, 64; 1 degenerates to PR 2's fsync-per-op
 	// behavior and is the loadgen baseline). Set before OpenState.
 	JournalBatch int
-	// JournalDelay, when positive, lets the journal writer wait that
-	// long for more ops before fsyncing a sub-capacity batch — trading
-	// ack latency for fewer flushes. Zero (the default) never waits.
-	// Set before OpenState.
-	JournalDelay time.Duration
 	// JournalSyncCost, when positive, stretches every journal fsync to
 	// at least this long, modeling a slower storage device. Measurement
 	// rigs use it to make group-commit behavior reproducible on
@@ -153,13 +148,6 @@ type Server struct {
 	// whatever its size, and deletes the segments its snapshot covers.
 	// Zero means defaultJournalSegmentBytes. Set before OpenState.
 	JournalSegmentBytes int64
-	// ReplayWorkers bounds the concurrent record-decode workers
-	// LoadState uses when replaying state files, and those Results
-	// uses to decode runs held in binary form (0 means GOMAXPROCS; replay
-	// uses at most 2×GOMAXPROCS; 1 decodes serially). Any value yields
-	// a bit-identical store and the same Results — the knob trades
-	// latency against CPU. Set before OpenState.
-	ReplayWorkers int
 
 	// CrashAfterJournalOps is a crash-test hook (uucs-server
 	// -crash-after): once that many ops have been written to the
@@ -339,23 +327,23 @@ func (s *Server) TestcaseCount() int {
 // stored. The slice is the caller's; the runs are shared and must not
 // be modified. Runs still held as binary batches (every run a restart
 // or a promote restored, and every upload since the last read) are
-// decoded here, on ReplayWorkers goroutines and without holding up
+// decoded here, on GOMAXPROCS goroutines and without holding up
 // uploads, and stay decoded: the first read after a restart pays the
 // decode that replay no longer does. Callers that need only the number
 // of runs should call RunCount, which decodes nothing.
 func (s *Server) Results() []*core.Run {
-	return s.runs.decodeAll(s.ReplayWorkers)
+	return s.runs.decodeAll()
 }
 
 // WriteResults writes every uploaded run record to w as text, in the
 // order they were stored: the bytes core.EncodeRuns(w, Results(),
 // withLoad) writes, but without keeping a run it decodes. Runs still
 // held as binary batches are decoded a block at a time and encoded on
-// ReplayWorkers goroutines, so a periodic export (uucs-server -out)
+// GOMAXPROCS goroutines, so a periodic export (uucs-server -out)
 // leaves the store as compact as it found it; uploads keep flowing
 // while it runs.
 func (s *Server) WriteResults(w io.Writer, withLoad bool) error {
-	return s.runs.scan(-1, s.ReplayWorkers,
+	return s.runs.scan(-1,
 		func(p *runPiece) { p.buf = core.AppendRuns(p.buf[:0], p.runs, withLoad) },
 		func(p *runPiece) error {
 			_, err := w.Write(p.buf)

@@ -161,7 +161,7 @@ func TestFormat5DirectoryRestoresSameState(t *testing.T) {
 
 	load := func(dir string, workers int) *Server {
 		s := New(1)
-		s.ReplayWorkers = workers
+		setProcs(t, workers)
 		if err := s.LoadState(dir); err != nil {
 			t.Fatal(err)
 		}
