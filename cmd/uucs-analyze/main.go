@@ -31,6 +31,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "uucs-analyze:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns the error main reports, so the
+// deferred profile stop has run, and the profile is complete, before
+// main exits.
+func run() error {
 	var (
 		cdfRes      = flag.String("cdf", "", "print the aggregated CDF for one resource (cpu, memory, disk)")
 		grid        = flag.Bool("grid", false, "print the per-task/resource CDF grid (Figure 18)")
@@ -47,7 +57,7 @@ func main() {
 	}
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
@@ -56,7 +66,7 @@ func main() {
 		opt := cluster.MergeOptions{SpillBytes: *spillMB << 20}
 		runs, st, err := cluster.MergedRunsOpts(*clusterRoot, opt)
 		if err != nil {
-			fatal(fmt.Errorf("cluster %s: %w", *clusterRoot, err))
+			return fmt.Errorf("cluster %s: %w", *clusterRoot, err)
 		}
 		fmt.Printf("merged %d sources under %s: %d batches kept, %d duplicates dropped, %d spills (%d bytes)\n",
 			st.Sources, *clusterRoot, st.Batches, st.DupBatches, st.Spills, st.SpilledBytes)
@@ -65,12 +75,12 @@ func main() {
 	for _, path := range flag.Args() {
 		f, err := os.Open(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		runs, err := core.DecodeRuns(f)
 		f.Close()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		db.Add(runs...)
 	}
@@ -80,11 +90,11 @@ func main() {
 	case *km != "":
 		res, err := testcase.ParseResource(*km)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		curve, err := db.KMResourceCurve(res)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("Kaplan-Meier discomfort estimate for %s (censoring-corrected):\n", res)
 		fmt.Printf("%8s %10s %8s %7s\n", "level", "discomfort", "at-risk", "events")
@@ -97,7 +107,7 @@ func main() {
 	case *cdfRes != "":
 		res, err := testcase.ParseResource(*cdfRes)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		c := db.ResourceCDF(res)
 		fmt.Println(c.Render("CDF of discomfort for "+string(res), 60, 12, 0))
@@ -112,6 +122,7 @@ func main() {
 		printBreakdown(db)
 		printMetrics(db)
 	}
+	return nil
 }
 
 func printBreakdown(db *analysis.DB) {
@@ -157,9 +168,4 @@ func printMetrics(db *analysis.DB) {
 				label, res, m.Fd, c05, ca, ci, letters[task][res])
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uucs-analyze:", err)
-	os.Exit(1)
 }

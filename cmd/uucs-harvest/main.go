@@ -32,6 +32,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "uucs-harvest:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns the error main reports, so the
+// deferred profile stop has run, and the profile is complete, before
+// main exits.
+func run() error {
 	var (
 		users       = flag.Int("users", 40, "fleet size")
 		hours       = flag.Float64("hours", 8, "day length")
@@ -46,7 +56,7 @@ func main() {
 	flag.Parse()
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
@@ -57,7 +67,7 @@ func main() {
 		opt := cluster.MergeOptions{SpillBytes: *spillMB << 20}
 		runs, st, err := cluster.MergedRunsOpts(*clusterRoot, opt)
 		if err != nil {
-			fatal(fmt.Errorf("cluster %s: %w", *clusterRoot, err))
+			return fmt.Errorf("cluster %s: %w", *clusterRoot, err)
 		}
 		fmt.Printf("uucs-harvest: merged %d sources under %s (%d batches, %d duplicates dropped, %d runs, %d spills)\n",
 			st.Sources, *clusterRoot, st.Batches, st.DupBatches, len(runs), st.Spills)
@@ -66,7 +76,7 @@ func main() {
 		fmt.Println("uucs-harvest: measuring discomfort CDFs (controlled study)...")
 		res, err := study.Run(study.DefaultConfig())
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		db = res.DB
 	}
@@ -75,7 +85,7 @@ func main() {
 
 	fleet, err := comfort.SamplePopulation(*users, comfort.DefaultPopulation(), *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	day := harvest.DefaultDay()
 	day.Hours = *hours
@@ -89,7 +99,7 @@ func main() {
 	}
 	results, table, err := harvest.Compare(policies, fleet, day, core.NewEngine(), *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println(table)
 
@@ -106,9 +116,5 @@ func main() {
 		fmt.Printf("cdf+feedback harvests %.1fx the screensaver default with %d/%d uninstalls\n",
 			fb.HarvestedCPUHours/ss.HarvestedCPUHours, fb.Uninstalls, fb.Users)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uucs-harvest:", err)
-	os.Exit(1)
+	return nil
 }

@@ -34,6 +34,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "uucs-internet:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns the error main reports, so the
+// deferred profile stop has run, and the profile is complete, before
+// main exits.
+func run() error {
 	var (
 		hosts      = flag.Int("hosts", 100, "number of fleet hosts")
 		runs       = flag.Int("runs", 12, "testcase executions per host")
@@ -53,7 +63,7 @@ func main() {
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
@@ -62,12 +72,11 @@ func main() {
 	}
 
 	if *popProfile == "legacy" {
-		runLegacy(*hosts, *runs, *tcCount, *seed, *workers, *workdir)
-		return
+		return runLegacy(*hosts, *runs, *tcCount, *seed, *workers, *workdir)
 	}
 	profile, err := hostpop.ByName(*popProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	cfg := internetstudy.DefaultStreamConfig()
@@ -83,9 +92,9 @@ func main() {
 
 	if *converge != "" {
 		if err := runConvergence(cfg, *converge); err != nil {
-			fatal(err)
+			return err
 		}
-		return
+		return nil
 	}
 
 	fmt.Printf("uucs-internet: streaming %d hosts x %d runs (%s population, churn=%v, pop-seed=%d)\n",
@@ -93,7 +102,7 @@ func main() {
 	start := time.Now()
 	res, err := internetstudy.RunStreaming(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 
@@ -104,7 +113,7 @@ func main() {
 		ag := res.Agg
 		fmt.Printf("smoke OK: %d attempts = %d folded + %d blank + %d crashed (%.1fs)\n",
 			ag.Attempted, ag.Folded, ag.Blank, ag.Crashed, elapsed.Seconds())
-		return
+		return nil
 	}
 
 	fmt.Print(res.Summary())
@@ -120,6 +129,7 @@ func main() {
 	small, big := res.Agg.SmallMem, res.Agg.BigMem
 	fmt.Printf("memory split at %.0f MB: small f_d=%.2f over %d runs; big f_d=%.2f over %d runs\n",
 		res.MedianMB, small.Fd(), small.N(), big.Fd(), big.N())
+	return nil
 }
 
 // runConvergence runs the streaming study at each fleet size and prints
@@ -168,13 +178,13 @@ func heapMB() string {
 }
 
 // runLegacy drives the original protocol-faithful fleet engine.
-func runLegacy(hosts, runs, tcCount int, seed uint64, workers int, workdir string) {
+func runLegacy(hosts, runs, tcCount int, seed uint64, workers int, workdir string) error {
 	dir := workdir
 	if dir == "" {
 		var err error
 		dir, err = os.MkdirTemp("", "uucs-internet-*")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer os.RemoveAll(dir)
 	}
@@ -189,7 +199,7 @@ func runLegacy(hosts, runs, tcCount int, seed uint64, workers int, workdir strin
 
 	res, err := internetstudy.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("collected %d runs from %d hosts\n\n", len(res.Runs), len(res.Hosts))
 
@@ -199,17 +209,13 @@ func runLegacy(hosts, runs, tcCount int, seed uint64, workers int, workdir strin
 	}
 	se, err := internetstudy.HostSpeedEffect(res)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println(se)
 	ms, err := internetstudy.MemorySizeSplit(res)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println(ms)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uucs-internet:", err)
-	os.Exit(1)
+	return nil
 }

@@ -22,6 +22,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "uucs-study:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command. It returns the error main reports, so the
+// deferred profile stop has run, and the profile is complete, before
+// main exits.
+func run() error {
 	var (
 		figure     = flag.String("figure", "", "figure to print (9..18, frog); empty prints all")
 		users      = flag.Int("users", 33, "number of study participants")
@@ -38,15 +48,15 @@ func main() {
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
 	if *suite {
 		if err := printSuite(); err != nil {
-			fatal(err)
+			return err
 		}
-		return
+		return nil
 	}
 
 	cfg := study.DefaultConfig()
@@ -57,22 +67,22 @@ func main() {
 	if *ablate {
 		results, err := study.RunAblations(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println(study.RenderAblations(results))
-		return
+		return nil
 	}
 
 	res, err := study.Run(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("controlled study: %d users, %d runs (seed %d)\n\n", len(res.Users), len(res.Runs), cfg.Seed)
 
 	if *figure != "" {
 		s, err := res.Figure(*figure)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Println(s)
 	} else {
@@ -82,17 +92,18 @@ func main() {
 	if *runsPath != "" {
 		f, err := os.Create(*runsPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		err = core.EncodeRuns(f, res.Runs, *withLoad)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("wrote %d run records to %s\n", len(res.Runs), *runsPath)
 	}
+	return nil
 }
 
 func printSuite() error {
@@ -108,9 +119,4 @@ func printSuite() error {
 		}
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "uucs-study:", err)
-	os.Exit(1)
 }

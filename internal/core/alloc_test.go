@@ -171,11 +171,39 @@ func TestAppendRunsAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestTranscodeRunsAllocCeiling pins the transcoder's warm path, the
+// server's ingest: transcoding into a buffer that already has the room
+// allocates nothing, for a 3-run upload batch with load samples and
+// multi-field params and for a batch whose run count takes two bytes.
+func TestTranscodeRunsAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under the race detector")
+	}
+	small := benchRuns(3)
+	small[0].Load = []hostsim.Load{{Time: 1, CPU: 0.5, MemFrac: 0.25, DiskQ: 2}}
+	small[1].Params = "a b  c"
+	for _, runs := range [][]*Run{small, benchRuns(200)} {
+		payload := AppendRuns(nil, runs, true)
+		buf, _, err := TranscodeRuns(nil, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if buf, _, err = TranscodeRuns(buf[:0], payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("TranscodeRuns of %d runs into a warm buffer allocates %.1f/call, want 0", len(runs), avg)
+		}
+	}
+}
+
 // TestParseRunsAllocCeiling pins the decoder's cost per run on a 3-run
-// upload batch, the server's hot path. The measured count is 9 per run:
-// the Run, its id string, the Levels and LastFive maps (header and first
-// group each), the LastFive values, the params string, and one step of
-// the output slice's growth.
+// upload batch. ParseRuns transcodes into a fresh batch (presized to
+// half the text, and grown once here) and decodes that: per run one id-params-shape string and the
+// Levels and LastFive maps (header and first group each) with the
+// LastFive values, and per batch the Run block and the result slice.
 func TestParseRunsAllocCeiling(t *testing.T) {
 	const perRun = 9
 	runs := benchRuns(3)

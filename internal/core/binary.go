@@ -529,9 +529,11 @@ func (w *runWalk) build(r *Run) {
 	}
 	r.Levels = make(map[testcase.Resource]float64)
 	at := w.offset + 10 // past the offset, primary and mask
+	zero := true        // every level is zero
 	for i, res := range resources {
 		if w.mask&(1<<i) != 0 {
-			r.Levels[res] = floatAt(d, at)
+			v := floatAt(d, at)
+			r.Levels[res], zero = v, zero && v == 0
 			at += 8
 		}
 	}
@@ -556,7 +558,9 @@ func (w *runWalk) build(r *Run) {
 			r.Load[i] = hostsim.Load{Time: floatAt(d, o), CPU: floatAt(d, o+8), MemFrac: floatAt(d, o+16), DiskQ: floatAt(d, o+24)}
 		}
 	}
-	r.Blank = len(r.Levels) == 0 || allZeroLevels(r)
+	// The decode-side blank heuristic: no levels, or only zero ones and
+	// no primary resource.
+	r.Blank = w.mask == 0 || w.primary == 0 && zero
 }
 
 func floatAt(d []byte, at int) float64 {

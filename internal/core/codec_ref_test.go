@@ -215,3 +215,17 @@ func refDecodeRuns(r io.Reader) ([]*Run, error) {
 	}
 	return out, nil
 }
+
+// allZeroLevels reports whether every recorded level is zero and no
+// primary resource was named — the decode-side blank heuristic.
+func allZeroLevels(r *Run) bool {
+	if r.PrimaryResource != "" {
+		return false
+	}
+	for _, v := range r.Levels {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -59,9 +59,11 @@ func codecSeeds() []string {
 }
 
 // FuzzRunCodecDifferential holds AppendRuns/ParseRuns (and their stream
-// wrappers) to the reference codec in codec_ref_test.go: the same
-// accept/reject decision and error text, the same decoded runs, and the
-// same encoded bytes with and without load samples.
+// wrappers) and TranscodeRuns to the reference codec in
+// codec_ref_test.go: the same accept/reject decision and error text, the
+// same decoded runs, the same encoded bytes with and without load
+// samples, and the binary form of the reference's runs appended after an
+// untouched prefix (or the prefix alone, on an error).
 func FuzzRunCodecDifferential(f *testing.F) {
 	for _, s := range codecSeeds() {
 		f.Add(s)
@@ -75,6 +77,18 @@ func FuzzRunCodecDifferential(f *testing.F) {
 		}
 		if (rerr == nil) != (err == nil) || (rerr != nil && rerr.Error() != err.Error()) {
 			t.Fatalf("DecodeRuns error = %v, ParseRuns %v", rerr, err)
+		}
+		dst := append(make([]byte, 0, 64), "prefix"...)
+		batch, n, terr := TranscodeRuns(dst, []byte(input))
+		if (terr == nil) != (wantErr == nil) || (terr != nil && terr.Error() != wantErr.Error()) {
+			t.Fatalf("TranscodeRuns error = %v, reference %v", terr, wantErr)
+		}
+		if terr != nil {
+			if string(batch) != "prefix" || string(dst) != "prefix" {
+				t.Fatalf("failed TranscodeRuns returned %q, dst %q; want the prefix alone", batch, dst)
+			}
+		} else if ref := AppendRunsBinary([]byte("prefix"), want); !bytes.Equal(batch, ref) || n != len(want) {
+			t.Fatalf("TranscodeRuns = %q (%d runs), want %q (%d runs)", batch, n, ref, len(want))
 		}
 		if err != nil {
 			return

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"uucs/internal/hostsim"
 	"uucs/internal/pool"
@@ -28,15 +31,12 @@ import (
 //	events <n>
 //	endrun
 //
-// Numbers are written in Go's shortest %g form. AppendRuns and ParseRuns
-// are the codec; EncodeRuns and DecodeRuns adapt it to io streams.
+// Numbers are written in Go's shortest %g form. AppendRuns writes the
+// text, TranscodeRuns reads it into the binary form (binary.go), and
+// ParseRuns, EncodeRuns and DecodeRuns are built on those two.
 
 // resources is testcase.Resources() without the per-call slice.
 var resources = [...]testcase.Resource{testcase.CPU, testcase.Memory, testcase.Disk}
-
-// shapes interns the known shape names so decoding them allocates
-// nothing.
-var shapes = testcase.Shapes()
 
 // AppendRuns appends the text encoding of runs to dst and returns the
 // extended buffer. Monitor samples are included only when withLoad is
@@ -126,7 +126,7 @@ func EncodeRuns(w io.Writer, runs []*Run, withLoad bool) error {
 			return AppendRuns(dst, []*Run{r}, withLoad), nil
 		})
 	}
-	return EncodeRunBlocks(runs, withLoad, func(block []byte, _ []int) error {
+	return EncodeRunBlocks(runs, withLoad, func(block []byte) error {
 		_, err := w.Write(block)
 		return err
 	})
@@ -136,34 +136,19 @@ func EncodeRuns(w io.Writer, runs []*Run, withLoad bool) error {
 // block.
 const blockRuns = 512
 
-// runBlock is one encoded block: its text and each run's end offset in
-// it. Blocks are pooled, so their buffers outlive one call.
-type runBlock struct {
-	buf  []byte
-	ends []int
-}
-
-var runBlocks = sync.Pool{New: func() any { return new(runBlock) }}
-
-func (b *runBlock) encode(runs []*Run, withLoad bool) {
-	b.buf, b.ends = b.buf[:0], b.ends[:0]
-	for i := range runs {
-		b.buf = AppendRuns(b.buf, runs[i:i+1], withLoad)
-		b.ends = append(b.ends, len(b.buf))
-	}
-}
+// blockBufs pools the block buffers, so they outlive one call.
+var blockBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // blockSlot is one of the in-flight places a block is encoded into:
 // the runs it covers and their encoding.
 type blockSlot struct {
-	*runBlock
+	buf  *[]byte
 	runs []*Run
 }
 
 // EncodeRunBlocks encodes runs in order and hands the text to emit one
-// block of blockRuns runs at a time (the last may be shorter); ends[i]
-// is the end offset in block of the block's i-th run. block and ends
-// are reused once emit returns. The concatenated blocks are exactly
+// block of blockRuns runs at a time (the last may be shorter). block is
+// reused once emit returns. The concatenated blocks are exactly
 // AppendRuns(nil, runs, withLoad) at any GOMAXPROCS.
 //
 // GOMAXPROCS workers encode blocks while the caller emits them
@@ -171,7 +156,7 @@ type blockSlot struct {
 // slots, so memory stays bounded at any input size. The first emit
 // error stops the encoding and is returned; emit is not called again,
 // and every worker has exited by the time it returns.
-func EncodeRunBlocks(runs []*Run, withLoad bool, emit func(block []byte, ends []int) error) error {
+func EncodeRunBlocks(runs []*Run, withLoad bool, emit func(block []byte) error) error {
 	nblocks := (len(runs) + blockRuns - 1) / blockRuns
 	if nblocks == 0 {
 		return nil
@@ -179,11 +164,11 @@ func EncodeRunBlocks(runs []*Run, withLoad bool, emit func(block []byte, ends []
 	procs := runtime.GOMAXPROCS(0)
 	slots := make([]blockSlot, min(2*procs, nblocks))
 	for i := range slots {
-		slots[i].runBlock = runBlocks.Get().(*runBlock)
+		slots[i].buf = blockBufs.Get().(*[]byte)
 	}
 	defer func() {
 		for _, s := range slots {
-			runBlocks.Put(s.runBlock)
+			blockBufs.Put(s.buf)
 		}
 	}()
 	next := 0
@@ -193,8 +178,8 @@ func EncodeRunBlocks(runs []*Run, withLoad bool, emit func(block []byte, ends []
 			next += len(s.runs)
 			return len(s.runs) > 0
 		},
-		func(s *blockSlot) { s.encode(s.runs, withLoad) },
-		func(s *blockSlot) error { return emit(s.buf, s.ends) })
+		func(s *blockSlot) { *s.buf = AppendRuns((*s.buf)[:0], s.runs, withLoad) },
+		func(s *blockSlot) error { return emit(*s.buf) })
 }
 
 // DecodeRuns reads r to EOF and parses the run records; see ParseRuns.
@@ -206,31 +191,84 @@ func DecodeRuns(r io.Reader) ([]*Run, error) {
 	return ParseRuns(data)
 }
 
-// ParseRuns parses the run records in data. The runs never refer to
-// data: every decoded string is a copy, so the caller may reuse the
-// buffer at once.
+// ParseRuns parses the run records in data: TranscodeRuns into a
+// transient batch, then ParseRunsBinary. Every decoded string is a
+// copy, so the caller may reuse data at once.
 func ParseRuns(data []byte) ([]*Run, error) {
+	batch, n, err := TranscodeRuns(make([]byte, 0, len(data)/2), data)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return ParseRunsBinary(batch)
+}
+
+// transcoder is TranscodeRuns' pooled scratch: the run being read, and
+// the backing of its params and lastfive values.
+type transcoder struct {
+	run    Run
+	params []byte
+	floats []float64
+}
+
+var transcoders = sync.Pool{New: func() any {
+	return &transcoder{run: Run{Levels: make(map[testcase.Resource]float64), LastFive: make(map[testcase.Resource][]float64)}}
+}}
+
+// start empties the scratch run for the record of testcase id.
+func (t *transcoder) start(id []byte) {
+	r := &t.run
+	clear(r.Levels)
+	clear(r.LastFive)
+	*r = Run{TestcaseID: borrow(id), Levels: r.Levels, LastFive: r.LastFive, Load: r.Load[:0]}
+	t.floats = t.floats[:0]
+}
+
+// release drops what the scratch borrowed from the input and pools it,
+// unless a run grew its buffers past 64 KiB.
+func (t *transcoder) release() {
+	t.start(nil)
+	if 32*cap(t.run.Load)+cap(t.params)+8*cap(t.floats) <= 64<<10 {
+		transcoders.Put(t)
+	}
+}
+
+// borrow returns a string view of b; the scratch run's strings are
+// views of the input, read only while it is transcoded.
+func borrow(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// TranscodeRuns appends the binary batch (AppendRunsBinary's form) of
+// the text run records in data to dst, and returns the extended buffer
+// and the number of runs. It accepts and rejects exactly what ParseRuns
+// does, with the same error text, and its batch is AppendRunsBinary of
+// the runs ParseRuns returns; on an error it returns dst as it was.
+// Each record is read into one pooled scratch Run, whose strings borrow
+// from data, and appended at its endrun, so a warm call allocates
+// nothing per run.
+func TranscodeRuns(dst, data []byte) (batch []byte, n int, err error) {
+	t := transcoders.Get().(*transcoder)
+	defer t.release()
+	cur := &t.run
+	start := len(dst)
+	batch = append(dst, 0) // the run count, widened at the end if need be
 	var (
-		out  []*Run
-		cur  *Run
+		open bool // inside a run record
 		line int
 		fbuf [8][]byte
 		f    = fbuf[:0]
 		text []byte
-		err  error
 	)
-	fail := func(format string, args ...any) ([]*Run, error) {
-		return nil, fmt.Errorf("core: line %d: %s", line, fmt.Sprintf(format, args...))
+	fail := func(format string, args ...any) ([]byte, int, error) {
+		return dst, 0, fmt.Errorf("core: line %d: %s", line, fmt.Sprintf(format, args...))
 	}
 	for len(data) > 0 {
 		if text, data, err = textrec.NextLine(data); err != nil {
-			return nil, err
+			return dst, 0, err
 		}
 		line++
 		if f = textrec.Fields(f, text); len(f) == 0 {
 			continue
 		}
-		if cur == nil && string(f[0]) != "run" {
+		if !open && string(f[0]) != "run" {
 			return fail("%q outside run record", f[0])
 		}
 		// Every directive except endrun carries at least one operand.
@@ -239,17 +277,14 @@ func ParseRuns(data []byte) ([]*Run, error) {
 		}
 		switch string(f[0]) {
 		case "run":
-			if cur != nil {
+			if open {
 				return fail("nested run")
 			}
 			if len(f) != 2 {
 				return fail("want 'run <testcase-id>'")
 			}
-			cur = &Run{
-				TestcaseID: string(f[1]),
-				Levels:     make(map[testcase.Resource]float64),
-				LastFive:   make(map[testcase.Resource][]float64),
-			}
+			t.start(f[1])
+			open = true
 		case "task":
 			task, err := parseTask(f[1])
 			if err != nil {
@@ -263,9 +298,13 @@ func ParseRuns(data []byte) ([]*Run, error) {
 			}
 			cur.UserID = id
 		case "shape":
-			cur.Shape = internShape(f[1])
+			cur.Shape = testcase.Shape(borrow(f[1]))
 			if len(f) > 2 {
-				cur.Params = textrec.Join(f[2:])
+				t.params = append(t.params[:0], f[2]...)
+				for _, p := range f[3:] {
+					t.params = append(append(t.params, ' '), p...)
+				}
+				cur.Params = borrow(t.params)
 			}
 		case "outcome":
 			if len(f) != 3 {
@@ -311,21 +350,21 @@ func ParseRuns(data []byte) ([]*Run, error) {
 			if err != nil {
 				return fail("%v", err)
 			}
-			vals := make([]float64, 0, len(f)-2)
+			from := len(t.floats)
 			for _, s := range f[2:] {
 				v, err := strconv.ParseFloat(string(s), 64)
 				if err != nil {
 					return fail("bad lastfive value: %v", err)
 				}
-				vals = append(vals, v)
+				t.floats = append(t.floats, v)
 			}
-			cur.LastFive[res] = vals
+			cur.LastFive[res] = t.floats[from:]
 		case "events":
-			n, err := strconv.Atoi(string(f[1]))
+			events, err := strconv.Atoi(string(f[1]))
 			if err != nil {
 				return fail("bad events: %v", err)
 			}
-			cur.Events = n
+			cur.Events = events
 		case "load":
 			if len(f) != 5 {
 				return fail("want 'load <t> <cpu> <mem> <diskq>'")
@@ -348,17 +387,22 @@ func ParseRuns(data []byte) ([]*Run, error) {
 			if cur.Terminated == "" {
 				return fail("run %s has no outcome", cur.TestcaseID)
 			}
-			cur.Blank = len(cur.Levels) == 0 || allZeroLevels(cur)
-			out = append(out, cur)
-			cur = nil
+			batch = appendRunBinary(batch, cur)
+			n++
+			open = false
 		default:
 			return fail("unknown directive %q", f[0])
 		}
 	}
-	if cur != nil {
-		return nil, fmt.Errorf("core: unterminated run record at EOF")
+	if open {
+		return dst, 0, fmt.Errorf("core: unterminated run record at EOF")
 	}
-	return out, nil
+	if w := uvarintLen(n); w > 1 {
+		var pad [binary.MaxVarintLen64]byte
+		batch = slices.Insert(batch, start+1, pad[:w-1]...)
+	}
+	binary.PutUvarint(batch[start:], uint64(n))
+	return batch, n, nil
 }
 
 // parseTask is testcase.ParseTask on bytes, allocation-free when the
@@ -382,28 +426,4 @@ func parseResource(b []byte) (testcase.Resource, error) {
 		}
 	}
 	return testcase.ParseResource(string(b))
-}
-
-// internShape returns the shape named by b, sharing the known names.
-func internShape(b []byte) testcase.Shape {
-	for _, s := range shapes {
-		if string(b) == string(s) {
-			return s
-		}
-	}
-	return testcase.Shape(b)
-}
-
-// allZeroLevels reports whether every recorded level is zero and no
-// primary resource was named — the decode-side blank heuristic.
-func allZeroLevels(r *Run) bool {
-	if r.PrimaryResource != "" {
-		return false
-	}
-	for _, v := range r.Levels {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -25,8 +25,7 @@ func blockTestRuns(n int) []*Run {
 // TestEncodeRunsBlockDifferential checks the block encoder against
 // AppendRuns on both sides of every block boundary, at one and two
 // procs: the bytes EncodeRuns writes and the blocks EncodeRunBlocks
-// emits must be exactly the serial encoding, and the ends must be each
-// run's end offset in it.
+// emits must be exactly the serial encoding.
 func TestEncodeRunsBlockDifferential(t *testing.T) {
 	const B = blockRuns
 	all := blockTestRuns(10*B + 7)
@@ -45,11 +44,7 @@ func TestEncodeRunsBlockDifferential(t *testing.T) {
 				}
 
 				var got []byte
-				var ends []int
-				err := EncodeRunBlocks(runs, withLoad, func(block []byte, blockEnds []int) error {
-					for _, e := range blockEnds {
-						ends = append(ends, len(got)+e)
-					}
+				err := EncodeRunBlocks(runs, withLoad, func(block []byte) error {
 					got = append(got, block...)
 					return nil
 				})
@@ -58,16 +53,6 @@ func TestEncodeRunsBlockDifferential(t *testing.T) {
 				}
 				if !bytes.Equal(got, want) {
 					t.Errorf("procs=%d n=%d withLoad=%v: EncodeRunBlocks differs from AppendRuns", procs, n, withLoad)
-				}
-				if len(ends) != n {
-					t.Fatalf("procs=%d n=%d: %d ends", procs, n, len(ends))
-				}
-				end := 0
-				for i, r := range runs {
-					end += len(AppendRuns(nil, []*Run{r}, withLoad))
-					if ends[i] != end {
-						t.Fatalf("procs=%d n=%d withLoad=%v: ends[%d] = %d, want %d", procs, n, withLoad, i, ends[i], end)
-					}
 				}
 			}
 		}
@@ -87,7 +72,7 @@ func TestEncodeRunBlocksOrderStress(t *testing.T) {
 	var got []byte
 	for iter := 0; iter < 10; iter++ {
 		got = got[:0]
-		err := EncodeRunBlocks(runs, true, func(block []byte, _ []int) error {
+		err := EncodeRunBlocks(runs, true, func(block []byte) error {
 			runtime.Gosched()
 			got = append(got, block...)
 			return nil

@@ -51,7 +51,7 @@ func FuzzPersistReload(f *testing.F) {
 	run2 := testRun()
 	run2.Offset = 56
 	runs := []*core.Run{testRun(), run2}
-	upload := uploadRecord(resultsFrame(f, "uucs-1", 4, string(core.AppendRuns(nil, runs, false))), runs)
+	upload := recordOf(resultsFrame(f, "uucs-1", 4, string(core.AppendRuns(nil, runs, false))), runs)
 	saved := recordChunkBytes
 	recordChunkBytes = 1 // one record per frame
 	tcs, _ := appendTestcaseRecords(nil, tc, tcEnds)
@@ -123,7 +123,7 @@ func FuzzLegacyUpgrade(f *testing.F) {
 	snap := testSnapshot()
 	reg, _ := appendClientRecord(nil, "uucs-1", "n-1", &snap, 0)
 	runs := []*core.Run{testRun()}
-	upload := uploadRecord(resultsFrame(f, "uucs-1", 1, string(core.AppendRuns(nil, runs, false))), runs)
+	upload := recordOf(resultsFrame(f, "uucs-1", 1, string(core.AppendRuns(nil, runs, false))), runs)
 	f.Add(bytes.Join([][]byte{journalHeader, reg, []byte(`{"op":"tc","payload":""}` + "\n"), upload, upload[:9]}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig, up := t.TempDir(), t.TempDir()

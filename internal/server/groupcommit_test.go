@@ -81,7 +81,7 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 	// First upload enters commit and blocks on the gated fsync.
 	firstDone := make(chan error, 1)
 	go func() {
-		_, err := s.addResults(resultsFrame(t, ids[0], 1, encodeRuns(t, []*core.Run{testRun()})), []*core.Run{testRun()})
+		_, err := ingest(s, resultsFrame(t, ids[0], 1, encodeRuns(t, []*core.Run{testRun()})))
 		firstDone <- err
 	}()
 	// Wait until the writer is inside the gate with the first op, then
@@ -94,7 +94,7 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = s.addResults(resultsFrame(t, ids[i+1], 1, encodeRuns(t, []*core.Run{testRun()})), []*core.Run{testRun()})
+			_, errs[i] = ingest(s, resultsFrame(t, ids[i+1], 1, encodeRuns(t, []*core.Run{testRun()})))
 		}()
 	}
 	waitCond(t, func() bool { return queueLen(jw) == k })
@@ -152,7 +152,7 @@ func TestDupAckWaitsForInFlightCommit(t *testing.T) {
 	entered, release := gateJournalSync(t)
 	origDone := make(chan error, 1)
 	go func() {
-		_, err := s.addResults(resultsFrame(t, ids[0], 1, payload), runs)
+		_, err := ingest(s, resultsFrame(t, ids[0], 1, payload))
 		origDone <- err
 	}()
 	// The original is inside the gated commit; its seq is already the
@@ -160,7 +160,7 @@ func TestDupAckWaitsForInFlightCommit(t *testing.T) {
 	<-entered
 	dupAcked := make(chan struct{})
 	go func() {
-		dup, err := s.addResults(resultsFrame(t, ids[0], 1, payload), runs)
+		dup, err := ingest(s, resultsFrame(t, ids[0], 1, payload))
 		if err != nil {
 			t.Error(err)
 		}
@@ -195,12 +195,12 @@ func crashServer(t *testing.T, s *Server, id string, seq uint64, payload string,
 		return fmt.Errorf("injected crash before fsync")
 	}
 	defer func() { testHookBeforeJournalSync = nil }()
-	if _, err := s.addResults(resultsFrame(t, id, seq, payload), runs); err == nil {
+	if _, err := ingest(s, resultsFrame(t, id, seq, payload)); err == nil {
 		t.Fatal("upload acked though its fsync never ran")
 	}
 	// The writer is poisoned: nothing further may be acked on top of a
 	// journal in an unknown state.
-	if _, err := s.addResults(resultsFrame(t, id, seq+1, payload), runs); err == nil {
+	if _, err := ingest(s, resultsFrame(t, id, seq+1, payload)); err == nil {
 		t.Fatal("upload acked on a poisoned journal")
 	}
 	if _, err := s.register(testSnapshot(), "post-crash-nonce"); err == nil {
@@ -218,7 +218,7 @@ func TestCrashBeforeFsyncUnackedWriteLost(t *testing.T) {
 	s, ids := openServer(t, dir, 1)
 	runs := []*core.Run{testRun()}
 	payload := encodeRuns(t, runs)
-	if _, err := s.addResults(resultsFrame(t, ids[0], 1, payload), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, ids[0], 1, payload)); err != nil {
 		t.Fatal(err)
 	}
 	jpath := filepath.Join(dir, journalFile)
@@ -243,7 +243,7 @@ func TestCrashBeforeFsyncUnackedWriteLost(t *testing.T) {
 		t.Fatalf("restored results = %d, want 1 (only the acked batch)", got)
 	}
 	// Client retry of the never-acked batch: applied exactly once.
-	dup, err := restored.addResults(resultsFrame(t, ids[0], 2, payload), runs)
+	dup, err := ingest(restored, resultsFrame(t, ids[0], 2, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestCrashBeforeFsyncUnackedWriteSurvived(t *testing.T) {
 	s, ids := openServer(t, dir, 1)
 	runs := []*core.Run{testRun()}
 	payload := encodeRuns(t, runs)
-	if _, err := s.addResults(resultsFrame(t, ids[0], 1, payload), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, ids[0], 1, payload)); err != nil {
 		t.Fatal(err)
 	}
 	crashServer(t, s, ids[0], 2, payload, runs)
@@ -279,7 +279,7 @@ func TestCrashBeforeFsyncUnackedWriteSurvived(t *testing.T) {
 	if got := len(restored.Results()); got != 2 {
 		t.Fatalf("restored results = %d, want 2 (surviving write dropped)", got)
 	}
-	dup, err := restored.addResults(resultsFrame(t, ids[0], 2, payload), runs)
+	dup, err := ingest(restored, resultsFrame(t, ids[0], 2, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestCrashBeforeFsyncTornWrite(t *testing.T) {
 	s, ids := openServer(t, dir, 1)
 	runs := []*core.Run{testRun()}
 	payload := encodeRuns(t, runs)
-	if _, err := s.addResults(resultsFrame(t, ids[0], 1, payload), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, ids[0], 1, payload)); err != nil {
 		t.Fatal(err)
 	}
 	jpath := filepath.Join(dir, journalFile)
@@ -330,7 +330,7 @@ func TestCrashBeforeFsyncTornWrite(t *testing.T) {
 	if got := len(restored.Results()); got != 1 {
 		t.Fatalf("restored results = %d, want 1 (torn tail misread)", got)
 	}
-	dup, err := restored.addResults(resultsFrame(t, ids[0], 2, payload), runs)
+	dup, err := ingest(restored, resultsFrame(t, ids[0], 2, payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestJournalBatchOneMatchesPR2Baseline(t *testing.T) {
 	}
 	runs := []*core.Run{testRun()}
 	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := s.addResults(resultsFrame(t, id, seq, encodeRuns(t, runs)), runs); err != nil {
+		if _, err := ingest(s, resultsFrame(t, id, seq, encodeRuns(t, runs))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,7 +65,7 @@ func TestMixedFramingUploadsShareOneJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Record := uploadRecord(resultsFrame(t, clients[0].id, 1, clients[0].payload), v2Runs)
+	v2Record := recordOf(resultsFrame(t, clients[0].id, 1, clients[0].payload), v2Runs)
 	if v2Record[0] != protocol.FrameMagic || !bytes.Contains(journal, v2Record) {
 		t.Error("the v2 upload is not journaled as its binary run record")
 	}

@@ -189,7 +189,7 @@ func (h *dualHistory) upload(id string, seq uint64, runs []*core.Run) {
 		h.t.Fatal(err)
 	}
 	f := resultsFrame(h.t, id, seq, b.String())
-	dup, err := h.s.addResults(f, runs)
+	dup, err := ingest(h.s, f)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func legacyDirs(t testing.TB) map[string]string {
 		t.Fatal(err)
 	}
 	lateRuns := []*core.Run{testRun()}
-	upload := uploadRecord(resultsFrame(t, legacyID(9), 1, string(core.AppendRuns(nil, lateRuns, true))), lateRuns)
+	upload := recordOf(resultsFrame(t, legacyID(9), 1, string(core.AppendRuns(nil, lateRuns, true))), lateRuns)
 	torn, err := marshalOp(journalOp{Op: opResults, ID: legacyID(0), Seq: 4, Payload: string(core.AppendRuns(nil, lateRuns, true))})
 	if err != nil {
 		t.Fatal(err)

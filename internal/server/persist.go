@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 	"unsafe"
 
 	"uucs/internal/atomicfile"
@@ -58,9 +57,9 @@ import (
 //	jtestcases  a testcase batch, journaled by AddTestcases or written
 //	            from the store by SaveState: the testcases in binary
 //	            form (testcase.AppendBinary), back to back, as Payload
-//	jruns       an accepted upload: ClientID, Seq, and the runs the
-//	            server decoded from it, in binary form
-//	            (core.AppendRunsBinary), as Payload
+//	jruns       an accepted upload: ClientID, Seq, and its runs
+//	            transcoded from the uploaded text to binary form
+//	            (core.TranscodeRuns), as Payload
 //	results     with no ClientID and Seq 0, one chunk of a snapshot's
 //	            run aggregate: Ver = binaryRunsFormat (the payload is
 //	            binary runs), the whole aggregate's content hash (Nonce,
@@ -529,44 +528,21 @@ func (s *Server) writeAggregate(w io.Writer, n int) error {
 	return a.writeTo(w)
 }
 
-// recordScratch is the pooled space an upload's binary batch and its
-// journal record are built in.
-type recordScratch struct{ payload, frame []byte }
-
-var recordPool = sync.Pool{New: func() any { return new(recordScratch) }}
-
-// encodeUpload returns pooled scratch holding runs in binary form
-// (core.AppendRunsBinary) as payload: the batch the run store keeps and
-// the journal record carries. Hand it back with release.
-func encodeUpload(runs []*core.Run) *recordScratch {
-	sc := recordPool.Get().(*recordScratch)
-	sc.payload = core.AppendRunsBinary(sc.payload[:0], runs)
-	return sc
-}
-
-// release returns sc to the pool unless it grew past a connection
-// buffer.
-func (sc *recordScratch) release() {
-	if cap(sc.payload) <= protocol.ConnBufSize && cap(sc.frame) <= protocol.ConnBufSize {
-		recordPool.Put(sc)
-	}
-}
-
 // uploadRecord returns the journal record of an accepted upload f whose
-// runs sc encodes: a jruns frame with the client id, the batch seq and
-// the binary payload. The record is built in the scratch and copied out
-// once, so that copy is its only allocation. A batch whose binary form
-// outgrows recordChunkBytes — tens of megabytes of zero-valued load
-// samples — is journaled as the client's text frame instead, which
-// replay reads as well.
-func (sc *recordScratch) uploadRecord(f *protocol.Frame) []byte {
-	if len(sc.payload) <= recordChunkBytes {
-		var err error
-		sc.frame, err = protocol.AppendFrame(sc.frame[:0], protocol.Message{
-			Type: protocol.TypeJournalRuns, ClientID: borrowString(f.ClientID), Seq: f.Seq, Payload: borrowString(sc.payload),
+// runs batch holds in binary form (core.TranscodeRuns): a jruns frame
+// with the client id, the batch seq and the batch as payload, built in
+// one allocation of its size. A batch that outgrows recordChunkBytes —
+// tens of megabytes of zero-valued load samples — is journaled as the
+// client's text frame instead, which replay reads as well.
+func uploadRecord(f *protocol.Frame, batch []byte) []byte {
+	if len(batch) <= recordChunkBytes {
+		// 32 bytes hold the frame's header, field tags and lengths, the
+		// seq and the CRC.
+		rec, err := protocol.AppendFrame(make([]byte, 0, 32+len(f.ClientID)+len(batch)), protocol.Message{
+			Type: protocol.TypeJournalRuns, ClientID: borrowString(f.ClientID), Seq: f.Seq, Payload: borrowString(batch),
 		})
 		if err == nil {
-			return append([]byte(nil), sc.frame...)
+			return rec
 		}
 	}
 	return append([]byte(nil), f.Raw()...)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,7 +57,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveState(dir); err != nil {
@@ -96,7 +97,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Errorf("retried registration after restore: got %s, want %s", id3, id)
 	}
 	// So must the sequence high-water mark: the acked batch is a dup.
-	dup, err := restored.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs)
+	dup, err := ingest(restored, resultsFrame(t, id, 1, encodeRuns(t, runs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestLoadStateToleratesTornJournalTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -210,7 +211,7 @@ func TestOpenStateJournalsBeforeAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 	// Crash without SaveState: the journal alone must restore everything.
@@ -240,7 +241,7 @@ func TestSaveStateCompactsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveState(dir); err != nil {
@@ -282,7 +283,7 @@ func TestSaveStateKeepsOpsAckedDuringSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 	raced := testRun()
@@ -292,7 +293,7 @@ func TestSaveStateKeepsOpsAckedDuringSnapshot(t *testing.T) {
 	testHookAfterSnapshot = func(srv *Server) {
 		// A client upload and a registration land after the state copy
 		// but before compaction: journaled, acked, not in the snapshot.
-		if _, err := srv.addResults(resultsFrame(t, id, 2, encodeRuns(t, racedRuns)), racedRuns); err != nil {
+		if _, err := ingest(srv, resultsFrame(t, id, 2, encodeRuns(t, racedRuns))); err != nil {
 			t.Error(err)
 		}
 		late := testSnapshot()
@@ -326,7 +327,7 @@ func TestSaveStateKeepsOpsAckedDuringSnapshot(t *testing.T) {
 	}
 	// The raced batch's sequence number must survive too: a retry after
 	// restart is still a dup, not a double count.
-	dup, err := restored.addResults(resultsFrame(t, id, 2, encodeRuns(t, racedRuns)), racedRuns)
+	dup, err := ingest(restored, resultsFrame(t, id, 2, encodeRuns(t, racedRuns)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,12 +402,20 @@ func resultsFrame(t testing.TB, id string, seq uint64, payload string) *protocol
 	return f
 }
 
-// uploadRecord returns the journal record addResults writes for an
-// accepted upload f whose decoded runs are runs.
-func uploadRecord(f *protocol.Frame, runs []*core.Run) []byte {
-	sc := encodeUpload(runs)
-	defer sc.release()
-	return sc.uploadRecord(f)
+// recordOf returns the journal record addResults writes for an
+// accepted upload f of runs.
+func recordOf(f *protocol.Frame, runs []*core.Run) []byte {
+	return uploadRecord(f, core.AppendRunsBinary(nil, runs))
+}
+
+// ingest applies the upload f as dispatch does: its text payload
+// transcoded to a binary batch, then addResults.
+func ingest(s *Server, f *protocol.Frame) (dup bool, err error) {
+	batch, n, err := core.TranscodeRuns(nil, f.Payload)
+	if err != nil {
+		return false, err
+	}
+	return s.addResults(f, batch, n)
 }
 
 // appendAggregateRecords appends the snapshot aggregate records
@@ -495,8 +504,8 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	run2 := testRun()
 	run2.Offset = 99
 	f := resultsFrame(t, id, 2, encodeRuns(t, []*core.Run{run2}))
-	rec := uploadRecord(f, []*core.Run{run2})
-	if _, err := s.addResults(f, []*core.Run{run2}); err != nil {
+	rec := recordOf(f, []*core.Run{run2})
+	if _, err := ingest(s, f); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -522,7 +531,7 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 		t.Fatalf("upgraded-journal restore: clients=%d results=%d", restored.ClientCount(), len(restored.Results()))
 	}
 	for _, seq := range []uint64{1, 2} {
-		dup, err := restored.addResults(resultsFrame(t, id, seq, encodeRuns(t, []*core.Run{run2})), []*core.Run{run2})
+		dup, err := ingest(restored, resultsFrame(t, id, seq, encodeRuns(t, []*core.Run{run2})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,7 +631,7 @@ func TestJournalMigrationCorruption(t *testing.T) {
 	}
 	// An upload as this build journals it, and binary records whose
 	// frame is intact but whose run batch is not.
-	runsRec := uploadRecord(resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()})), []*core.Run{testRun()})
+	runsRec := recordOf(resultsFrame(t, id, 1, encodeRuns(t, []*core.Run{testRun()})), []*core.Run{testRun()})
 	jruns := func(payload []byte) []byte {
 		b, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeJournalRuns, ClientID: id, Seq: 1, Payload: string(payload)})
 		if err != nil {
@@ -853,8 +862,8 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 	}
 	runs := []*core.Run{testRun()}
 	f := resultsFrame(t, id, 1, encodeRuns(t, runs))
-	rec := uploadRecord(f, runs)
-	if _, err := s.addResults(f, runs); err != nil {
+	rec := recordOf(f, runs)
+	if _, err := ingest(s, f); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -882,7 +891,7 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 	if got := restored.Results(); len(got) != 1 || got[0].Offset != 55 {
 		t.Errorf("results = %+v", got)
 	}
-	dup, err := restored.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs)
+	dup, err := ingest(restored, resultsFrame(t, id, 1, encodeRuns(t, runs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -981,7 +990,7 @@ func TestFormat4DirectoryRestoresSameState(t *testing.T) {
 			run.Offset = float64(seq*100 + i)
 			run.Load = []hostsim.Load{{Time: float64(seq), CPU: 0.5, MemFrac: -0.0, DiskQ: 1e21}}
 			runs := []*core.Run{run}
-			if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
+			if _, err := ingest(s, resultsFrame(t, id, uint64(seq), encodeRuns(t, runs))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1095,19 +1104,25 @@ func TestUploadRecordAllocs(t *testing.T) {
 	}
 	runs := []*core.Run{testRun(), testRun(), testRun()}
 	f := resultsFrame(t, "uucs-0123456789abcdef", 7, encodeRuns(t, runs))
-	uploadRecord(f, runs)
-	if avg := testing.AllocsPerRun(200, func() { uploadRecord(f, runs) }); avg != 1 {
+	batch := core.AppendRunsBinary(nil, runs)
+	uploadRecord(f, batch)
+	if avg := testing.AllocsPerRun(200, func() { uploadRecord(f, batch) }); avg != 1 {
 		t.Errorf("uploadRecord allocates %.2f/op, want 1", avg)
 	}
+	// The widest seq still fits the record's one allocation.
+	wide := resultsFrame(t, "uucs-0123456789abcdef", math.MaxUint64, encodeRuns(t, runs))
+	if avg := testing.AllocsPerRun(200, func() { uploadRecord(wide, batch) }); avg != 1 {
+		t.Errorf("uploadRecord at the widest seq allocates %.2f/op, want 1", avg)
+	}
 	var g protocol.Frame
-	if _, err := protocol.DecodeFrame(uploadRecord(f, runs), &g); err != nil || g.Type != protocol.TypeJournalRuns {
+	if _, err := protocol.DecodeFrame(uploadRecord(f, batch), &g); err != nil || g.Type != protocol.TypeJournalRuns {
 		t.Fatalf("record is a %q frame (%v), want jruns", g.Type, err)
 	}
 
 	saved := recordChunkBytes
 	recordChunkBytes = 64
 	defer func() { recordChunkBytes = saved }()
-	if rec := uploadRecord(f, runs); !bytes.Equal(rec, f.Raw()) {
+	if rec := uploadRecord(f, batch); !bytes.Equal(rec, f.Raw()) {
 		t.Fatal("an upload too large for a binary record is not journaled as its text frame")
 	}
 	dir := t.TempDir()
@@ -1119,7 +1134,7 @@ func TestUploadRecordAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -69,7 +69,7 @@ func replicaDirFixture(b *testing.B) string {
 		seqs[h]++
 		runs := fleetRuns(rng, replicaRunsPer)
 		f := resultsFrame(b, ids[h], seqs[h], string(core.AppendRuns(nil, runs, false)))
-		journal = append(journal, uploadRecord(f, runs)...)
+		journal = append(journal, recordOf(f, runs)...)
 	}
 	dir := b.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {

@@ -96,7 +96,7 @@ func replayTornTailCrash(t *testing.T, seed uint64) {
 	payload := uploadPayload(t)
 	acked := 3 + int(seed%4)
 	for seq := 1; seq <= acked; seq++ {
-		if dup, err := s.addResults(resultsFrame(t, id, uint64(seq), payload), mustDecodeRuns(t, payload)); err != nil || dup {
+		if dup, err := ingest(s, resultsFrame(t, id, uint64(seq), payload)); err != nil || dup {
 			t.Fatalf("seq %d: dup=%v err=%v", seq, dup, err)
 		}
 	}
@@ -134,11 +134,11 @@ func replayTornTailCrash(t *testing.T, seed uint64) {
 		t.Fatalf("restart holds %d runs, want %d acked (torn op must not count)", got, acked)
 	}
 	// The torn op's seq was never acked; its retry must apply...
-	if dup, err := s2.addResults(resultsFrame(t, id, uint64(acked+1), payload), mustDecodeRuns(t, payload)); err != nil || dup {
+	if dup, err := ingest(s2, resultsFrame(t, id, uint64(acked+1), payload)); err != nil || dup {
 		t.Errorf("retry of torn seq %d: dup=%v err=%v, want fresh accept", acked+1, dup, err)
 	}
 	// ...while a retry of an acked batch still dedups.
-	if dup, err := s2.addResults(resultsFrame(t, id, uint64(acked), payload), mustDecodeRuns(t, payload)); err != nil || !dup {
+	if dup, err := ingest(s2, resultsFrame(t, id, uint64(acked), payload)); err != nil || !dup {
 		t.Errorf("retry of acked seq %d: dup=%v err=%v, want dup", acked, dup, err)
 	}
 }

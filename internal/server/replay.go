@@ -247,10 +247,7 @@ func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 			d.n, d.err = core.CountRunsBinary(d.batch)
 			return
 		}
-		var runs []*core.Run
-		if runs, d.err = core.ParseRuns(borrowBytes(d.op.Payload)); d.err == nil {
-			d.batch, d.n = core.AppendRunsBinary(nil, runs), len(runs)
-		}
+		d.batch, d.n, d.err = core.TranscodeRuns(nil, borrowBytes(d.op.Payload))
 	case opTestcases:
 		d.tcs, d.err = d.op.Testcases()
 	}

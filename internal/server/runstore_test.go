@@ -47,14 +47,9 @@ func storeBatch(k int) string {
 }
 
 // uploadBatch uploads batch k of storeBatch from client id with
-// sequence number k+1, the way dispatch does: the payload parsed, then
-// addResults.
+// sequence number k+1, the way dispatch does (ingest).
 func uploadBatch(s *Server, id string, k int) error {
 	payload := storeBatch(k)
-	runs, err := core.ParseRuns([]byte(payload))
-	if err != nil {
-		return err
-	}
 	wire, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeResults, ClientID: id, Seq: uint64(k + 1), Payload: payload})
 	if err != nil {
 		return err
@@ -63,7 +58,7 @@ func uploadBatch(s *Server, id string, k int) error {
 	if _, err := protocol.DecodeFrame(wire, &f); err != nil {
 		return err
 	}
-	dup, err := s.addResults(&f, runs)
+	dup, err := ingest(s, &f)
 	if err == nil && dup {
 		err = fmt.Errorf("upload %d answered as a duplicate", k)
 	}
@@ -248,7 +243,7 @@ func TestRestartHoldsJournalBytesOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.addResults(resultsFrame(t, ids[k%len(ids)], uint64(k/len(ids)+1), payload), runs); err != nil {
+				if _, err := ingest(s, resultsFrame(t, ids[k%len(ids)], uint64(k/len(ids)+1), payload)); err != nil {
 					t.Fatal(err)
 				}
 				want = append(want, runs...)
@@ -409,11 +404,7 @@ func TestRunStoreHeapPerRun(t *testing.T) {
 		before := heapInUse()
 		for k := 0; k < batches; k++ {
 			payload := payloads[k%len(payloads)]
-			runs, err := core.ParseRuns([]byte(payload))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.addResults(resultsFrame(t, ids[k%clients], uint64(k/clients+1), payload), runs); err != nil {
+			if _, err := ingest(s, resultsFrame(t, ids[k%clients], uint64(k/clients+1), payload)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -26,7 +26,7 @@ func offsetRun(client, seq int) []*core.Run {
 func upload(t *testing.T, s *Server, id string, i, seq int) {
 	t.Helper()
 	runs := offsetRun(i, seq)
-	if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, uint64(seq), encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -44,14 +44,14 @@ func TestSealSplitsGroupCommit(t *testing.T) {
 	first := make(chan error, 1)
 	go func() {
 		runs := offsetRun(0, 1)
-		_, err := s.addResults(resultsFrame(t, ids[0], 1, encodeRuns(t, runs)), runs)
+		_, err := ingest(s, resultsFrame(t, ids[0], 1, encodeRuns(t, runs)))
 		first <- err
 	}()
 	<-entered
 	// The writer is held inside the first op's commit; queue an op, a
 	// seal and another op behind it, so it takes all three at once.
-	before := uploadRecord(resultsFrame(t, ids[1], 1, encodeRuns(t, offsetRun(1, 1))), offsetRun(1, 1))
-	after := uploadRecord(resultsFrame(t, ids[2], 1, encodeRuns(t, offsetRun(2, 1))), offsetRun(2, 1))
+	before := recordOf(resultsFrame(t, ids[1], 1, encodeRuns(t, offsetRun(1, 1))), offsetRun(1, 1))
+	after := recordOf(resultsFrame(t, ids[2], 1, encodeRuns(t, offsetRun(2, 1))), offsetRun(2, 1))
 	rb := jw.enqueue(before)
 	seal := jw.seal()
 	ra := jw.enqueue(after)
@@ -296,7 +296,7 @@ func TestSaveStateCrashBeforeDeletes(t *testing.T) {
 		// The last acked batch is still a duplicate after the restart.
 		for i, id := range ids {
 			runs := offsetRun(i, before+during)
-			dup, err := restored.addResults(resultsFrame(t, id, uint64(before+during), encodeRuns(t, runs)), runs)
+			dup, err := ingest(restored, resultsFrame(t, id, uint64(before+during), encodeRuns(t, runs)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func seedSegmentedState(t *testing.T, dir string, segBytes int64, nClients, nBat
 			run := testRun()
 			run.Offset = float64(seq*100 + i)
 			runs := []*core.Run{run}
-			if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
+			if _, err := ingest(s, resultsFrame(t, id, uint64(seq), encodeRuns(t, runs))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,7 +119,7 @@ func TestJournalRotationSealsSegments(t *testing.T) {
 	// every acked (id, seq) pair is still a dup.
 	runs := []*core.Run{testRun()}
 	for _, id := range ids {
-		dup, err := restored.addResults(resultsFrame(t, id, 10, encodeRuns(t, runs)), runs)
+		dup, err := ingest(restored, resultsFrame(t, id, 10, encodeRuns(t, runs)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestOpenStateRepairsTornTail(t *testing.T) {
 		run := testRun()
 		run.Offset = 777
 		runs := []*core.Run{run}
-		if _, err := s.addResults(resultsFrame(t, ids[0], 3, encodeRuns(t, runs)), runs); err != nil {
+		if _, err := ingest(s, resultsFrame(t, ids[0], 3, encodeRuns(t, runs))); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -377,7 +377,7 @@ func TestOpenStateRepairsTornTail(t *testing.T) {
 		run2 := testRun()
 		run2.Offset = 888
 		runs := []*core.Run{run2}
-		if _, err := s.addResults(resultsFrame(t, ids[0], 4, encodeRuns(t, runs)), runs); err != nil {
+		if _, err := ingest(s, resultsFrame(t, ids[0], 4, encodeRuns(t, runs))); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -415,7 +415,7 @@ func TestSaveStateCompactsSegments(t *testing.T) {
 		run := testRun()
 		run.Offset = float64(seq)
 		runs := []*core.Run{run}
-		if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
+		if _, err := ingest(s, resultsFrame(t, id, uint64(seq), encodeRuns(t, runs))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,7 +441,7 @@ func TestSaveStateCompactsSegments(t *testing.T) {
 		run := testRun()
 		run.Offset = float64(seq)
 		runs := []*core.Run{run}
-		if _, err := s.addResults(resultsFrame(t, id, uint64(seq), encodeRuns(t, runs)), runs); err != nil {
+		if _, err := ingest(s, resultsFrame(t, id, uint64(seq), encodeRuns(t, runs))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -712,7 +712,7 @@ func TestTornTailAtBlockEnd(t *testing.T) {
 			run := testRun()
 			run.Offset = float64(seq)
 			runs := []*core.Run{run}
-			if _, err := s.addResults(resultsFrame(t, ids[0], seq, encodeRuns(t, runs)), runs); err != nil {
+			if _, err := ingest(s, resultsFrame(t, ids[0], seq, encodeRuns(t, runs))); err != nil {
 				t.Fatal(err)
 			}
 		}

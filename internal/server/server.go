@@ -8,8 +8,9 @@
 // results for the analysis phase (Figure 2).
 //
 // Uploaded runs stay in that binary form in memory too, until someone
-// reads them (runstore.go): an upload costs the server its binary
-// batch, about 93 bytes a run, and restart and failover promotion check
+// reads them (runstore.go): each upload's text is transcoded straight
+// into its binary batch, with no run built, and costs the server that
+// batch, about 93 bytes a run; restart and failover promotion check
 // each journaled batch and keep its bytes instead of building runs.
 // Results decodes what is still binary, once, and keeps the decoded
 // runs; WriteResults and SaveState stream the runs without keeping
@@ -573,28 +574,24 @@ func (s *Server) sample(clientID []byte, have [][]byte, want int) (string, int, 
 	return b.String(), len(sc.cand), nil
 }
 
-// addResults ingests an uploaded run batch f, whose payload decoded to
-// runs. Seq 0 marks an unsequenced (legacy) upload, applied
-// unconditionally. For Seq > 0 the batch is applied exactly once per
-// client: a retried batch (Seq at or below the last applied) reports
-// dup without storing anything. The runs are stored, and journaled, in
-// binary form (encodeUpload): the run store copies the batch into its
-// arena, and the journal record is a jruns frame holding it, so replay
-// reads it without parsing text. A journaling server encodes the batch
-// before taking the shard lock, duplicates included, since the record
-// must be ready to enqueue under it; a server with no journal encodes
-// only a batch it stores, under the lock. The record is the path's one
-// allocation, and it outlives the connection's read buffer. The op is
-// enqueued before the shard lock is released and the ack waits for the
-// fsync covering it, so an acked batch survives a crash.
-func (s *Server) addResults(f *protocol.Frame, runs []*core.Run) (dup bool, err error) {
+// addResults ingests an uploaded run batch f whose payload dispatch
+// transcoded to batch, n runs in binary form. Seq 0 marks an
+// unsequenced (legacy) upload, applied unconditionally. For Seq > 0 the
+// batch is applied exactly once per client: a retried batch (Seq at or
+// below the last applied) reports dup without storing anything. The
+// run store copies batch into its arena, and a journaling server
+// journals it as a jruns frame (uploadRecord), so replay reads it
+// without parsing text. The record is built before the shard lock,
+// duplicates included, since it must be ready to enqueue under it; it
+// is the path's one allocation, and it outlives the connection's read
+// buffer. The op is enqueued before the shard lock is released and the
+// ack waits for the fsync covering it, so an acked batch survives a
+// crash.
+func (s *Server) addResults(f *protocol.Frame, batch []byte, n int) (dup bool, err error) {
 	jw := s.journal()
-	var sc *recordScratch
 	var op []byte
 	if jw != nil {
-		sc = encodeUpload(runs)
-		defer sc.release()
-		op = sc.uploadRecord(f)
+		op = uploadRecord(f, batch)
 	}
 	sh := shardFor(s, f.ClientID)
 	sh.lock()
@@ -618,14 +615,8 @@ func (s *Server) addResults(f *protocol.Frame, runs []*core.Run) (dup bool, err 
 	if f.Seq > 0 {
 		sh.lastSeq[string(f.ClientID)] = f.Seq
 	}
-	if sc == nil {
-		// No journal needs the record before the lock: encode only a
-		// batch that is stored, never a duplicate.
-		sc = encodeUpload(runs)
-		defer sc.release()
-	}
 	s.runs.mu.Lock()
-	s.runs.add(sc.payload, len(runs))
+	s.runs.add(batch, n)
 	s.runs.mu.Unlock()
 	sh.mu.Unlock()
 	if pending != nil {
@@ -634,7 +625,7 @@ func (s *Server) addResults(f *protocol.Frame, runs []*core.Run) (dup bool, err 
 		}
 	}
 	s.stats.batches.Add(1)
-	s.stats.runs.Add(uint64(len(runs)))
+	s.stats.runs.Add(uint64(n))
 	return false, nil
 }
 
@@ -774,10 +765,14 @@ func (s *Server) handle(conn *protocol.Conn) {
 	}
 }
 
+// uploadBufs pools the buffers dispatch transcodes uploads into.
+var uploadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // dispatch routes one received frame. The hot path — a results upload
 // — runs on borrowed views: the client id is checked and sharded as
-// bytes, the runs decode straight from the payload view, and the
-// journal stores them re-encoded in binary.
+// bytes, and the payload view is transcoded straight into a pooled
+// binary batch (core.TranscodeRuns) before the dedup, building no run;
+// addResults stores and journals that batch.
 func (s *Server) dispatch(conn *protocol.Conn, f *protocol.Frame) error {
 	if f.WireVersion == protocol.V3 && s.maxProto() < protocol.V3 {
 		return fmt.Errorf("protocol v3 disabled on this server (max v%d)", s.maxProto())
@@ -825,15 +820,22 @@ func (s *Server) dispatch(conn *protocol.Conn, f *protocol.Frame) error {
 		if err := s.checkClient(f.ClientID); err != nil {
 			return err
 		}
-		runs, err := core.ParseRuns(f.Payload)
+		buf := uploadBufs.Get().(*[]byte)
+		defer func() {
+			if cap(*buf) <= protocol.ConnBufSize {
+				uploadBufs.Put(buf)
+			}
+		}()
+		batch, n, err := core.TranscodeRuns((*buf)[:0], f.Payload)
 		if err != nil {
 			return fmt.Errorf("bad results payload: %w", err)
 		}
-		dup, err := s.addResults(f, runs)
+		*buf = batch
+		dup, err := s.addResults(f, batch, n)
 		if err != nil {
 			return err
 		}
-		return conn.Send(protocol.Message{Type: protocol.TypeAck, Count: len(runs), Seq: f.Seq, Dup: dup})
+		return conn.Send(protocol.Message{Type: protocol.TypeAck, Count: n, Seq: f.Seq, Dup: dup})
 
 	default:
 		return fmt.Errorf("unexpected message type %q", f.Type)

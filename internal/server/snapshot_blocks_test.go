@@ -42,7 +42,7 @@ func bulkServer(t testing.TB, n int) *Server {
 				break
 			}
 			payload := string(core.AppendRuns(nil, runs, true))
-			if _, err := s.addResults(resultsFrame(t, id, seq, payload), runs); err != nil {
+			if _, err := ingest(s, resultsFrame(t, id, seq, payload)); err != nil {
 				t.Fatal(err)
 			}
 		}

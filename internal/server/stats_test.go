@@ -181,12 +181,14 @@ func TestServerTelemetrySnapshot(t *testing.T) {
 }
 
 // TestIngestAllocCeilings pins the steady-state allocation count of the
-// memory-only ingest hot path (addResults on one decoded frame whose
-// Seq is advanced per call), proving the telemetry instrumentation —
+// memory-only ingest hot path, as dispatch runs it: one upload's text
+// payload transcoded into a warm buffer (core.TranscodeRuns), then
+// addResults, with the frame's Seq advanced per call. It proves the
+// transcode builds nothing per run and the telemetry instrumentation —
 // the shard lock counters and the stats counters — added zero
 // allocations. The accepted path allocates the dedup map's key string
-// (AllocsPerRun's integer average absorbs the amortized result-slice
-// growth); the dup path allocates nothing.
+// (AllocsPerRun's integer average absorbs the amortized growth of the
+// run store's index); the dup path allocates nothing.
 func TestIngestAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
@@ -201,36 +203,43 @@ func TestIngestAllocCeilings(t *testing.T) {
 		Terminated: core.Exhausted, Offset: 1,
 		PrimaryResource: testcase.CPU,
 		Levels:          map[testcase.Resource]float64{testcase.CPU: 1},
-		LastFive:        map[testcase.Resource][]float64{},
+		LastFive:        map[testcase.Resource][]float64{testcase.CPU: {0.2, 0.4, 0.6, 0.8, 1}},
 	}}
+	f := resultsFrame(t, id, 0, string(core.AppendRuns(nil, runs, false)))
+	var buf []byte
+	upload := func() bool {
+		batch, n, err := core.TranscodeRuns(buf[:0], f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = batch
+		dup, err := s.addResults(f, batch, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dup
+	}
 
 	// Accepted path: ceiling 1 covers the lastSeq key and the amortized
-	// append growth.
-	f := resultsFrame(t, id, 0, "")
+	// index growth.
 	const acceptCeiling = 1
 	avg := testing.AllocsPerRun(500, func() {
 		f.Seq++
-		if _, err := s.addResults(f, runs); err != nil {
-			t.Fatal(err)
-		}
+		upload()
 	})
 	if avg > acceptCeiling {
-		t.Errorf("accepted addResults allocates %.2f/op, ceiling %d", avg, acceptCeiling)
+		t.Errorf("accepted upload allocates %.2f/op, ceiling %d", avg, acceptCeiling)
 	}
 
 	// Dup path: pure counter work, exactly zero.
 	f.Seq = 1
 	avg = testing.AllocsPerRun(500, func() {
-		dup, err := s.addResults(f, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dup {
+		if !upload() {
 			t.Fatal("retry of seq 1 not detected as dup")
 		}
 	})
 	if avg != 0 {
-		t.Errorf("dup addResults allocates %.2f/op, want 0", avg)
+		t.Errorf("dup upload allocates %.2f/op, want 0", avg)
 	}
 
 	// The contention-counting shard lock itself: zero on both paths.

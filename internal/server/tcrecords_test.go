@@ -136,7 +136,7 @@ func TestFormat5DirectoryRestoresSameState(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := []*core.Run{testRun()}
-	if _, err := s.addResults(resultsFrame(t, id, 1, encodeRuns(t, runs)), runs); err != nil {
+	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveState(dir); err != nil {
