@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"uucs/internal/benchsuite"
@@ -44,12 +45,37 @@ type Result struct {
 }
 
 // File is the on-disk schema of BENCH_results.json / BENCH_baseline.json.
+// The fields before Benchmarks stamp the machine and toolchain the
+// results were recorded on; a file from an older build has no CPU model
+// or nproc.
 type File struct {
 	GoVersion  string   `json:"go_version"`
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
+	CPUModel   string   `json:"cpu_model"`
+	NProc      int      `json:"nproc"`
 	Benchmarks []Result `json:"benchmarks"`
+}
+
+// stamp renders the file's machine stamp on one line.
+func (f File) stamp() string {
+	return fmt.Sprintf("%s %s/%s GOMAXPROCS=%d nproc=%d cpu=%q", f.GoVersion, f.GOOS, f.GOARCH, f.GOMAXPROCS, f.NProc, f.CPUModel)
+}
+
+// cpuModel returns the first "model name" in the cpuinfo file at path,
+// or "" if the file is unreadable or names none.
+func cpuModel(path string) string {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 func main() {
@@ -91,6 +117,8 @@ func run(args []string) int {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel("/proc/cpuinfo"),
+		NProc:      runtime.NumCPU(),
 		Benchmarks: results,
 	}
 	for _, r := range results {
@@ -109,7 +137,7 @@ func run(args []string) int {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *compare != "" {
-		if err := compareBaseline(*compare, results, *threshold); err != nil {
+		if err := compareBaseline(*compare, file, *threshold); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -169,11 +197,12 @@ func runSuite(suite []benchsuite.Benchmark, count int) ([]Result, error) {
 	return results, nil
 }
 
-// compareBaseline fails if any benchmark present in both files
-// regressed in ns/op by more than the threshold fraction. Benchmarks
-// only on one side are reported but never fail the gate, so the suite
-// can grow without invalidating old baselines.
-func compareBaseline(path string, results []Result, threshold float64) error {
+// compareBaseline prints the baseline's machine stamp and the run's,
+// then fails if any benchmark present in both files regressed in ns/op
+// by more than the threshold fraction. Benchmarks only on one side are
+// reported but never fail the gate, so the suite can grow without
+// invalidating old baselines.
+func compareBaseline(path string, cur File, threshold float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("uucs-bench: read baseline: %w", err)
@@ -182,12 +211,13 @@ func compareBaseline(path string, results []Result, threshold float64) error {
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("uucs-bench: parse baseline: %w", err)
 	}
+	fmt.Printf("baseline: %s\nthis run: %s\n", base.stamp(), cur.stamp())
 	baseline := make(map[string]Result, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
 	}
 	var regressions []string
-	for _, r := range results {
+	for _, r := range cur.Benchmarks {
 		b, ok := baseline[r.Name]
 		if !ok {
 			fmt.Printf("%-28s (new, no baseline)\n", r.Name)

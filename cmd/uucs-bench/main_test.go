@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -102,11 +104,82 @@ func TestCompareRefusesNonFiniteRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []Result{{Name: "BenchmarkZero", NsPerOp: 0}, {Name: "BenchmarkOne", NsPerOp: math.NaN()}} {
-		if err := compareBaseline(base, []Result{r}, 0.15); err == nil {
+		if err := compareBaseline(base, File{Benchmarks: []Result{r}}, 0.15); err == nil {
 			t.Errorf("%s at %v ns/op passed the gate", r.Name, r.NsPerOp)
 		}
 	}
-	if err := compareBaseline(base, []Result{{Name: "BenchmarkOne", NsPerOp: 1}}, 0.15); err != nil {
+	if err := compareBaseline(base, File{Benchmarks: []Result{{Name: "BenchmarkOne", NsPerOp: 1}}}, 0.15); err != nil {
 		t.Errorf("an unchanged result failed the gate: %v", err)
 	}
+}
+
+// TestResultsCarryMachineStamp reads the CPU model from a cpuinfo file,
+// checks a run stamps its results file with it and nproc, and checks
+// -compare prints the baseline's stamp and the run's before any row.
+func TestResultsCarryMachineStamp(t *testing.T) {
+	dir := t.TempDir()
+	info := filepath.Join(dir, "cpuinfo")
+	if err := os.WriteFile(info, []byte("processor\t: 0\nmodel name\t: Test CPU @ 2.00GHz\nflags\t\t: fpu\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := cpuModel(info); got != "Test CPU @ 2.00GHz" {
+		t.Errorf("cpuModel = %q, want %q", got, "Test CPU @ 2.00GHz")
+	}
+	if got := cpuModel(filepath.Join(dir, "missing")); got != "" {
+		t.Errorf("cpuModel of an unreadable file = %q, want empty", got)
+	}
+
+	const name = "BenchmarkEncodeMessage/v3"
+	baseStamp := File{GoVersion: "go1.0", GOOS: "plan9", GOARCH: "arm", GOMAXPROCS: 1, CPUModel: "Old CPU", NProc: 1,
+		Benchmarks: []Result{{Name: name, NsPerOp: 1e12}}}
+	buf, err := json.Marshal(baseStamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "baseline.json")
+	if err := os.WriteFile(base, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "results.json")
+	stdout := captureStdout(t, func() {
+		if code := run([]string{"-only", name, "-count", "1", "-out", out, "-compare", base}); code != 0 {
+			t.Errorf("exit status %d, want 0", code)
+		}
+	})
+	buf, err = os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got File
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.NProc != runtime.NumCPU() || got.CPUModel != cpuModel("/proc/cpuinfo") {
+		t.Errorf("results stamped nproc=%d cpu=%q, want %d and %q", got.NProc, got.CPUModel, runtime.NumCPU(), cpuModel("/proc/cpuinfo"))
+	}
+	cmp := stdout[strings.Index(stdout, "wrote "):]
+	lines := strings.Split(cmp, "\n")
+	if len(lines) < 4 || lines[1] != "baseline: "+baseStamp.stamp() || lines[2] != "this run: "+got.stamp() || !strings.HasPrefix(lines[3], name) {
+		t.Fatalf("-compare output does not open with both stamps:\n%s", cmp)
+	}
+}
+
+// captureStdout returns what fn writes to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	fn()
+	os.Stdout = saved
+	w.Close()
+	return string(<-done)
 }

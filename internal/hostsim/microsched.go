@@ -35,53 +35,9 @@ func DefaultMicroSim() MicroSim {
 // MeasureCPUShare runs a reference always-busy thread against a CPU
 // exerciser playing constant contention c for the given duration, and
 // returns the fraction of the CPU the reference thread obtained. For a
-// faithful exerciser this approaches 1/(1+c).
-//
-// Results are bit-identical to MeasureCPUShareDirect: integer contention
-// admits a closed-form evaluation of the fair scheduler (no stochastic
-// thread means no RNG draws, so the quantum walk collapses to exact
-// round-robin), and fractional contention is served from a memo of
-// previous direct computations keyed on the full input tuple.
+// faithful exerciser this approaches 1/(1+c). The scheduler is stepped
+// one quantum at a time.
 func (ms MicroSim) MeasureCPUShare(c, duration float64, seed uint64) (float64, error) {
-	if ms.Quantum <= 0 || ms.Subinterval < ms.Quantum {
-		return 0, fmt.Errorf("hostsim: micro sim needs 0 < quantum <= subinterval")
-	}
-	if c < 0 || duration <= 0 {
-		return 0, fmt.Errorf("hostsim: invalid contention %g or duration %g", c, duration)
-	}
-	if c == float64(int(c)) {
-		// No probabilistic thread: the scheduler is exact round-robin
-		// over 1+c always-busy threads, with ties broken toward the
-		// reference thread. Replicate the quantum walk's float
-		// arithmetic (iteration count and the reference thread's
-		// accumulated sum) without the per-quantum scheduler scan.
-		n := 1 + int(c)
-		quanta := 0
-		for t := 0.0; t < duration; t += ms.Quantum {
-			quanta++
-		}
-		refQuanta := (quanta + n - 1) / n // reference runs first in each cycle
-		acq := 0.0
-		for j := 0; j < refQuanta; j++ {
-			acq += ms.Quantum
-		}
-		return acq / duration, nil
-	}
-	key := ms.cpuShareKey(c, duration, seed)
-	if v, ok := microMemo.get(key); ok {
-		return v, nil
-	}
-	v, err := ms.MeasureCPUShareDirect(c, duration, seed)
-	if err == nil {
-		microMemo.put(key, v)
-	}
-	return v, err
-}
-
-// MeasureCPUShareDirect is the direct quantum-stepped computation behind
-// MeasureCPUShare, with no fast path and no memo. It is exported so
-// fidelity tests can assert the optimized path is bit-identical.
-func (ms MicroSim) MeasureCPUShareDirect(c, duration float64, seed uint64) (float64, error) {
 	if ms.Quantum <= 0 || ms.Subinterval < ms.Quantum {
 		return 0, fmt.Errorf("hostsim: micro sim needs 0 < quantum <= subinterval")
 	}
@@ -147,33 +103,7 @@ func (ms MicroSim) MeasureCPUShareDirect(c, duration float64, seed uint64) (floa
 // returns the reference stream's throughput relative to running alone.
 // For a faithful exerciser this approaches 1/(1+c). Fractional c adds a
 // stream that participates with probability frac(c) per round.
-//
-// Every service time is an RNG draw, so no closed form exists even for
-// integer contention; repeated evaluations are instead served from a
-// memo of previous direct computations keyed on the full input tuple
-// (including the hardware config), bit-identical to MeasureDiskShareDirect.
 func (ms MicroSim) MeasureDiskShare(c, duration float64, cfg Config, seed uint64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if c < 0 || duration <= 0 {
-		return 0, fmt.Errorf("hostsim: invalid contention %g or duration %g", c, duration)
-	}
-	key := ms.diskShareKey(c, duration, cfg, seed)
-	if v, ok := microMemo.get(key); ok {
-		return v, nil
-	}
-	v, err := ms.MeasureDiskShareDirect(c, duration, cfg, seed)
-	if err == nil {
-		microMemo.put(key, v)
-	}
-	return v, err
-}
-
-// MeasureDiskShareDirect is the direct round-by-round computation behind
-// MeasureDiskShare, with no memo. It is exported so fidelity tests can
-// assert the memoized path is bit-identical.
-func (ms MicroSim) MeasureDiskShareDirect(c, duration float64, cfg Config, seed uint64) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}

@@ -73,14 +73,15 @@ import (
 //
 // Legacy input, read but never written in normal operation: a results
 // frame with a ClientID is an upload journaled verbatim, text payload
-// and all, by a format-3 or format-4 build; an aggregate chunk without
-// Ver holds text; and a testcases frame is a text testcase batch, as
-// formats 4 and 5 wrote them. The one exception is an upload whose
-// binary form outgrows recordChunkBytes (binary floats take 8 bytes, a
-// "0" in text 2), which is journaled as its text frame. Older state holds JSON
-// op lines; legacy.go converts them to frames, and only there: OpenState
-// rewrites each state file that holds one, once, before replaying it,
-// while LoadState and ScanStateOps convert in memory and write nothing.
+// and all, by a format-3 or format-4 build, or by a format-6 build that
+// predates the upload cap, for a batch whose binary form outgrew
+// recordChunkBytes (this build refuses such an upload in dispatch); an
+// aggregate chunk without Ver holds text; and a testcases frame is a
+// text testcase batch, as formats 4 and 5 wrote them. Older state holds
+// JSON op lines; legacy.go converts them to frames, and only there:
+// OpenState rewrites each state file that holds one, once, before
+// replaying it, while LoadState and ScanStateOps convert in memory and
+// write nothing.
 // Each header version makes the builds before it refuse a directory
 // this one wrote instead of misreading it.
 //
@@ -531,21 +532,14 @@ func (s *Server) writeAggregate(w io.Writer, n int) error {
 // uploadRecord returns the journal record of an accepted upload f whose
 // runs batch holds in binary form (core.TranscodeRuns): a jruns frame
 // with the client id, the batch seq and the batch as payload, built in
-// one allocation of its size. A batch that outgrows recordChunkBytes —
-// tens of megabytes of zero-valued load samples — is journaled as the
-// client's text frame instead, which replay reads as well.
-func uploadRecord(f *protocol.Frame, batch []byte) []byte {
-	if len(batch) <= recordChunkBytes {
-		// 32 bytes hold the frame's header, field tags and lengths, the
-		// seq and the CRC.
-		rec, err := protocol.AppendFrame(make([]byte, 0, 32+len(f.ClientID)+len(batch)), protocol.Message{
-			Type: protocol.TypeJournalRuns, ClientID: borrowString(f.ClientID), Seq: f.Seq, Payload: borrowString(batch),
-		})
-		if err == nil {
-			return rec
-		}
-	}
-	return append([]byte(nil), f.Raw()...)
+// one allocation of its size. dispatch refuses a batch larger than
+// recordChunkBytes, so the record fits a frame.
+func uploadRecord(f *protocol.Frame, batch []byte) ([]byte, error) {
+	// 32 bytes hold the frame's header, field tags and lengths, the seq
+	// and the CRC.
+	return protocol.AppendFrame(make([]byte, 0, 32+len(f.ClientID)+len(batch)), protocol.Message{
+		Type: protocol.TypeJournalRuns, ClientID: borrowString(f.ClientID), Seq: f.Seq, Payload: borrowString(batch),
+	})
 }
 
 // appendChunked appends payload as consecutive frames built by frame,

@@ -405,7 +405,11 @@ func resultsFrame(t testing.TB, id string, seq uint64, payload string) *protocol
 // recordOf returns the journal record addResults writes for an
 // accepted upload f of runs.
 func recordOf(f *protocol.Frame, runs []*core.Run) []byte {
-	return uploadRecord(f, core.AppendRunsBinary(nil, runs))
+	rec, err := uploadRecord(f, core.AppendRunsBinary(nil, runs))
+	if err != nil {
+		panic(err)
+	}
+	return rec
 }
 
 // ingest applies the upload f as dispatch does: its text payload
@@ -1096,8 +1100,7 @@ func TestJournalRunsFrameRejectedOnWire(t *testing.T) {
 
 // TestUploadRecordAllocs pins the journal record of an accepted upload
 // to one allocation, the record itself, as the verbatim frame copy it
-// replaced was; and checks the fallback for a batch whose binary form
-// outgrows a record, which journals the client's text frame.
+// replaced was, at any seq.
 func TestUploadRecordAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under the race detector")
@@ -1105,46 +1108,127 @@ func TestUploadRecordAllocs(t *testing.T) {
 	runs := []*core.Run{testRun(), testRun(), testRun()}
 	f := resultsFrame(t, "uucs-0123456789abcdef", 7, encodeRuns(t, runs))
 	batch := core.AppendRunsBinary(nil, runs)
-	uploadRecord(f, batch)
-	if avg := testing.AllocsPerRun(200, func() { uploadRecord(f, batch) }); avg != 1 {
+	record := func(f *protocol.Frame) []byte {
+		rec, err := uploadRecord(f, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	record(f)
+	if avg := testing.AllocsPerRun(200, func() { record(f) }); avg != 1 {
 		t.Errorf("uploadRecord allocates %.2f/op, want 1", avg)
 	}
 	// The widest seq still fits the record's one allocation.
 	wide := resultsFrame(t, "uucs-0123456789abcdef", math.MaxUint64, encodeRuns(t, runs))
-	if avg := testing.AllocsPerRun(200, func() { uploadRecord(wide, batch) }); avg != 1 {
+	if avg := testing.AllocsPerRun(200, func() { record(wide) }); avg != 1 {
 		t.Errorf("uploadRecord at the widest seq allocates %.2f/op, want 1", avg)
 	}
 	var g protocol.Frame
-	if _, err := protocol.DecodeFrame(uploadRecord(f, batch), &g); err != nil || g.Type != protocol.TypeJournalRuns {
+	if _, err := protocol.DecodeFrame(record(f), &g); err != nil || g.Type != protocol.TypeJournalRuns {
 		t.Fatalf("record is a %q frame (%v), want jruns", g.Type, err)
 	}
+}
 
-	saved := recordChunkBytes
-	recordChunkBytes = 64
-	defer func() { recordChunkBytes = saved }()
-	if rec := uploadRecord(f, batch); !bytes.Equal(rec, f.Raw()) {
-		t.Fatal("an upload too large for a binary record is not journaled as its text frame")
+// TestOversizedUploadRefused sends an upload whose binary form
+// outgrows one journal record, with and without a journal: the server
+// refuses it in-band and counts the reject, and stores, journals and
+// acks nothing, so the same seq is still free for a batch that fits.
+func TestOversizedUploadRefused(t *testing.T) {
+	one := []*core.Run{testRun()}
+	two := []*core.Run{testRun(), testRun()}
+	oneBatch, _, err := core.TranscodeRuns(nil, []byte(encodeRuns(t, one)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer func(saved int) { recordChunkBytes = saved }(recordChunkBytes)
+	recordChunkBytes = len(oneBatch) // one run fits, two do not
+
+	for _, journaled := range []bool{false, true} {
+		dir := t.TempDir()
+		s := New(1)
+		if journaled {
+			if err := s.OpenState(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addr, err := s.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := dialT(t, addr)
+		id := register(t, conn)
+		if err := conn.Send(protocol.Message{Type: protocol.TypeResults, ClientID: id, Seq: 1, Payload: encodeRuns(t, two)}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.RecvFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != protocol.TypeError {
+			t.Fatalf("journal %v: an oversized upload got a %q reply, want an error", journaled, f.Type)
+		}
+		if st := s.Stats(); st.Rejects != 1 || st.Batches != 0 || s.RunCount() != 0 {
+			t.Fatalf("journal %v: after the refusal: %d rejects, %d batches, %d runs; want 1, 0, 0", journaled, st.Rejects, st.Batches, s.RunCount())
+		}
+		ack := exchange(t, conn, protocol.Message{Type: protocol.TypeResults, ClientID: id, Seq: 1, Payload: encodeRuns(t, one)})
+		if ack.Type != protocol.TypeAck || ack.Dup || ack.Count != 1 {
+			t.Fatalf("journal %v: seq 1 after the refusal: %+v, want a fresh ack of 1 run", journaled, ack)
+		}
+		conn.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !journaled {
+			continue
+		}
+		restored := New(1)
+		if err := restored.LoadState(dir); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(restored.Results(), one) {
+			t.Fatalf("the journal restored %d runs, want only the accepted one", len(restored.Results()))
+		}
+	}
+}
+
+// TestFormat6TextUploadReplays replays a format-6 journal that holds an
+// upload as the client's text results frame, as format-6 builds before
+// the upload cap journaled a batch too large for a binary record,
+// beside a jruns record: both batches restore, and their seqs stay
+// deduplicated on the reopened server.
+func TestFormat6TextUploadReplays(t *testing.T) {
+	snap := testSnapshot()
+	reg, err := appendClientRecord(nil, "uucs-1", "n-1", &snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := []*core.Run{testRun(), testRun()}
+	second := []*core.Run{testRun()}
+	second[0].Offset = 77
+	text, err := protocol.AppendFrame(nil, protocol.Message{
+		Type: protocol.TypeResults, ClientID: "uucs-1", Seq: 1, Payload: encodeRuns(t, first),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := bytes.Join([][]byte{journalHeader, reg, text, recordOf(resultsFrame(t, "uucs-1", 2, encodeRuns(t, second)), second)}, nil)
 	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s := New(1)
 	if err := s.OpenState(dir); err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.register(testSnapshot(), "fallback")
-	if err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	if got, want := s.Results(), append(first, second...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay restored %d runs, want %d", len(got), len(want))
 	}
-	if _, err := ingest(s, resultsFrame(t, id, 1, encodeRuns(t, runs))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	restored := New(1)
-	if err := restored.LoadState(dir); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(restored.Results(), runs) {
-		t.Fatal("a text-journaled upload restored different runs")
+	for seq := uint64(1); seq <= 2; seq++ {
+		dup, err := ingest(s, resultsFrame(t, "uucs-1", seq, encodeRuns(t, second)))
+		if err != nil || !dup {
+			t.Fatalf("seq %d after replay: dup %v, err %v; want a duplicate", seq, dup, err)
+		}
 	}
 }

@@ -591,7 +591,9 @@ func (s *Server) addResults(f *protocol.Frame, batch []byte, n int) (dup bool, e
 	jw := s.journal()
 	var op []byte
 	if jw != nil {
-		op = uploadRecord(f, batch)
+		if op, err = uploadRecord(f, batch); err != nil {
+			return false, err
+		}
 	}
 	sh := shardFor(s, f.ClientID)
 	sh.lock()
@@ -772,7 +774,8 @@ var uploadBufs = sync.Pool{New: func() any { return new([]byte) }}
 // — runs on borrowed views: the client id is checked and sharded as
 // bytes, and the payload view is transcoded straight into a pooled
 // binary batch (core.TranscodeRuns) before the dedup, building no run;
-// addResults stores and journals that batch.
+// addResults stores and journals that batch. A batch too large for one
+// journal record is refused before the dedup, so it advances no seq.
 func (s *Server) dispatch(conn *protocol.Conn, f *protocol.Frame) error {
 	if f.WireVersion == protocol.V3 && s.maxProto() < protocol.V3 {
 		return fmt.Errorf("protocol v3 disabled on this server (max v%d)", s.maxProto())
@@ -831,6 +834,9 @@ func (s *Server) dispatch(conn *protocol.Conn, f *protocol.Frame) error {
 			return fmt.Errorf("bad results payload: %w", err)
 		}
 		*buf = batch
+		if len(batch) > recordChunkBytes {
+			return fmt.Errorf("results batch too large: %d runs take %d bytes in binary form, over the %d-byte record limit", n, len(batch), recordChunkBytes)
+		}
 		dup, err := s.addResults(f, batch, n)
 		if err != nil {
 			return err
