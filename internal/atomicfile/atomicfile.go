@@ -8,9 +8,11 @@ import (
 )
 
 // Write fills a temp file in path's directory, fsyncs and closes it,
-// and renames it over path. If any step fails, the error is returned,
-// path keeps its previous contents and the temp file is removed. The
-// temp file is created with mode 0600; fill may Chmod it.
+// renames it over path and syncs the directory, so the rename is
+// durable before Write returns. If a step before the rename fails, the
+// error is returned, path keeps its previous contents and the temp file
+// is removed. The temp file is created with mode 0600; fill may Chmod
+// it.
 func Write(path string, fill func(*os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -28,5 +30,23 @@ func Write(path string, fill func(*os.File) error) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs the directory dir, making the creates, renames and
+// unlinks made in it so far durable: a file system need not persist
+// them, nor keep their order, until then.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

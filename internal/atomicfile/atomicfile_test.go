@@ -39,3 +39,15 @@ func TestWriteReplacesOrKeeps(t *testing.T) {
 		t.Errorf("dir holds %d entries, want only the file", len(entries))
 	}
 }
+
+// TestSyncDir syncs a directory and returns the error for a missing
+// one.
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := SyncDir(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SyncDir of a missing directory: %v, want a not-exist error", err)
+	}
+}

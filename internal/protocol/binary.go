@@ -459,16 +459,41 @@ func readLenBytes(b []byte, pos int) ([]byte, int, error) {
 // (distinguishing a torn tail from corruption); a complete frame whose
 // CRC trailer does not match its payload is corruption and fails hard.
 func DecodeFrame(b []byte, f *Frame) (int, error) {
+	return decodeFrame(b, f, true)
+}
+
+// PeekFrame is DecodeFrame without the CRC check, for a reader that
+// looks at a frame's fields ahead of its full decode: it skips over the
+// Payload field's bytes instead of summing them.
+func PeekFrame(b []byte, f *Frame) (int, error) {
+	return decodeFrame(b, f, false)
+}
+
+// FrameHead returns what FrameLen does for the v3 frame at the front
+// of b and, where that is a length, the frame's message type from its
+// type code alone, reading no field and checking no CRC: "" where the
+// code does not parse, and for code 0, whose type travels as a field.
+func FrameHead(b []byte) (int, MsgType, error) {
+	total, hdr, err := frameLen(b)
+	if err != nil {
+		return 0, "", err
+	}
+	code, n := binary.Uvarint(b[hdr:total])
+	if n <= 0 || code >= uint64(len(typeByCode)) {
+		return total, "", nil
+	}
+	return total, typeByCode[code], nil
+}
+
+func decodeFrame(b []byte, f *Frame, checkCRC bool) (int, error) {
 	f.reset()
-	total, err := FrameLen(b)
+	total, hdr, err := frameLen(b)
 	if err != nil {
 		return 0, err
 	}
-	plen, w := binary.Uvarint(b[1:])
-	hdr := 1 + w
-	payload := b[hdr : hdr+int(plen)]
-	want := binary.LittleEndian.Uint32(b[hdr+int(plen):])
-	if crc32.ChecksumIEEE(payload) != want {
+	payload := b[hdr : total-4]
+	want := binary.LittleEndian.Uint32(b[total-4:])
+	if checkCRC && crc32.ChecksumIEEE(payload) != want {
 		return 0, fmt.Errorf("protocol: frame checksum mismatch (message corrupted)")
 	}
 	if err := decodeFields(payload, f); err != nil {
@@ -487,27 +512,34 @@ func DecodeFrame(b []byte, f *Frame) (int, error) {
 // lets journal replay split a file into record boundaries cheaply and
 // still agree byte-for-byte with a full serial decode.
 func FrameLen(b []byte) (int, error) {
+	total, _, err := frameLen(b)
+	return total, err
+}
+
+// frameLen is FrameLen that also returns the length of the frame's
+// magic byte and length prefix, where its payload starts.
+func frameLen(b []byte) (total, hdr int, err error) {
 	if len(b) == 0 {
-		return 0, ErrShortFrame
+		return 0, 0, ErrShortFrame
 	}
 	if b[0] != FrameMagic {
-		return 0, fmt.Errorf("protocol: not a v3 frame (leading byte 0x%02x)", b[0])
+		return 0, 0, fmt.Errorf("protocol: not a v3 frame (leading byte 0x%02x)", b[0])
 	}
 	plen, w := binary.Uvarint(b[1:])
 	if w == 0 {
 		if len(b) > 11 {
-			return 0, fmt.Errorf("protocol: malformed frame length prefix")
+			return 0, 0, fmt.Errorf("protocol: malformed frame length prefix")
 		}
-		return 0, ErrShortFrame
+		return 0, 0, ErrShortFrame
 	}
 	if w < 0 || plen > maxLine {
-		return 0, fmt.Errorf("protocol: frame payload length %d exceeds %d bytes", plen, maxLine)
+		return 0, 0, fmt.Errorf("protocol: frame payload length %d exceeds %d bytes", plen, maxLine)
 	}
-	total := 1 + w + int(plen) + 4
+	total = 1 + w + int(plen) + 4
 	if len(b) < total {
-		return 0, ErrShortFrame
+		return 0, 0, ErrShortFrame
 	}
-	return total, nil
+	return total, 1 + w, nil
 }
 
 // decodeFields parses a frame payload into f.

@@ -67,8 +67,10 @@ func FuzzRecv(f *testing.F) {
 
 // FuzzDecodeFrame throws arbitrary bytes at the exported v3 frame
 // decoder — the codec journal replay and merge run over on-disk bytes
-// — and checks it never panics, never reads past its input, and that
-// anything it accepts re-encodes to a frame carrying the same message.
+// — and checks it never panics, never reads past its input, that
+// PeekFrame reads the fields it decodes and FrameHead its length and
+// type, and that anything it accepts re-encodes to a frame carrying the
+// same message.
 func FuzzDecodeFrame(f *testing.F) {
 	valid, err := AppendFrame(nil, Message{Type: TypeResults, ClientID: "uucs-1", Seq: 3, Payload: "p"})
 	if err != nil {
@@ -80,11 +82,24 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(valid[:len(valid)-2])
 	f.Add(append(append([]byte(nil), valid...), 0xB3))
 	f.Add([]byte{FrameMagic, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00})
+	meta, err := AppendFrame(nil, Message{Type: TypeJournalMeta, Ver: 6})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(meta)
 	f.Fuzz(func(t *testing.T, input []byte) {
-		var f1 Frame
+		var f1, peek Frame
 		n, err := DecodeFrame(input, &f1)
+		pn, perr := PeekFrame(input, &peek)
 		if err != nil {
 			return
+		}
+		if perr != nil || pn != n || peek.Type != f1.Type || peek.Ver != f1.Ver || !bytes.Equal(peek.ClientID, f1.ClientID) || !bytes.Equal(peek.Payload, f1.Payload) {
+			t.Fatalf("PeekFrame read %d bytes, type %q, Ver %d, client %q (err %v) of a %d-byte frame that decodes to type %q, Ver %d, client %q",
+				pn, peek.Type, peek.Ver, peek.ClientID, perr, n, f1.Type, f1.Ver, f1.ClientID)
+		}
+		if hn, ty, herr := FrameHead(input); herr != nil || hn != n || ty != f1.Type && ty != "" {
+			t.Fatalf("FrameHead read %d bytes of type %q (err %v) of a %d-byte %q frame", hn, ty, herr, n, f1.Type)
 		}
 		if n <= 0 || n > len(input) {
 			t.Fatalf("decode consumed %d of %d bytes", n, len(input))

@@ -5,6 +5,10 @@ var (
 	WriteBothWays   = writeBothWays
 	LegacyDirs      = legacyDirs
 	RichFingerprint = richFingerprint
-	FrameRecords    = frameRecords
+	Format6Records  = format6Records
 	UpgradeFile     = upgradeFile
+
+	LegacyAggregateDir    = legacyAggregateDir
+	UnsequencedUploadDirs = unsequencedUploadDirs
+	LowerRecordChunkBytes = lowerRecordChunkBytes
 )

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"uucs/internal/core"
+	"uucs/internal/protocol"
 	"uucs/internal/stats"
 	"uucs/internal/testcase"
 )
@@ -54,7 +55,7 @@ func FuzzPersistReload(f *testing.F) {
 	upload := recordOf(resultsFrame(f, "uucs-1", 4, string(core.AppendRuns(nil, runs, false))), runs)
 	saved := recordChunkBytes
 	recordChunkBytes = 1 // one record per frame
-	tcs, _ := appendTestcaseRecords(nil, tc, tcEnds)
+	tcs, _ := appendTextTestcaseRecords(nil, tc, tcEnds)
 	agg, _ := appendAggregateRecords(nil, runs)
 	agg4 := format4AggregateRecords(f, runs)
 	recordChunkBytes = saved
@@ -100,7 +101,7 @@ func FuzzPersistReload(f *testing.F) {
 // one: for arbitrary journal bytes, LoadState of the original and
 // OpenState, Close and LoadState of a copy must accept or reject alike
 // and restore the same state, and once OpenState accepts, the journal
-// holds only frames.
+// holds only records in the form this build writes.
 func FuzzLegacyUpgrade(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -125,6 +126,19 @@ func FuzzLegacyUpgrade(f *testing.F) {
 	runs := []*core.Run{testRun()}
 	upload := recordOf(resultsFrame(f, "uucs-1", 1, string(core.AppendRuns(nil, runs, false))), runs)
 	f.Add(bytes.Join([][]byte{journalHeader, reg, []byte(`{"op":"tc","payload":""}` + "\n"), upload, upload[:9]}, nil))
+	// Frames older builds wrote: a text upload, a text testcase batch, a
+	// text aggregate cut into one chunk a run, and a format-4 header.
+	text, _ := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeResults, ClientID: "uucs-1", Seq: 2, Payload: string(core.AppendRuns(nil, runs, false))})
+	gen, _ := testcase.Generate("t", testcase.GeneratorConfig{Count: 1, Rate: 1, Duration: 20, MaxCPU: 10, MaxDisk: 7}, stats.NewStream(1))
+	tcText, _ := testcase.Append(nil, gen[0])
+	tcs, _ := appendTextTestcaseRecords(nil, tcText, []int{len(tcText)})
+	saved := recordChunkBytes
+	recordChunkBytes = 1
+	agg := format4AggregateRecords(f, []*core.Run{testRun(), testRun()})
+	recordChunkBytes = saved
+	f.Add(bytes.Join([][]byte{journalHeader, reg, upload, text}, nil))
+	f.Add(bytes.Join([][]byte{format4Header(f), tcs, reg, text}, nil))
+	f.Add(bytes.Join([][]byte{format4Header(f), reg, agg}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		orig, up := t.TempDir(), t.TempDir()
 		for _, dir := range []string{orig, up} {
@@ -140,7 +154,7 @@ func FuzzLegacyUpgrade(f *testing.F) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			frameRecords(t, filepath.Join(up, journalFile))
+			format6Records(t, filepath.Join(up, journalFile))
 		}
 		got := New(1)
 		upErr := got.LoadState(up)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"uucs/internal/atomicfile"
 	"uucs/internal/telemetry"
 )
 
@@ -413,8 +414,9 @@ func (w *journalWriter) sealActive(r *journalReq) error {
 // segment and opens a fresh active file holding header: a jmeta frame
 // after a size rotation, nothing after a seal. Called by the writer
 // goroutine under fmu, between batches, so no op ever straddles a
-// segment boundary. The header is written and synced before any op
-// lands in the new file.
+// segment boundary. The header is written and synced, and the
+// directory synced so the rename and the create are durable, before
+// any op lands in the new file or compaction unlinks a segment.
 func (w *journalWriter) rotateLocked(header []byte) error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("server: journal seal: %w", err)
@@ -439,6 +441,10 @@ func (w *journalWriter) rotateLocked(header []byte) error {
 			nf.Close()
 			return fmt.Errorf("server: journal rotate: %w", err)
 		}
+	}
+	if err := atomicfile.SyncDir(w.dir); err != nil {
+		nf.Close()
+		return fmt.Errorf("server: journal rotate: %w", err)
 	}
 	w.fsize = int64(len(header))
 	w.f = nf

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"uucs/internal/cluster"
+	"uucs/internal/protocol"
 	"uucs/internal/server"
 )
 
@@ -107,10 +109,11 @@ func stateBytes(t *testing.T, dir string) map[string][]byte {
 
 // TestOpenStateUpgradesLegacyDir opens each legacy directory fixture
 // and checks the upgrade: afterwards every state file holds only
-// frames; the directory reloads to the state, and merges to the bytes
-// and stats, of an untouched copy; a second open changes no byte; and
-// a copy upgraded only up to each file in replay order — a crash
-// between files — restores the same state.
+// records in the form this build writes, and each file it rewrote opens
+// with this build's header; the directory reloads to the state, and
+// merges to the bytes and stats, of an untouched copy; a second open
+// rewrites no file; and a copy upgraded only up to each file in replay
+// order — a crash between files — restores the same state.
 func TestOpenStateUpgradesLegacyDir(t *testing.T) {
 	dirs := server.LegacyDirs(t)
 	names := make([]string, 0, len(dirs))
@@ -157,9 +160,12 @@ func TestOpenStateUpgradesLegacyDir(t *testing.T) {
 			upgraded := stateBytes(t, dir)
 			changed := 0
 			for base, b := range upgraded {
-				server.FrameRecords(t, filepath.Join(dir, base))
+				types := server.Format6Records(t, filepath.Join(dir, base))
 				if !bytes.Equal(b, before[base]) {
 					changed++
+					if len(types) == 0 || types[0] != protocol.TypeJournalMeta {
+						t.Errorf("the rewritten %s opens with %v, not a header", base, types)
+					}
 				}
 			}
 			if changed == 0 {
@@ -171,9 +177,21 @@ func TestOpenStateUpgradesLegacyDir(t *testing.T) {
 			if got, st := merge(dir); got != wantMerge || st != wantSt {
 				t.Errorf("the upgraded directory merges differently: stats %+v, want %+v (bytes equal: %v)", st, wantSt, got == wantMerge)
 			}
+			infos := make(map[string]os.FileInfo)
+			for base := range upgraded {
+				fi, err := os.Stat(filepath.Join(dir, base))
+				if err != nil {
+					t.Fatal(err)
+				}
+				infos[base] = fi
+			}
 			open()
 			for base, b := range stateBytes(t, dir) {
-				if !bytes.Equal(b, upgraded[base]) {
+				fi, err := os.Stat(filepath.Join(dir, base))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, upgraded[base]) || !os.SameFile(fi, infos[base]) {
 					t.Errorf("a second open rewrote %s", base)
 				}
 			}
@@ -195,5 +213,72 @@ func TestOpenStateUpgradesLegacyDir(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLegacyAggregateDedupsWithItsBinaryCopy upgrades a legacy JSON
+// aggregate larger than one record and merges it beside the snapshot
+// SaveState writes of the runs it restores, scanning either directory
+// first: the two copies are cut alike under one hash, so the merge
+// counts the aggregate once and every run once.
+func TestLegacyAggregateDedupsWithItsBinaryCopy(t *testing.T) {
+	server.LowerRecordChunkBytes(t, 300)
+	legacy := server.LegacyAggregateDir(t, 4)
+	s := server.New(1)
+	if err := s.OpenState(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	saved := t.TempDir()
+	restored := server.New(1)
+	if err := restored.LoadState(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.SaveState(saved); err != nil {
+		t.Fatal(err)
+	}
+	chunks := 0
+	for _, ty := range server.Format6Records(t, filepath.Join(saved, "snapshot.txt")) {
+		if ty == protocol.TypeResults {
+			chunks++
+		}
+	}
+	if chunks < 2 {
+		t.Fatalf("the snapshot aggregate is in %d record(s); want several", chunks)
+	}
+	var want strings.Builder
+	if _, err := cluster.MergeDirs(&want, []string{saved}); err != nil {
+		t.Fatal(err)
+	}
+	// One worker scans the directories in the order given.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, dirs := range [][]string{{legacy, saved}, {saved, legacy}} {
+		var b strings.Builder
+		st, err := cluster.MergeDirs(&b, dirs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Aggregates != 1 || st.DupAggregates != 1 || st.Runs != restored.RunCount() || b.String() != want.String() {
+			t.Errorf("merge of %v: %d aggregates, %d duplicate, %d runs; want 1, 1, %d (bytes equal: %v)",
+				dirs, st.Aggregates, st.DupAggregates, st.Runs, restored.RunCount(), b.String() == want.String())
+		}
+	}
+}
+
+// TestLegacyUnsequencedUploadDedups merges an unsequenced upload a
+// format-3 build journaled as text beside the same upload this build
+// journaled: converted, the legacy record is the binary one, so the
+// merge keys the two alike and counts the upload once.
+func TestLegacyUnsequencedUploadDedups(t *testing.T) {
+	legacy, current := server.UnsequencedUploadDirs(t)
+	var b strings.Builder
+	st, err := cluster.MergeDirs(&b, []string{legacy, current})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Aggregates != 1 || st.DupAggregates != 1 || st.Runs != 2 {
+		t.Errorf("merge: %d unsequenced payloads, %d duplicate, %d runs; want 1, 1, 2", st.Aggregates, st.DupAggregates, st.Runs)
 	}
 }

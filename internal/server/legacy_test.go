@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -26,16 +25,9 @@ import (
 // it; these tests write the same logical history both ways and demand
 // identical state from each.
 
-// journalOp is the name these tests build ops under.
-type journalOp = StateOp
-
-// MarshalJSON writes op as the legacy builds wrote its JSON line.
-func (op journalOp) MarshalJSON() ([]byte, error) {
-	return json.Marshal(legacyOp{
-		Op: op.Op, Ver: op.Ver, ID: op.ID, Nonce: op.Nonce, Snapshot: op.Snapshot,
-		LastSeq: op.LastSeq, Seq: op.Seq, Payload: op.Payload,
-	})
-}
+// journalOp is the name these tests build ops under: a legacy JSON
+// line.
+type journalOp = legacyOp
 
 // jsonLineEncoder is a pooled buffer + encoder pair for one-line JSON
 // encodings.
@@ -328,6 +320,33 @@ func richFingerprint(t testing.TB, s *Server) string {
 // types, failing on any record that is not a well-formed frame.
 func frameRecords(t testing.TB, path string) []protocol.MsgType {
 	t.Helper()
+	return walkFrames(t, path, func(*protocol.Frame) bool { return true })
+}
+
+// format6Records is frameRecords for a state file that may hold only
+// records in the form this build writes: a format-6 header, a
+// registration, a jtestcases or jruns record, or a binary aggregate
+// chunk.
+func format6Records(t testing.TB, path string) []protocol.MsgType {
+	t.Helper()
+	return walkFrames(t, path, func(f *protocol.Frame) bool {
+		switch f.Type {
+		case protocol.TypeJournalMeta:
+			return f.Ver == journalFormatVersion
+		case protocol.TypeRegistered, protocol.TypeJournalTestcases, protocol.TypeJournalRuns:
+			return true
+		case protocol.TypeResults:
+			return len(f.ClientID) == 0 && f.Ver >= binaryRunsFormat && len(f.Nonce) == 8
+		}
+		return false
+	})
+}
+
+// walkFrames walks a state file and returns its records' frame types,
+// failing on any record that is not a well-formed frame or that ok
+// refuses.
+func walkFrames(t testing.TB, path string, ok func(*protocol.Frame) bool) []protocol.MsgType {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +360,9 @@ func frameRecords(t testing.TB, path string) []protocol.MsgType {
 		n, err := protocol.DecodeFrame(data[pos:], &f)
 		if err != nil {
 			t.Fatalf("%s: offset %d: %v", path, pos, err)
+		}
+		if !ok(&f) {
+			t.Fatalf("%s: offset %d: a %q record (Ver %d, client %q) not in the form this build writes", path, pos, f.Type, f.Ver, f.ClientID)
 		}
 		types = append(types, f.Type)
 		pos += n
@@ -469,15 +491,18 @@ func legacyUploads(t testing.TB, v2 bool, seqs ...uint64) []byte {
 	return out
 }
 
-// legacyDirs writes four legacy state directories and returns them by
+// legacyDirs writes seven legacy state directories and returns them by
 // name: a v2-era journal (JSON lines, no header, a blank line between
 // two of them); a format-3 journal
 // (a jmeta 3 header, JSON registration and testcase lines, framed
 // uploads); a "meta" v2 snapshot of that journal's state followed by
-// sealed format-3 segments; and a replica journal of mixed headers —
+// sealed format-3 segments; a replica journal of mixed headers —
 // this build's frames, a legacy bootstrap (the snapshot and the
 // format-3 journal concatenated), more frames, and a complete JSON
-// line whose newline a crash ate.
+// line whose newline a crash ate; format-4 and format-5 directories of
+// one history (format6Dir), the first with text uploads, a text
+// aggregate and text testcases, the second with text testcases; and a
+// format-6 journal holding a text upload.
 func legacyDirs(t testing.TB) map[string]string {
 	t.Helper()
 	write := func(files map[string][]byte) string {
@@ -514,6 +539,10 @@ func legacyDirs(t testing.TB) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	format5, format4 := t.TempDir(), t.TempDir()
+	toFormat5(t, format6Dir(t), format5)
+	toFormat4(t, format5, format4)
+	textUpload, _, _ := format6TextUploadJournal(t)
 	return map[string]string{
 		"v2 journal":       write(map[string][]byte{journalFile: join(legacyRegistrations(t), []byte("\n \r\n"), legacyUploads(t, true, 1, 2))}),
 		"format 3 journal": dir3,
@@ -526,21 +555,150 @@ func legacyDirs(t testing.TB) map[string]string {
 		"replica journal": write(map[string][]byte{
 			journalFile: join(journalHeader, reg, upload, snap, format3, legacyUploads(t, false, 3), torn[:len(torn)-1]),
 		}),
+		"format 4 directory":   format4,
+		"format 5 directory":   format5,
+		"format 6 text upload": write(map[string][]byte{journalFile: textUpload}),
 	}
 }
 
-// upgradeLegacy returns a state file's bytes converted to frames only,
-// as the record scanner converts them, or nil if every record is a
-// frame already. A framing error before the first record that is not
-// a frame is left to the frame reader; an error converting from there
-// on is returned, naming the record.
+// format6Dir writes one history as this build writes it: testcase
+// batches, registrations and sequenced uploads in sealed segments, a
+// snapshot whose testcases and aggregate are cut into several records,
+// and more of each after it.
+func format6Dir(t testing.TB) string {
+	t.Helper()
+	defer func(saved int) { recordChunkBytes = saved }(recordChunkBytes)
+	recordChunkBytes = 300
+	dir := t.TempDir()
+	s := New(1)
+	s.JournalSegmentBytes = 600
+	if err := s.OpenState(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddTestcases(generatedTestcases(t, "f6", 4, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for c := 0; c < legacyClients; c++ {
+		snap := testSnapshot()
+		snap.Hostname = fmt.Sprintf("f6-host-%d", c)
+		id, err := s.register(snap, fmt.Sprintf("f6-nonce-%d", c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	upload := func(seq int) {
+		for c, id := range ids {
+			run := testRun()
+			run.UserID = c
+			run.Offset = float64(seq*100 + c)
+			if _, err := ingest(s, resultsFrame(t, id, uint64(seq), string(core.AppendRuns(nil, []*core.Run{run}, true)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for seq := 1; seq <= 3; seq++ {
+		upload(seq)
+	}
+	if err := s.SaveState(dir); err != nil {
+		t.Fatal(err)
+	}
+	upload(4)
+	if err := s.AddTestcases(append(generatedTestcases(t, "f6", 1, 2), generatedTestcases(t, "g6", 2, 3)...)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// legacyAggregateDir writes a directory that holds only a "meta" v2
+// snapshot of the state a format-3 journal of every legacy client's
+// uploads seq 1 to n restores: its testcases, the registrations with
+// their LastSeq floors, and one JSON aggregate of the runs.
+func legacyAggregateDir(t testing.TB, n int) string {
+	t.Helper()
+	var seqs []uint64
+	for seq := 1; seq <= n; seq++ {
+		seqs = append(seqs, uint64(seq))
+	}
+	journal := bytes.Join([][]byte{legacyHeader(t), legacyRegistrations(t), legacyUploads(t, false, seqs...)}, nil)
+	src, dir := New(1), t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.LoadState(dir); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := legacySnapshot(src, src.copyState(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// unsequencedUploadDirs writes one unsequenced (Seq 0) upload of a
+// registered client twice: in a format-3 journal, as the client's text
+// results frame, and through this build's ingest path.
+func unsequencedUploadDirs(t testing.TB) (legacy, current string) {
+	t.Helper()
+	legacy, current = t.TempDir(), t.TempDir()
+	s := New(1)
+	if err := s.OpenState(current); err != nil {
+		t.Fatal(err)
+	}
+	snap := testSnapshot()
+	id, err := s.register(snap, "unsequenced-nonce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []*core.Run{testRun(), testRun()}
+	runs[1].Offset = 66
+	upload := resultsFrame(t, id, 0, string(core.AppendRuns(nil, runs, true)))
+	if _, err := ingest(s, upload); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := marshalOp(journalOp{Op: opClient, ID: id, Nonce: "unsequenced-nonce", Snapshot: &snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := bytes.Join([][]byte{legacyHeader(t), reg, upload.Raw()}, nil)
+	if err := os.WriteFile(filepath.Join(legacy, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return legacy, current
+}
+
+// lowerRecordChunkBytes sets recordChunkBytes to n until t ends.
+func lowerRecordChunkBytes(t testing.TB, n int) {
+	saved := recordChunkBytes
+	recordChunkBytes = n
+	t.Cleanup(func() { recordChunkBytes = saved })
+}
+
+// upgradeLegacy returns a state file's bytes converted to format 6, as
+// the record scanner converts them, or nil if every record is in
+// format 6 already. A framing error before the first record that is
+// not is left to the frame reader; an error converting from there on
+// is returned, naming the record.
 func upgradeLegacy(data []byte, file string, tolerateTail bool) ([]byte, error) {
 	var conv []byte
 	sc := recordScanner{data: data, file: file, tolerateTail: tolerateTail,
 		onConvert: func(c []byte) error { conv = c; return nil }}
 	for r, ok := sc.next(); ok; r, ok = sc.next() {
 		if r.err != nil {
-			if conv == nil && sc.converted {
+			// The scan ends where it failed: a conversion error at the
+			// record the conversion starts from, one not in format 6.
+			if _, ty, err := protocol.FrameHead(data[sc.pos:]); conv == nil && !isFormat6(data[sc.pos:], ty, err) {
 				return nil, errAt(&r, r.err)
 			}
 			break
@@ -549,9 +707,9 @@ func upgradeLegacy(data []byte, file string, tolerateTail bool) ([]byte, error) 
 	return conv, nil
 }
 
-// readStateFile reads one state file as frames only, converting any
-// legacy JSON lines and, when upgrade is set, writing the conversion
-// over the file, as replay does. A missing file reads as nil.
+// readStateFile reads one state file in format 6, converting any
+// legacy records and, when upgrade is set, writing the conversion over
+// the file, as replay does. A missing file reads as nil.
 func readStateFile(path string, tolerateTail, upgrade bool) ([]byte, error) {
 	data, err := readState(path)
 	if err != nil || data == nil {
@@ -577,22 +735,23 @@ func upgradeFile(t testing.TB, path string, tolerateTail bool) {
 
 // TestLegacyUpgradeCutsLargeRecords lowers recordChunkBytes so that a
 // legacy snapshot's testcase line and run aggregate outgrow a frame:
-// the upgrade cuts each into several frames at record ends, every
-// aggregate chunk carries the whole aggregate's hash and its index, and
-// the state restored is the state the uncut conversion restores.
+// the upgrade cuts the testcases into several jtestcases records, and
+// writes the aggregate as the very frames SaveState writes for the
+// runs it restores — the same chunks under the same hash — and the
+// state restored is the state the uncut conversion restores.
 func TestLegacyUpgradeCutsLargeRecords(t *testing.T) {
 	dir := legacyDirs(t)["meta snapshot and sealed segments"]
-	load := func() string {
+	load := func() *Server {
 		s := New(1)
 		if err := s.LoadState(dir); err != nil {
 			t.Fatal(err)
 		}
-		return richFingerprint(t, s)
+		return s
 	}
-	want := load()
+	want := richFingerprint(t, load())
 	defer func(saved int) { recordChunkBytes = saved }(recordChunkBytes)
-	recordChunkBytes = 700
-	if load() != want {
+	recordChunkBytes = 300
+	if richFingerprint(t, load()) != want {
 		t.Fatal("the cut conversion restores different state")
 	}
 
@@ -604,34 +763,40 @@ func TestLegacyUpgradeCutsLargeRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tcFrames int
-	var parts []int
-	var hashes []string
-	var whole []byte
+	var tcFrames, aggFrames int
+	var agg []byte
 	var f protocol.Frame
 	for pos := 0; pos < len(conv); {
 		n, err := protocol.DecodeFrame(conv[pos:], &f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos += n
 		switch f.Type {
-		case protocol.TypeTestcases:
+		case protocol.TypeJournalTestcases:
 			tcFrames++
 		case protocol.TypeResults:
-			parts = append(parts, f.Count)
-			hashes = append(hashes, string(f.Nonce))
-			whole = append(whole, f.Payload...)
+			aggFrames++
+			agg = append(agg, conv[pos:pos+n]...)
 		}
+		pos += n
 	}
-	if tcFrames < 2 || len(parts) < 2 {
-		t.Fatalf("testcases in %d frames, aggregate in %d; want both cut", tcFrames, len(parts))
+	if tcFrames < 2 || aggFrames < 2 {
+		t.Fatalf("testcases in %d frames, aggregate in %d; want both cut", tcFrames, aggFrames)
 	}
-	// The chunks are the legacy payload cut verbatim, so together they
-	// are the payload the hash covers.
-	for i := range parts {
-		if parts[i] != i || binary.LittleEndian.Uint64([]byte(hashes[i])) != aggregateHash("", string(whole)) {
-			t.Fatalf("aggregate chunk %d carries part %d and hash %x", i, parts[i], hashes[i])
-		}
+	// The snapshot holds no uploads, so its runs are the aggregate's.
+	snapDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(snapDir, snapshotFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runs := New(1)
+	if err := runs.LoadState(snapDir); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := appendAggregateRecords(nil, runs.Results())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(agg, saved) {
+		t.Fatal("the converted aggregate is not the one SaveState writes for its runs")
 	}
 }

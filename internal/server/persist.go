@@ -71,17 +71,13 @@ import (
 // is the state the whole would give. Every record carries its own CRC, and
 // replay re-validates it with the wire decoder.
 //
-// Legacy input, read but never written in normal operation: a results
-// frame with a ClientID is an upload journaled verbatim, text payload
-// and all, by a format-3 or format-4 build, or by a format-6 build that
-// predates the upload cap, for a batch whose binary form outgrew
-// recordChunkBytes (this build refuses such an upload in dispatch); an
-// aggregate chunk without Ver holds text; and a testcases frame is a
-// text testcase batch, as formats 4 and 5 wrote them. Older state holds
-// JSON op lines; legacy.go converts them to frames, and only there:
-// OpenState rewrites each state file that holds one, once, before
-// replaying it, while LoadState and ScanStateOps convert in memory and
-// write nothing.
+// These are the only records replay, ScanStateOps and the cluster merge
+// decode. Older builds wrote other forms — JSON op lines, text uploads,
+// text aggregate chunks, text testcase batches, older headers — and
+// legacy.go alone reads them: OpenState rewrites each state file that
+// holds one, once, as this build writes the same ops, before replaying
+// it, while LoadState and ScanStateOps convert in memory and write
+// nothing.
 // Each header version makes the builds before it refuse a directory
 // this one wrote instead of misreading it.
 //
@@ -106,19 +102,13 @@ const (
 	opJournalMeta = "jmeta"
 )
 
-// Journal format versions a jmeta header declares. Version 3 marked the
-// builds that framed uploads but wrote JSON registration and testcase
-// lines; version 4 wrote every record as a frame, run payloads as text;
-// version 5 wrote run payloads in binary (binaryRunsFormat) and
-// testcases as text; version 6 writes testcases in binary too, as
-// jtestcases records (binaryTestcasesFormat). All are read; a newer
-// version means a future build wrote records this one cannot be sure it
-// parses, which must poison the load rather than mis-parse.
+// journalFormatVersion is the jmeta version this build writes: format
+// 6, whose run and testcase payloads are binary. An aggregate chunk
+// carries Ver binaryRunsFormat, which says its payload is binary.
+// Older versions are read by their conversion (legacy.go).
 const (
-	legacyJournalFormat   = 3
-	binaryRunsFormat      = 5
-	binaryTestcasesFormat = 6
-	journalFormatVersion  = binaryTestcasesFormat
+	binaryRunsFormat     = 5
+	journalFormatVersion = 6
 )
 
 // newestJournalFormat is the newest jmeta version this build reads. It
@@ -142,7 +132,8 @@ var testHookAfterSnapshot func(*Server)
 
 // OpenState attaches the server to a state directory: it restores any
 // existing snapshot + journal, first rewriting each file that holds
-// legacy JSON lines as frames (once; legacy.go), then starts the
+// records an older build wrote as this build writes them (once;
+// legacy.go), then starts the
 // group-commit journal writer so every subsequent registration and
 // accepted result batch is durable before it is acknowledged. Call
 // SaveState periodically to compact. JournalBatch must be set before
@@ -362,7 +353,7 @@ func (s *Server) SaveState(dir string) error {
 // restored stores are bit-identical to a serial replay at any
 // GOMAXPROCS.
 // Missing files are treated as empty stores, so a fresh directory
-// loads cleanly. Legacy JSON state is converted in memory (legacy.go);
+// loads cleanly. Legacy state is converted in memory (legacy.go);
 // nothing is written. A truncated final record in the active journal —
 // the signature of a crash mid-append — is dropped; corruption anywhere
 // else (including a torn tail inside a sealed segment, or a gap in the
@@ -375,13 +366,14 @@ func (s *Server) LoadState(dir string) error {
 	return err
 }
 
-// decodeOp decodes one record into its op: the frame through the wire
-// decoder (CRC check included), then its fields. Payloads borrow the
-// record's bytes without copying; ids, nonces and snapshots, which the
-// stores keep, are copied so they do not pin the file buffer. f is
-// scratch. A run payload is not decoded here; see Runs. A jmeta
-// header of a format this build does not read, outside
-// [legacyJournalFormat, newestJournalFormat], is an error.
+// decodeOp decodes one record, in the form this build writes (the
+// record scanner converts every other, legacy.go), into its op: the
+// frame through the wire decoder (CRC check included), then its fields.
+// Payloads borrow the record's bytes without copying; ids, nonces and
+// snapshots, which the stores keep, are copied so they do not pin the
+// file buffer. f is scratch. A run payload is not decoded here; see
+// Runs. A jmeta header of a format this build does not read is an
+// error.
 func decodeOp(r *replayRec, f *protocol.Frame) (StateOp, error) {
 	if r.err != nil {
 		return StateOp{}, r.err
@@ -391,10 +383,7 @@ func decodeOp(r *replayRec, f *protocol.Frame) (StateOp, error) {
 	}
 	switch f.Type {
 	case protocol.TypeJournalMeta:
-		if f.Ver < legacyJournalFormat || f.Ver > newestJournalFormat {
-			return StateOp{}, fmt.Errorf("unsupported journal format version %d", f.Ver)
-		}
-		return StateOp{Op: opJournalMeta, Ver: f.Ver}, nil
+		return StateOp{Op: opJournalMeta}, checkFormat(f.Ver)
 	case protocol.TypeRegistered:
 		snap, err := f.DecodeSnapshot()
 		if err != nil {
@@ -402,24 +391,16 @@ func decodeOp(r *replayRec, f *protocol.Frame) (StateOp, error) {
 		}
 		return StateOp{Op: opClient, ID: string(f.ClientID), Nonce: string(f.Nonce), Snapshot: snap, LastSeq: f.Seq}, nil
 	case protocol.TypeJournalTestcases:
-		return StateOp{Op: opTestcases, Payload: borrowString(f.Payload), binary: true}, nil
-	case protocol.TypeTestcases:
 		return StateOp{Op: opTestcases, Payload: borrowString(f.Payload)}, nil
 	case protocol.TypeJournalRuns:
-		return StateOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload), binary: true}, nil
+		return StateOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}, nil
 	case protocol.TypeResults:
-		op := StateOp{Op: opResults, ID: string(f.ClientID), Seq: f.Seq, Payload: borrowString(f.Payload)}
-		// Only a snapshot aggregate has no client id (every upload is
-		// checked against the registry), so a client cannot make its
-		// upload's Ver, Nonce or Count mean anything here.
-		if len(f.ClientID) == 0 && len(f.Nonce) > 0 {
-			if len(f.Nonce) != 8 {
-				return StateOp{}, fmt.Errorf("aggregate hash of %d bytes", len(f.Nonce))
-			}
-			op.aggHash, op.part = borrowString(f.Nonce), f.Count
-			op.binary = f.Ver >= binaryRunsFormat
+		// A snapshot aggregate chunk: a results record with a client id
+		// or without Ver is converted before it gets here.
+		if len(f.Nonce) != 8 {
+			return StateOp{}, fmt.Errorf("aggregate hash of %d bytes", len(f.Nonce))
 		}
-		return op, nil
+		return StateOp{Op: opResults, Seq: f.Seq, Payload: borrowString(f.Payload), aggHash: borrowString(f.Nonce), part: f.Count}, nil
 	default:
 		return StateOp{}, fmt.Errorf("unexpected %q frame in journal", f.Type)
 	}
@@ -458,8 +439,8 @@ func appendTestcaseBatch(dst []byte, tcs []*testcase.Testcase) ([]byte, error) {
 // in order: TypeResults frames with no client id and Seq 0, each
 // holding a binary batch of at most recordChunkBytes. Every chunk
 // carries the whole aggregate's content hash and its own index, so the
-// cluster merge deduplicates the aggregate as one unit however it was
-// cut. The hash is aggregateHash of the empty id and the runs'
+// cluster merge deduplicates the aggregate as one unit, and the cut
+// depends on the runs alone. The hash is aggregateHash of the empty id and the runs'
 // canonical text, the payload every earlier format stored, so a text
 // aggregate and a binary one of the same runs deduplicate in the
 // merge; the text streams through the hasher and is never held whole.
@@ -604,8 +585,6 @@ const (
 type StateOp struct {
 	// Op is the op tag (OpKind*).
 	Op string
-	// Ver is the header's format version (OpKindJournalMeta).
-	Ver int
 	// ID is the client id (OpKindClient: the registered id;
 	// OpKindResults: the uploading client, empty for a compacted
 	// snapshot aggregate).
@@ -620,15 +599,12 @@ type StateOp struct {
 	// Seq is the upload batch sequence number (OpKindResults; 0 for
 	// unsequenced or compacted payloads).
 	Seq uint64
-	// Payload holds the op's payload as stored, in binary when binary
-	// is set and in text otherwise: testcases (OpKindTestcases; binary,
-	// testcase.AppendBinary's form, in jtestcases records, written from
-	// journal format 6 on), or run records (OpKindResults; binary,
-	// core's form, from format 5 on). Testcases and Runs decode either
-	// form.
+	// Payload holds the op's payload as stored, in binary: testcases
+	// (OpKindTestcases; testcase.AppendBinary's form) or run records
+	// (OpKindResults; core's form, which Runs decodes). A legacy text
+	// payload is converted to binary before it gets here (legacy.go).
 	Payload string
 
-	binary bool
 	// aggHash and part identify one chunk of a snapshot aggregate (a
 	// results frame with no client id): the 8-byte content hash of the
 	// whole aggregate and the chunk's index.
@@ -636,32 +612,21 @@ type StateOp struct {
 	part    int
 }
 
-// Runs decodes an OpKindResults op's run records, whichever form they
-// were stored in. The runs copy what they keep, so they outlive the
-// scan's file buffer.
+// Runs decodes an OpKindResults op's run records. The runs copy what
+// they keep, so they outlive the scan's file buffer.
 func (op StateOp) Runs() ([]*core.Run, error) {
-	if op.binary {
-		return core.ParseRunsBinary(borrowBytes(op.Payload))
-	}
-	return core.ParseRuns(borrowBytes(op.Payload))
-}
-
-// Testcases decodes an OpKindTestcases op's testcases, whichever form
-// they were stored in. The testcases copy what they keep.
-func (op StateOp) Testcases() ([]*testcase.Testcase, error) {
-	if op.binary {
-		return testcase.ParseBinary(borrowBytes(op.Payload))
-	}
-	return testcase.Parse(borrowBytes(op.Payload))
+	return core.ParseRunsBinary(borrowBytes(op.Payload))
 }
 
 // AggregateKey identifies an unsequenced OpKindResults op for the
 // cluster merge's dedup: the content hash of the whole payload it
 // belongs to, and its chunk index. A snapshot aggregate written as
-// several chunks carries its hash in every chunk (so does a legacy JSON
-// aggregate, once converted); any other unsequenced record — an
-// unsequenced upload — is chunk 0 of itself and is hashed here, as (ID,
-// payload as stored).
+// several chunks carries its hash in every chunk (so does a legacy
+// aggregate, once converted, under the hash it was stored with); any
+// other unsequenced record — an unsequenced upload — is chunk 0 of
+// itself and is hashed here, as (ID, payload as stored): its binary
+// batch, whether this build journaled it or converted a legacy text
+// upload.
 func (op StateOp) AggregateKey() (hash uint64, part int) {
 	if op.aggHash != "" {
 		return binary.LittleEndian.Uint64([]byte(op.aggHash)), op.part
@@ -673,7 +638,7 @@ func (op StateOp) AggregateKey() (hash uint64, part int) {
 // fn for every op in file order. tolerateTail drops a torn final
 // record — pass true for journals (a crash mid-append tears them),
 // false for snapshots (written atomically). A missing file scans as
-// empty; legacy JSON state is converted in memory, and the file is not
+// empty; legacy state is converted in memory, and the file is not
 // written. Records are cut by the scanner replay uses and decoded by
 // the same decodeOp, so the two readers agree on every record, header
 // versions included. Payloads are borrowed views of the file buffer,

@@ -471,7 +471,7 @@ func format4AggregateRecords(t testing.TB, runs []*core.Run) []byte {
 
 // TestV2JournalReplaysUnderV3Server is the upgrade path: a journal left
 // by a v2 build must replay under this server with identical state.
-// Opening it rewrites it once, as the frames of the same ops; new
+// Opening it rewrites it once, as this build's records of the same ops; new
 // records are appended after those, and a later open rewrites nothing.
 func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	dir := t.TempDir()
@@ -491,13 +491,14 @@ func TestV2JournalReplaysUnderV3Server(t *testing.T) {
 	if got := s.Results(); len(got) != 1 || got[0].Offset != 55 {
 		t.Errorf("results = %+v", got)
 	}
-	// The JSON lines are now their frames: a registration and a text
-	// results frame, with no header injected.
+	// The JSON lines are now the records this build writes for them,
+	// under this build's header: a registration and the upload's jruns
+	// record.
 	mid, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if types := frameRecords(t, filepath.Join(dir, journalFile)); !reflect.DeepEqual(types, []protocol.MsgType{protocol.TypeRegistered, protocol.TypeResults}) {
+	if types := frameRecords(t, filepath.Join(dir, journalFile)); !reflect.DeepEqual(types, []protocol.MsgType{protocol.TypeJournalMeta, protocol.TypeRegistered, protocol.TypeJournalRuns}) {
 		t.Fatalf("upgraded v2 journal holds %v", types)
 	}
 	if conv, err := upgradeLegacy(orig, journalFile, true); err != nil || !bytes.Equal(mid, conv) {
@@ -612,7 +613,7 @@ func TestJournalMigrationCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcFrame, err := appendTestcaseRecords(nil, []byte(tcText), []int{len(tcText)})
+	tcFrame, err := appendTextTestcaseRecords(nil, []byte(tcText), []int{len(tcText)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -908,7 +909,7 @@ func TestV3FrameJournalReplaysAcrossRestart(t *testing.T) {
 // build would have written the same history: format-4 headers, each
 // upload as a text results frame, each aggregate chunk as text with no
 // Ver. Every other record is copied as it is.
-func toFormat4(t *testing.T, src, dst string) {
+func toFormat4(t testing.TB, src, dst string) {
 	t.Helper()
 	files, err := StateFiles(src)
 	if err != nil {
@@ -1198,21 +1199,7 @@ func TestOversizedUploadRefused(t *testing.T) {
 // beside a jruns record: both batches restore, and their seqs stay
 // deduplicated on the reopened server.
 func TestFormat6TextUploadReplays(t *testing.T) {
-	snap := testSnapshot()
-	reg, err := appendClientRecord(nil, "uucs-1", "n-1", &snap, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := []*core.Run{testRun(), testRun()}
-	second := []*core.Run{testRun()}
-	second[0].Offset = 77
-	text, err := protocol.AppendFrame(nil, protocol.Message{
-		Type: protocol.TypeResults, ClientID: "uucs-1", Seq: 1, Payload: encodeRuns(t, first),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := bytes.Join([][]byte{journalHeader, reg, text, recordOf(resultsFrame(t, "uucs-1", 2, encodeRuns(t, second)), second)}, nil)
+	journal, first, second := format6TextUploadJournal(t)
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
 		t.Fatal(err)
@@ -1231,4 +1218,29 @@ func TestFormat6TextUploadReplays(t *testing.T) {
 			t.Fatalf("seq %d after replay: dup %v, err %v; want a duplicate", seq, dup, err)
 		}
 	}
+}
+
+// format6TextUploadJournal returns a format-6 journal that registers
+// uucs-1 and holds its upload of first as the client's text results
+// frame, as format-6 builds before the upload cap journaled a batch too
+// large for a binary record, and its upload of second as a jruns
+// record.
+func format6TextUploadJournal(t testing.TB) (journal []byte, first, second []*core.Run) {
+	t.Helper()
+	snap := testSnapshot()
+	reg, err := appendClientRecord(nil, "uucs-1", "n-1", &snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = []*core.Run{testRun(), testRun()}
+	second = []*core.Run{testRun()}
+	second[0].Offset = 77
+	text, err := protocol.AppendFrame(nil, protocol.Message{
+		Type: protocol.TypeResults, ClientID: "uucs-1", Seq: 1, Payload: string(core.AppendRuns(nil, first, true)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal = bytes.Join([][]byte{journalHeader, reg, text, recordOf(resultsFrame(t, "uucs-1", 2, string(core.AppendRuns(nil, second, true))), second)}, nil)
+	return journal, first, second
 }

@@ -20,23 +20,21 @@ import (
 
 // Journal replay. The reference semantics are serial: decode each
 // record and apply it in file order. Decode — frame CRC and field
-// parse, a check of each binary run payload that builds no run (the
-// run store indexes it in the file's bytes; see runstore.go), a
-// transcode of each text one (records older than journal format 5),
-// the decode of each testcase batch (binary from format 6 on, text
-// before) — is nearly the whole cost of a cold restart and of failover
-// promotion, so replay runs as one bounded, ordered pipeline
+// parse, a check of each run payload that builds no run (the run store
+// indexes it in the file's bytes; see runstore.go), the decode of each
+// testcase batch — is nearly the whole cost of a cold restart and of
+// failover promotion, so replay runs as one bounded, ordered pipeline
 // (pool.Ordered) that decodes on every core and applies strictly in
 // record order:
 //
 //   - Cut, on the dispatcher goroutine: the state files are read one at
 //     a time, and recordScanner cuts each into blocks of up to
 //     replayBlockRecs records without decoding anything —
-//     protocol.FrameLen reads just a frame's magic byte and length
-//     prefix. A block never spans two files. A file that holds legacy
-//     JSON lines is converted to frames where the scanner meets the
-//     first one (legacy.go) — written back over the file when
-//     OpenState replays, in memory for LoadState.
+//     protocol.FrameHead reads just a frame's magic byte, length
+//     prefix and type code. A block never spans two files. A file that holds records an older build wrote is
+//     converted to format 6 where the scanner meets the first one
+//     (legacy.go) — written back over the file when OpenState replays,
+//     in memory for LoadState — so every record decoded is format 6.
 //   - Decode, on GOMAXPROCS goroutines: a worker decodes every
 //     record of a block (decodeRec). A record's decoded form is a pure
 //     function of its bytes, so blocks may decode in any order.
@@ -94,13 +92,10 @@ type replayRec struct {
 
 // replayDec is a record's decoded form, produced by a decode worker.
 type replayDec struct {
-	op StateOp
-	// batch is an opResults payload as a checked binary batch of n runs:
-	// a view of the record, or a text payload's transcoding.
-	batch []byte
-	n     int
-	tcs   []*testcase.Testcase // pre-decoded opTestcases payload
-	err   error
+	op  StateOp
+	n   int                  // the runs in an opResults payload, checked
+	tcs []*testcase.Testcase // pre-decoded opTestcases payload
+	err error
 }
 
 // errAt formats a record-scoped error, the same for replay,
@@ -179,43 +174,48 @@ func IsStateFileName(base string) bool {
 // err, after which the scan ends — so a reader reports it at the exact
 // record index a record-by-record decode would.
 //
-// At the first record that is not a frame, the scanner converts the
-// rest of the file (convertLegacy) and scans on in the conversion,
-// calling onConvert with it first when set; a conversion error comes
+// At the first record not in the form this build writes (isFormat6,
+// which reads a frame's type code, and a jmeta or results frame's
+// fields, never its CRC or payload), the scanner converts the rest of
+// the file (convertLegacy) and scans on in the conversion, calling
+// onConvert with it first when set. Every record of a conversion is in
+// format 6, so a file converts at most once. A conversion error comes
 // back like a framing error, at the record that caused it.
 type recordScanner struct {
 	data         []byte
 	file         string
 	tolerateTail bool
 	onConvert    func(conv []byte) error
-	converted    bool
 	pos          int
 	rec          int
 }
 
 // next returns the next record, or ok == false once the file is done.
 func (sc *recordScanner) next() (r replayRec, ok bool) {
-	if sc.pos < len(sc.data) && sc.data[sc.pos] != protocol.FrameMagic && !sc.converted {
-		sc.converted = true
-		conv, bad, err := convertLegacy(sc.data, sc.pos, sc.rec, sc.file, sc.tolerateTail)
-		if err == nil && sc.onConvert != nil {
-			if err = sc.onConvert(conv); err != nil {
-				bad = replayRec{file: sc.file, rec: sc.rec + 1, pos: sc.pos}
-			}
-		}
-		if err != nil {
-			sc.data = sc.data[:sc.pos] // the scan ends here
-			bad.err = err
-			return bad, true
-		}
-		sc.data = conv
-	}
 	if sc.pos == len(sc.data) {
 		return r, false
 	}
+	n, ty, err := protocol.FrameHead(sc.data[sc.pos:])
+	// An upload record, nearly every record replay meets, skips the call.
+	if ty != protocol.TypeJournalRuns && !isFormat6(sc.data[sc.pos:], ty, err) {
+		conv, at, bad, cerr := convertLegacy(sc.data, sc.pos, sc.rec, sc.file, sc.tolerateTail)
+		if cerr == nil && sc.onConvert != nil {
+			if cerr = sc.onConvert(conv); cerr != nil {
+				bad = replayRec{file: sc.file, rec: sc.rec + 1, pos: sc.pos}
+			}
+		}
+		if cerr != nil {
+			sc.data = sc.data[:sc.pos] // the scan ends here
+			bad.err = cerr
+			return bad, true
+		}
+		if sc.data, sc.pos = conv, at; sc.pos == len(sc.data) {
+			return r, false
+		}
+		n, err = protocol.FrameLen(sc.data[sc.pos:])
+	}
 	sc.rec++
 	r = replayRec{file: sc.file, rec: sc.rec, pos: sc.pos}
-	n, err := protocol.FrameLen(sc.data[sc.pos:])
 	if err != nil {
 		sc.data = sc.data[:sc.pos] // the scan ends here
 		if sc.tolerateTail && errors.Is(err, protocol.ErrShortFrame) {
@@ -230,26 +230,20 @@ func (sc *recordScanner) next() (r replayRec, ok bool) {
 }
 
 // decodeRec decodes one record: its op (decodeOp), then the payload. A
-// binary run payload is checked and counted without building a run
-// (core.CountRunsBinary), and the run store keeps its bytes; a text one
-// (a legacy record) is transcoded to binary once, here. Testcases are
-// decoded from binary, with no float parsing, or parsed from a legacy
-// text record. f is a per-worker scratch frame; the decoded op borrows
-// views of the file buffer, not of f.
+// run payload is checked and counted without building a run
+// (core.CountRunsBinary), and the run store keeps its bytes. Testcases
+// are decoded from binary, with no float parsing. f is a per-worker
+// scratch frame; the decoded op borrows views of the file buffer, not
+// of f.
 func decodeRec(r *replayRec, d *replayDec, f *protocol.Frame) {
 	if d.op, d.err = decodeOp(r, f); d.err != nil {
 		return
 	}
 	switch d.op.Op {
 	case opResults:
-		if d.op.binary {
-			d.batch = borrowBytes(d.op.Payload)
-			d.n, d.err = core.CountRunsBinary(d.batch)
-			return
-		}
-		d.batch, d.n, d.err = core.TranscodeRuns(nil, borrowBytes(d.op.Payload))
+		d.n, d.err = core.CountRunsBinary(borrowBytes(d.op.Payload))
 	case opTestcases:
-		d.tcs, d.err = d.op.Testcases()
+		d.tcs, d.err = testcase.ParseBinary(borrowBytes(d.op.Payload))
 	}
 }
 
@@ -265,7 +259,7 @@ func (s *Server) applyRec(d *replayDec, file []byte) error {
 	case opClient:
 		return s.applyClient(&d.op)
 	case opResults:
-		return s.applyResults(&d.op, d.batch, d.n, file)
+		return s.applyResults(&d.op, borrowBytes(d.op.Payload), d.n, file)
 	}
 	// A jmeta header, whose version decodeOp checked. A replica journal
 	// can carry several (one per bootstrap segment shipped after a
@@ -298,10 +292,9 @@ func (s *Server) applyClient(op *StateOp) error {
 
 // applyResults replays one opResults: registration check, (id, seq)
 // dedup and lastSeq advance, then, unless the snapshot already covers
-// the batch, the append of its n runs. A binary batch that lies in
-// file, the bytes read from its state file, is indexed there (the run
-// store takes file); any other, a transcoded text payload or one in a
-// legacy file's conversion, is copied.
+// the batch, the append of its n runs. A batch that lies in file, the
+// bytes read from its state file, is indexed there (the run store takes
+// file); one in a legacy file's conversion is copied.
 func (s *Server) applyResults(op *StateOp, batch []byte, n int, file []byte) error {
 	sh := shardFor(s, op.ID)
 	sh.lock()
@@ -468,20 +461,16 @@ func (rp *replayer) open() error {
 	f := &replayFile{data: data, refs: 1}
 	rp.pin(f, len(data))
 	rp.cur = f
+	// A legacy file's conversion is pinned next to its bytes, and
+	// written over it when upgrading.
 	rp.sc = recordScanner{data: data, file: filepath.Base(path), tolerateTail: active,
-		onConvert: func(conv []byte) error { return rp.converted(path, f, conv) }}
-	return nil
-}
-
-// converted takes over a legacy file's conversion: it writes it over
-// the file when upgrading and pins it next to the file's bytes.
-func (rp *replayer) converted(path string, f *replayFile, conv []byte) error {
-	if rp.upgrade {
-		if err := writeConverted(path, conv); err != nil {
-			return err
-		}
-	}
-	rp.pin(f, len(conv))
+		onConvert: func(conv []byte) error {
+			rp.pin(f, len(conv))
+			if rp.upgrade {
+				return writeConverted(path, conv)
+			}
+			return nil
+		}}
 	return nil
 }
 

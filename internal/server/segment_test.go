@@ -654,8 +654,8 @@ func TestReplayPinnedBytesBounded(t *testing.T) {
 
 // TestTornTailAtBlockEnd covers a torn final JSON line that is the last
 // record of a full replay block, so the file's end is only found by the
-// next cut. The line is complete JSON, so OpenState converts it to its
-// results frame and counts every byte of that: the writer's size must
+// next cut. The line is complete JSON, so OpenState converts it to the
+// upload's jruns record and counts every byte of that: the writer's size must
 // match the file, and a later snapshot must compact the journal at a
 // record boundary.
 func TestTornTailAtBlockEnd(t *testing.T) {
@@ -694,10 +694,7 @@ func TestTornTailAtBlockEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, err := protocol.AppendFrame(nil, protocol.Message{Type: protocol.TypeResults, ClientID: op.ID, Seq: op.Seq, Payload: op.Payload})
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := recordOf(resultsFrame(t, op.ID, op.Seq, op.Payload), []*core.Run{run})
 		if s.jw.fsize != fi.Size() || fi.Size() != int64(len(data)+len(frame)) {
 			t.Fatalf("workers=%d: writer size %d, file %d bytes, want %d", workers, s.jw.fsize, fi.Size(), len(data)+len(frame))
 		}

@@ -46,7 +46,7 @@ func format5Header(t testing.TB) []byte {
 // build would have written the same history: format-5 headers, and
 // each testcase batch as text testcases frames. Every other record is
 // copied as it is.
-func toFormat5(t *testing.T, src, dst string) {
+func toFormat5(t testing.TB, src, dst string) {
 	t.Helper()
 	files, err := StateFiles(src)
 	if err != nil {
@@ -86,7 +86,7 @@ func toFormat5(t *testing.T, src, dst string) {
 					}
 					ends[i] = len(text)
 				}
-				if rec, err = appendTestcaseRecords(nil, text, ends); err != nil {
+				if rec, err = appendTextTestcaseRecords(nil, text, ends); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -96,6 +96,16 @@ func toFormat5(t *testing.T, src, dst string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// appendTextTestcaseRecords appends text-encoded testcases as testcases
+// frames, the form builds of journal formats 4 and 5 journaled them in,
+// a test-only oracle for reading one; ends holds each testcase's end
+// offset in text.
+func appendTextTestcaseRecords(dst, text []byte, ends []int) ([]byte, error) {
+	return appendChunked(dst, text, ends, func(_ int, chunk string) protocol.Message {
+		return protocol.Message{Type: protocol.TypeTestcases, Payload: chunk}
+	})
 }
 
 // countFrames returns how many records of type ty the state file at
@@ -116,8 +126,8 @@ func countFrames(t testing.TB, path string, ty protocol.MsgType) int {
 // first, with registrations and uploads between — and the same history
 // as a format-5 build wrote it, testcases as text. Both load to the
 // same state at one and several workers, and a server opened on the
-// format-5 directory journals binary testcase records after the text
-// ones and restores all of them.
+// format-5 directory upgrades its text testcase records to binary ones,
+// journals more after them and restores all of them.
 func TestFormat5DirectoryRestoresSameState(t *testing.T) {
 	saved := recordChunkBytes
 	recordChunkBytes = 4 << 10 // cut every batch into several records
@@ -188,8 +198,8 @@ func TestFormat5DirectoryRestoresSameState(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal := filepath.Join(dir5, journalFile)
-	if countFrames(t, journal, protocol.TypeTestcases) == 0 || countFrames(t, journal, protocol.TypeJournalTestcases) == 0 {
-		t.Fatal("the format 5 journal does not hold text and then binary testcase records")
+	if countFrames(t, journal, protocol.TypeTestcases) != 0 || countFrames(t, journal, protocol.TypeJournalTestcases) == 0 {
+		t.Fatal("the opened format 5 journal holds text testcase records, or no binary ones")
 	}
 	if n := load(dir5, 2).TestcaseCount(); n != 18 {
 		t.Fatalf("format 5 directory after an append restores %d testcases, want 18", n)
